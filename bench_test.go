@@ -591,9 +591,8 @@ func BenchmarkLubyPacked(b *testing.B) {
 }
 
 // BenchmarkRunParallelLubyPacked runs the packed 1-bit Luby program on the
-// sharded worker pool: word-rounded plane windows, packed per-shard staging,
-// and — under the topology-aware defaults — pinned workers with first-touched
-// windows and adaptive pool width. The Result is byte-identical to
+// sharded worker pool: word-rounded plane windows, packed per-shard staging
+// and adaptive pool width. The Result is byte-identical to
 // BenchmarkLubyPacked's sequential rows for equal seeds; the ns/op delta is
 // pure engine overhead or speedup.
 func BenchmarkRunParallelLubyPacked(b *testing.B) {

@@ -57,7 +57,6 @@ func run(args []string) error {
 	scheduler := fs.String("scheduler", "sequential", "simulation engine: sequential | concurrent | parallel")
 	workers := fs.Int("workers", 0, "worker-pool size for -scheduler parallel (0 = GOMAXPROCS, clamped to the node count)")
 	reshard := fs.String("reshard", "adaptive", "parallel re-shard policy: adaptive | halving | off")
-	place := fs.String("place", "auto", "parallel worker placement: auto | pin | none (pin locks workers to OS threads and first-touches their shard windows)")
 	telemetry := fs.Bool("telemetry", false, "collect per-round scheduling telemetry and print a summary for the single-simulation algorithms (en, luby, lubybit, coloring); delivery modes are packed (bit planes), dense (plane sweep), sparse (staged-slot walk) and channels (concurrent engine)")
 	drop := fs.Float64("drop", 0, "adversary: per-message drop probability (en, luby, coloring)")
 	delay := fs.Float64("delay", 0, "adversary: per-message delay probability")
@@ -77,17 +76,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	placePolicy, err := sim.ParsePlacePolicy(*place)
-	if err != nil {
-		return err
-	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	sim.SetDefaultScheduler(sched, *workers)
 	sim.SetDefaultReshard(policy)
-	sim.SetDefaultPlace(placePolicy)
-	defer sim.SetDefaultPlace(sim.PlaceAuto)
 	sim.SetTelemetry(*telemetry)
 	if *telemetry {
 		defer sim.SetTelemetry(false)
@@ -391,30 +384,6 @@ func printTelemetry(tel *sim.Telemetry) {
 		}
 		fmt.Printf("telemetry: effective pool width: %d configured, %d-%d active per round\n",
 			tel.Workers, minW, maxW)
-	}
-	if len(tel.CrossShardStaged) > 0 {
-		var diag, cross int64
-		for i, row := range tel.CrossShardStaged {
-			for j, c := range row {
-				if i == j {
-					diag += c
-				} else {
-					cross += c
-				}
-			}
-		}
-		if diag+cross > 0 {
-			fmt.Printf("telemetry: cross-shard staging: %d of %d staged messages crossed shards (%.1f%%)\n",
-				cross, diag+cross, 100*float64(cross)/float64(diag+cross))
-		}
-	}
-	for _, ev := range tel.Places {
-		when := fmt.Sprintf("after round %d", ev.Round)
-		if ev.Round < 0 {
-			when = "at setup"
-		}
-		fmt.Printf("telemetry: placement %s: width=%d pinned=%v moved=%d touched=%v\n",
-			when, ev.Width, ev.Pinned, ev.Moved, ev.Touched)
 	}
 	for _, ev := range tel.Reshards {
 		fmt.Printf("telemetry: reshard after round %d over %d live nodes (cost %.2fms, imbalance debt %.2fms)\n",

@@ -40,16 +40,9 @@ func main() {
 	jobs := flag.Int("jobs", 0, "concurrent runs (0 = GOMAXPROCS)")
 	backlog := flag.Int("backlog", 16, "accepted runs that may queue beyond the workers before 503")
 	pool := flag.Bool("pool", true, "keep engine buffers warm across runs (sim.EnginePool)")
-	place := flag.String("place", "auto", "default worker placement for parallel runs that leave it unset: auto | pin | none (use none in containers whose CPU quota is below the pool width)")
 	graphDir := flag.String("graphdir", "", "directory of prebuilt CSR graph files (cmd/csrgen) that graphFile requests may name; empty rejects file-backed runs")
 	flag.Parse()
 	log.SetFlags(0)
-
-	placePolicy, err := sim.ParsePlacePolicy(*place)
-	if err != nil {
-		log.Fatalf("locsimd: %v", err)
-	}
-	sim.SetDefaultPlace(placePolicy)
 
 	if err := run(*addr, *jobs, *backlog, *pool, *graphDir); err != nil {
 		log.Fatalf("locsimd: %v", err)

@@ -11,48 +11,28 @@ import (
 	"randlocal/internal/sim"
 )
 
-// E13 is the multi-core execution-policy matrix deferred since the parallel
-// engine landed: every combination of re-shard policy (adaptive / halving /
-// off) and placement policy (pin / none) runs the *same* Luby instance with
-// the same coins, so the table demonstrates the engine's core invariant —
-// Results are byte-identical across execution policies; policy moves wall
-// clock only — and records which policy actually wins on this host.
+// E13 is the multi-core re-shard policy sweep deferred since the parallel
+// engine landed: every re-shard policy (adaptive / halving / off) runs the
+// *same* Luby instance with the same coins, so the table demonstrates the
+// engine's core invariant — Results are byte-identical across re-shard
+// policies; policy moves wall clock only — and records which policy
+// actually wins on this host.
 //
 // The wall-clock column reads RunRecord.ElapsedNS, which is measurement
 // metadata excluded from checkpoint-resume equality (EqualStable) and from
 // the CI smoke diff; the stable Values are the counters the invariant pins
-// (rounds, messages, bits, MIS size), identical across all six units by
+// (rounds, messages, bits, MIS size), identical across all three units by
 // construction.
 
 // e13Workers is the configured pool width. Four keeps the sweep meaningful
 // on multi-core hosts while the adaptive policy's processor clamp (see
 // sim.ReshardAdaptive) collapses it honestly on smaller ones — the
-// poolWidth column records what the engine actually ran.
+// poolWidth column records the width the engine actually started with.
 const e13Workers = 4
 
-type e13Config struct {
-	unit    string
-	reshard sim.ReshardPolicy
-	place   sim.PlacePolicy
-}
-
-var e13Configs = []e13Config{
-	{"adaptive/pin", sim.ReshardAdaptive, sim.PlacePin},
-	{"adaptive/none", sim.ReshardAdaptive, sim.PlaceNone},
-	{"halving/pin", sim.ReshardHalving, sim.PlacePin},
-	{"halving/none", sim.ReshardHalving, sim.PlaceNone},
-	{"off/pin", sim.ReshardOff, sim.PlacePin},
-	{"off/none", sim.ReshardOff, sim.PlaceNone},
-}
-
-func e13ConfigOf(unit string) *e13Config {
-	for i := range e13Configs {
-		if e13Configs[i].unit == unit {
-			return &e13Configs[i]
-		}
-	}
-	return nil
-}
+// e13Units are the re-shard policies swept, named by their flag values
+// (sim.ParseReshardPolicy parses a unit back into its policy).
+var e13Units = []string{"adaptive", "halving", "off"}
 
 func e13Sizes(opt Options) []int {
 	if opt.Quick {
@@ -70,14 +50,14 @@ func e13Trials(opt Options) int {
 
 var E13 = &Experiment{
 	ID:    "E13",
-	Title: "Parallel execution-policy matrix: re-shard × placement on one Luby instance",
-	Claim: "execution policy is a wall-clock lever only — rounds/messages/bits are byte-identical across adaptive/halving/off × pin/none at every size",
+	Title: "Parallel re-shard policies on one Luby instance",
+	Claim: "re-shard policy is a wall-clock lever only — rounds/messages/bits are byte-identical across adaptive/halving/off at every size",
 	Specs: func(opt Options) []RunSpec {
 		var specs []RunSpec
 		for _, n := range e13Sizes(opt) {
-			for _, cfg := range e13Configs {
+			for _, unit := range e13Units {
 				for t := 0; t < e13Trials(opt); t++ {
-					specs = append(specs, RunSpec{Experiment: "E13", Unit: cfg.unit, N: n, Trial: t})
+					specs = append(specs, RunSpec{Experiment: "E13", Unit: unit, N: n, Trial: t})
 				}
 			}
 		}
@@ -85,12 +65,12 @@ var E13 = &Experiment{
 	},
 	Run: func(opt Options, spec RunSpec) *RunRecord {
 		rec := newRecord(spec)
-		cfg := e13ConfigOf(spec.Unit)
-		if cfg == nil {
+		policy, err := sim.ParseReshardPolicy(spec.Unit)
+		if err != nil || policy == sim.ReshardAuto {
 			return rec.fail("unknown unit " + spec.Unit)
 		}
 		n := spec.N
-		// Shared instance and shared per-trial coins: all six policy units
+		// Shared instance and shared per-trial coins: all three policy units
 		// at the same (n, trial) solve the identical problem with the
 		// identical randomness, so any divergence in the stable counters
 		// would be an engine-equivalence bug, not noise.
@@ -100,8 +80,7 @@ var E13 = &Experiment{
 			Exec: sim.ExecOptions{
 				Scheduler: sim.Parallel,
 				Workers:   e13Workers,
-				Reshard:   cfg.reshard,
-				Place:     cfg.place,
+				Reshard:   policy,
 				Telemetry: true,
 			},
 		})
@@ -121,23 +100,28 @@ var E13 = &Experiment{
 		rec.set("messages", float64(res.Messages))
 		rec.set("bits", float64(res.BitsTotal))
 		rec.set("misSize", float64(size))
-		if res.Telemetry != nil {
-			// The width the engine actually ran: the adaptive policy clamps
-			// the configured pool to the host's processor count (collapsing
-			// to the sequential engine at width 1), so this is
-			// host-dependent but deterministic per host.
-			rec.set("poolWidth", float64(res.Telemetry.Workers))
+		if tel := res.Telemetry; tel != nil {
+			// The width the engine actually started with: the adaptive
+			// policy clamps the configured pool to the host's processor
+			// count (collapsing to the sequential engine, one lane and no
+			// width record, at width 1), so this is host-dependent but
+			// deterministic per host.
+			width := tel.Workers
+			if len(tel.PoolWidthPerRound) > 0 {
+				width = tel.PoolWidthPerRound[0]
+			}
+			rec.set("poolWidth", float64(width))
 		}
 		return rec
 	},
 	Table: func(opt Options, rep *Report) *Table {
-		t := tableFor("E13", []string{"reshard", "place", "n", "rounds", "messages", "bits/node", "|MIS|", "width", "wall ms", "identical", "trials", "failures"})
+		t := tableFor("E13", []string{"reshard", "n", "rounds", "messages", "bits/node", "|MIS|", "width", "wall ms", "identical", "trials", "failures"})
 		for _, n := range e13Sizes(opt) {
 			// Reference counters from the first unit: the "identical"
 			// column checks every other unit against them, trial by trial.
-			ref := rep.trialsOf("E13", e13Configs[0].unit, n, e13Trials(opt))
-			for _, cfg := range e13Configs {
-				recs := rep.trialsOf("E13", cfg.unit, n, e13Trials(opt))
+			ref := rep.trialsOf("E13", e13Units[0], n, e13Trials(opt))
+			for _, unit := range e13Units {
+				recs := rep.trialsOf("E13", unit, n, e13Trials(opt))
 				if len(recs) == 0 {
 					continue
 				}
@@ -160,14 +144,7 @@ var E13 = &Experiment{
 							recs[i].val("misSize") == ref[i].val("misSize")
 					}
 				}
-				slash := 0
-				for i := range cfg.unit {
-					if cfg.unit[i] == '/' {
-						slash = i
-						break
-					}
-				}
-				t.AddRow(cfg.unit[:slash], cfg.unit[slash+1:], itoa(n),
+				t.AddRow(unit, itoa(n),
 					d0(r.mean), d0(msgs.mean), f1(bits.mean/float64(n)), d0(misSize.mean),
 					d0(width.mean), f1(wallNS/1e6), yesNo(identical),
 					itoa(len(recs)), itoa(failures(recs)))
@@ -175,7 +152,7 @@ var E13 = &Experiment{
 		}
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("all units run mis.Luby on the same gnp(4/n) instance with the same coins, scheduler=parallel workers=%d", e13Workers),
-			"width is the pool the engine actually ran: the adaptive policy clamps to the host's processor count and collapses to the sequential engine at width 1, so it is host-dependent (recorded, not compared)",
+			"width is the pool the engine started with: the adaptive policy clamps to the host's processor count and collapses to the sequential engine at width 1, so it is host-dependent (recorded, not compared)",
 			"wall ms averages RunRecord.ElapsedNS — measurement metadata, excluded from resume/diff stability; the stable columns (rounds/messages/bits/|MIS|) must read identical down every size block")
 		return t
 	},

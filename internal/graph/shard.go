@@ -74,118 +74,6 @@ func (g *Graph) ShardWordBoundsInto(bounds, words []int) []int {
 	return words
 }
 
-// AssignShardsAffine chooses which of p previous shard owners takes each of
-// the k new contiguous shard ranges of a re-cut, maximizing measured
-// affinity. bounds is the new cut (k+1 ascending node boundaries, as
-// returned by ShardBounds or ShardBoundsLive); oldLo/oldHi give each
-// candidate owner's previous node range (length p, lo==hi for an owner that
-// held nothing); traffic is a flat p×p matrix where traffic[w*p+u] counts
-// the messages owner w staged into owner u's previous window since the last
-// cut. It returns assign of length k with assign[s] = the owner of new
-// range s; owners are used at most once, and with k <= p the surplus owners
-// are simply left unassigned (the engine parks them).
-//
-// The affinity of owner w for new range s combines two fractions: how much
-// of s's half-edge window w already owned (its caches and — under pinned
-// first-touch — its NUMA node hold those pages), and how much of the
-// measured staging traffic w sent into the old windows that s now covers
-// (owning the destination turns those cross-worker scatter writes into
-// self-delivery). Assignment is greedy max-weight with deterministic
-// tie-breaking (identity first, then lower range, then lower owner), so the
-// same inputs always produce the same assignment. Like the cut itself this
-// is purely a performance decision: the engines' Results are byte-identical
-// under every assignment.
-//
-// It panics unless 0 < k <= p.
-func (g *Graph) AssignShardsAffine(bounds []int, oldLo, oldHi []int, traffic []int64, assign []int) []int {
-	k := len(bounds) - 1
-	p := len(oldLo)
-	if k <= 0 || k > p || len(oldHi) != p || len(traffic) != p*p {
-		panic(fmt.Sprintf("graph: AssignShardsAffine(k=%d, p=%d, traffic=%d)", k, p, len(traffic)))
-	}
-	if cap(assign) < k {
-		assign = make([]int, k)
-	} else {
-		assign = assign[:k]
-	}
-	var totalTraffic int64
-	for _, t := range traffic {
-		totalTraffic += t
-	}
-	// weight[w*k+s] is owner w's affinity for new range s.
-	weight := make([]float64, p*k)
-	for s := 0; s < k; s++ {
-		newLo, newHi := g.off[bounds[s]], g.off[bounds[s+1]]
-		newSize := newHi - newLo
-		for w := 0; w < p; w++ {
-			var aff float64
-			if newSize > 0 {
-				if ovl := overlap(g.off[oldLo[w]], g.off[oldHi[w]], newLo, newHi); ovl > 0 {
-					aff += float64(ovl) / float64(newSize)
-				}
-			}
-			if totalTraffic > 0 {
-				var sent float64
-				for u := 0; u < p; u++ {
-					t := traffic[w*p+u]
-					if t == 0 {
-						continue
-					}
-					uLo, uHi := g.off[oldLo[u]], g.off[oldHi[u]]
-					uSize := uHi - uLo
-					if uSize <= 0 {
-						continue
-					}
-					if ovl := overlap(uLo, uHi, newLo, newHi); ovl > 0 {
-						sent += float64(t) * float64(ovl) / float64(uSize)
-					}
-				}
-				aff += sent / float64(totalTraffic)
-			}
-			weight[w*k+s] = aff
-		}
-	}
-	taken := make([]bool, p)
-	for s := range assign {
-		assign[s] = -1
-	}
-	for range assign {
-		bestW, bestS, bestAff := -1, -1, -1.0
-		for s := 0; s < k; s++ {
-			if assign[s] >= 0 {
-				continue
-			}
-			for w := 0; w < p; w++ {
-				if taken[w] {
-					continue
-				}
-				aff := weight[w*k+s]
-				if aff > bestAff || (aff == bestAff && w == s && bestW != bestS) {
-					bestW, bestS, bestAff = w, s, aff
-				}
-			}
-		}
-		assign[bestS] = bestW
-		taken[bestW] = true
-	}
-	return assign
-}
-
-// overlap returns the length of the intersection of [aLo, aHi) and [bLo, bHi).
-func overlap(aLo, aHi, bLo, bHi int64) int64 {
-	lo, hi := aLo, aHi
-	if bLo > lo {
-		lo = bLo
-	}
-	if bHi < hi {
-		hi = bHi
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
 // ShardBoundsLive re-cuts the node range [0, n) into k contiguous shards of
 // near-equal *surviving* half-edge count: live is the ascending list of node
 // indices still running, and each boundary is placed between live nodes so

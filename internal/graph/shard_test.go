@@ -345,128 +345,3 @@ func TestShardWordBounds(t *testing.T) {
 		}
 	}
 }
-
-// TestAssignShardsAffineIdentity: when the new cut exactly reproduces the old
-// ranges and no traffic was measured, every owner keeps its range — warm
-// caches and first-touched pages stay where they are.
-func TestAssignShardsAffineIdentity(t *testing.T) {
-	g := Ring(8)
-	bounds := g.ShardBounds(4)
-	oldLo := make([]int, 4)
-	oldHi := make([]int, 4)
-	for w := 0; w < 4; w++ {
-		oldLo[w], oldHi[w] = bounds[w], bounds[w+1]
-	}
-	assign := g.AssignShardsAffine(bounds, oldLo, oldHi, make([]int64, 16), nil)
-	for s, w := range assign {
-		if w != s {
-			t.Errorf("assign[%d] = %d, want identity", s, w)
-		}
-	}
-}
-
-// TestAssignShardsAffineShrink: a 4→2 re-cut hands each new range to an owner
-// whose old window overlaps it, uses each owner at most once, and parks the
-// surplus.
-func TestAssignShardsAffineShrink(t *testing.T) {
-	g := Ring(8)
-	old := g.ShardBounds(4) // [0 2 4 6 8]
-	oldLo := []int{old[0], old[1], old[2], old[3]}
-	oldHi := []int{old[1], old[2], old[3], old[4]}
-	bounds := []int{0, 4, 8}
-	assign := g.AssignShardsAffine(bounds, oldLo, oldHi, make([]int64, 16), nil)
-	if len(assign) != 2 {
-		t.Fatalf("len(assign) = %d, want 2", len(assign))
-	}
-	if assign[0] == assign[1] {
-		t.Fatalf("owner %d assigned twice", assign[0])
-	}
-	// New range 0 covers old owners 0 and 1; range 1 covers 2 and 3. Any
-	// other owner has zero overlap and must lose.
-	if assign[0] != 0 && assign[0] != 1 {
-		t.Errorf("assign[0] = %d, want an overlapping owner (0 or 1)", assign[0])
-	}
-	if assign[1] != 2 && assign[1] != 3 {
-		t.Errorf("assign[1] = %d, want an overlapping owner (2 or 3)", assign[1])
-	}
-}
-
-// TestAssignShardsAffineTraffic: measured staging traffic can out-vote range
-// overlap. Two owners overlap the merged range equally, but only one of them
-// was the source of every staged message — it owns the destinations, so it
-// takes the range.
-func TestAssignShardsAffineTraffic(t *testing.T) {
-	g := Ring(8)
-	oldLo := []int{0, 4}
-	oldHi := []int{4, 8}
-	bounds := []int{0, 8}
-	traffic := make([]int64, 4)
-	traffic[1*2+0] = 100 // owner 1 → owner 0's old window
-	traffic[1*2+1] = 100 // owner 1 self-delivery
-	assign := g.AssignShardsAffine(bounds, oldLo, oldHi, traffic, nil)
-	if assign[0] != 1 {
-		t.Errorf("assign[0] = %d, want 1 (all traffic originated there)", assign[0])
-	}
-	// Without traffic the equal-overlap tie breaks to identity.
-	assign = g.AssignShardsAffine(bounds, oldLo, oldHi, make([]int64, 4), assign)
-	if assign[0] != 0 {
-		t.Errorf("assign[0] = %d, want 0 (identity tie-break)", assign[0])
-	}
-}
-
-// TestAssignShardsAffineDeterministic: same inputs, same assignment — the
-// engine's equivalence guarantee rides on re-cuts being reproducible.
-func TestAssignShardsAffineDeterministic(t *testing.T) {
-	rng := prng.New(77)
-	g := PowerLaw(200, 3, rng)
-	p := 5
-	old := g.ShardBounds(p)
-	oldLo := make([]int, p)
-	oldHi := make([]int, p)
-	for w := 0; w < p; w++ {
-		oldLo[w], oldHi[w] = old[w], old[w+1]
-	}
-	traffic := make([]int64, p*p)
-	for i := range traffic {
-		traffic[i] = int64(rng.Uint64() % 50)
-	}
-	for _, k := range []int{1, 2, 3, 5} {
-		bounds := g.ShardBounds(k)
-		a := g.AssignShardsAffine(bounds, oldLo, oldHi, traffic, nil)
-		b := g.AssignShardsAffine(bounds, oldLo, oldHi, traffic, nil)
-		seen := make([]bool, p)
-		for s := range a {
-			if a[s] != b[s] {
-				t.Fatalf("k=%d: nondeterministic assign[%d]: %d vs %d", k, s, a[s], b[s])
-			}
-			if a[s] < 0 || a[s] >= p {
-				t.Fatalf("k=%d: assign[%d] = %d out of [0,%d)", k, s, a[s], p)
-			}
-			if seen[a[s]] {
-				t.Fatalf("k=%d: owner %d assigned twice", k, a[s])
-			}
-			seen[a[s]] = true
-		}
-	}
-}
-
-// TestAssignShardsAffinePanics pins the argument contract.
-func TestAssignShardsAffinePanics(t *testing.T) {
-	g := Ring(8)
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	oldLo := []int{0, 4}
-	oldHi := []int{4, 8}
-	traffic := make([]int64, 4)
-	mustPanic("k=0", func() { g.AssignShardsAffine([]int{0}, oldLo, oldHi, traffic, nil) })
-	mustPanic("k>p", func() { g.AssignShardsAffine([]int{0, 2, 4, 8}, oldLo, oldHi, traffic, nil) })
-	mustPanic("oldHi len", func() { g.AssignShardsAffine([]int{0, 8}, oldLo, oldHi[:1], traffic, nil) })
-	mustPanic("traffic len", func() { g.AssignShardsAffine([]int{0, 8}, oldLo, oldHi, traffic[:3], nil) })
-}

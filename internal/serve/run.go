@@ -68,13 +68,12 @@ type RunRequest struct {
 	// and (through the derived SimulationKey) the adversary's. The same
 	// request is byte-deterministic across processes.
 	Seed uint64 `json:"seed"`
-	// Scheduler ("" = sequential), Workers, Reshard ("" = adaptive), Place
-	// ("" = auto) and Unpacked select the engine exactly as the CLI flags
-	// do. Workers above N is clamped to N (a shard needs a node).
+	// Scheduler ("" = sequential), Workers, Reshard ("" = adaptive) and
+	// Unpacked select the engine exactly as the CLI flags do. Workers above
+	// N is clamped to N (a shard needs a node).
 	Scheduler string `json:"scheduler,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
 	Reshard   string `json:"reshard,omitempty"`
-	Place     string `json:"place,omitempty"`
 	Unpacked  bool   `json:"unpacked,omitempty"`
 	// Adversary attaches fault budgets; the zero value runs fault-free.
 	Adversary AdversaryKnobs `json:"adversary,omitempty"`
@@ -121,9 +120,6 @@ func (r *RunRequest) Validate() error {
 		return err
 	}
 	if _, err := sim.ParseReshardPolicy(reshardOrDefault(r.Reshard)); err != nil {
-		return err
-	}
-	if _, err := sim.ParsePlacePolicy(r.Place); err != nil {
 		return err
 	}
 	if r.Workers < 0 {
@@ -233,13 +229,9 @@ type TelemetrySummary struct {
 	// Effective pool width of the parallel engine: Workers is the
 	// configured pool, PoolWidthMin/Max the smallest and largest active set
 	// any round ran with (the adaptive ledger parks surplus workers through
-	// the shattering tail). Placements counts placement events (initial
-	// pinning plus re-cut reassignments); Pinned reports whether workers
-	// were locked to OS threads.
-	PoolWidthMin int  `json:"poolWidthMin,omitempty"`
-	PoolWidthMax int  `json:"poolWidthMax,omitempty"`
-	Placements   int  `json:"placements,omitempty"`
-	Pinned       bool `json:"pinned,omitempty"`
+	// the shattering tail).
+	PoolWidthMin int `json:"poolWidthMin,omitempty"`
+	PoolWidthMax int `json:"poolWidthMax,omitempty"`
 }
 
 func summarizeTelemetry(tel *sim.Telemetry) *TelemetrySummary {
@@ -262,12 +254,6 @@ func summarizeTelemetry(tel *sim.Telemetry) *TelemetrySummary {
 			if w > out.PoolWidthMax {
 				out.PoolWidthMax = w
 			}
-		}
-	}
-	out.Placements = len(tel.Places)
-	for _, ev := range tel.Places {
-		if ev.Pinned {
-			out.Pinned = true
 		}
 	}
 	var wallNS, computeNS int64
@@ -341,14 +327,9 @@ func Execute(req RunRequest, exec sim.ExecOptions) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	placePolicy, err := sim.ParsePlacePolicy(req.Place)
-	if err != nil {
-		return nil, err
-	}
 	exec.Scheduler = sched
 	exec.Workers = req.Workers
 	exec.Reshard = policy
-	exec.Place = placePolicy
 	if req.Unpacked {
 		exec.Unpacked = true
 	}

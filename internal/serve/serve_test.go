@@ -348,6 +348,11 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if code := post(`{"algo":"luby","n":64,"bogus":true}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d", code)
 	}
+	// Worker placement is not configurable, so "place" is rejected like
+	// any unknown field.
+	if code := post(`{"algo":"luby","n":64,"seed":1,"place":"pin"}`); code != http.StatusBadRequest {
+		t.Errorf("place field: status %d", code)
+	}
 	if code := post(`not json`); code != http.StatusBadRequest {
 		t.Errorf("garbage body: status %d", code)
 	}

@@ -32,17 +32,6 @@ func (a *arena) rotate() {
 	a.bufs[a.flip] = a.bufs[a.flip][:0]
 }
 
-// touch walks both round buffers' full capacity at page stride with
-// idempotent writes — the arena half of the parallel engine's first-touch
-// placement pass (see parallelWorker.firstTouch). Owner-only, like every
-// arena method; safe while payloads are live because each write stores back
-// the byte it read.
-func (a *arena) touch() {
-	for i := range a.bufs {
-		touchBytes(a.bufs[i][:cap(a.bufs[i])])
-	}
-}
-
 // alloc carves a zeroed n-byte payload from the current round's buffer.
 func (a *arena) alloc(n int) Message {
 	if n == 0 {

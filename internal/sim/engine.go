@@ -53,14 +53,6 @@ type Config struct {
 	// performance lever — Results are identical under every policy — and
 	// ignored by the other engines.
 	Reshard ReshardPolicy
-	// Place selects the Parallel scheduler's worker-placement policy:
-	// PlaceAuto (the zero value) defers to the package default set by
-	// SetDefaultPlace, which out of the box resolves by hardware (pin on
-	// multi-CPU hosts, none on single-CPU ones); PlacePin and PlaceNone are
-	// explicit choices. Purely a performance lever — Results and
-	// Telemetry.Injected are byte-identical under every policy — and
-	// ignored by the other engines.
-	Place PlacePolicy
 	// Unpacked opts the run out of packed bit planes: even when every node
 	// program declares PayloadBits() <= 1 (see PayloadBitsDeclarer), the
 	// engines keep the full-width []Message planes. Purely a representation

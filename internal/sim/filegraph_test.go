@@ -82,25 +82,17 @@ func TestFileBackedEquivalence(t *testing.T) {
 			}
 			assertResultsEqual(t, "concurrent", want, got)
 
-			// Place cycles through the matrix rather than multiplying it:
-			// every policy runs over the mapping several times (pinned
-			// workers first-touch their windows while the graph pages stay
-			// read-only), without tripling the combination count.
-			places := []PlacePolicy{PlaceAuto, PlacePin, PlaceNone}
-			combo := 0
 			for _, workers := range []int{1, 2, 3, 8} {
 				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
 					for _, unpack := range []bool{false, true} {
 						c := cfg(fg)
 						c.Reshard = policy
 						c.Unpacked = unpack
-						c.Place = places[combo%len(places)]
-						combo++
 						got, err := RunParallel(c, factory, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
-						label := fmt.Sprintf("parallel/workers=%d/%v/unpacked=%v/place=%v", workers, policy, unpack, c.Place)
+						label := fmt.Sprintf("parallel/workers=%d/%v/unpacked=%v", workers, policy, unpack)
 						assertResultsEqual(t, label, want, got)
 					}
 				}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	mathbits "math/bits"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -78,94 +77,16 @@ type parallelWorker struct {
 	// worker per round cost nothing next to the phase itself, so it is
 	// measured unconditionally.
 	computeNS int64
-	// err is the shard's first error by node index. Shards are contiguous,
-	// so the erroring worker with the lowest node range holds the same
-	// error Run would have returned — the coordinator scans its range-
-	// ordered active set, because placement-aware re-cuts permute which
-	// worker owns which range.
+	// err is the shard's first error by node index. Shards are contiguous
+	// and worker i owns range i, so the first erroring worker in pool order
+	// holds the same error Run would have returned.
 	err error
 }
 
 const (
 	phaseCompute = iota
 	phaseScatter
-	// phaseTouch is the placement phase of pinned runs: each worker walks
-	// its shard's plane windows (and its arena) with page-stride idempotent
-	// writes from its own locked thread, so the backing pages fault in on —
-	// or migrate their cache lines toward — the owning thread's node. Run
-	// once at setup and after every re-cut; never during a round.
-	phaseTouch
 )
-
-// touchPageWords is the touch stride over []uint64 planes (4 KiB pages of
-// 8-byte words); touchPageMsgs the stride over []Message planes (16-byte
-// interface headers).
-const (
-	touchPageWords = 512
-	touchPageMsgs  = 256
-)
-
-// touchWords walks p[lo:hi] at page stride with idempotent load+store pairs.
-// Rewriting a slot's current value is safe at any time — the plane may hold
-// live messages after a re-cut — while still dirtying the page, which is
-// what makes an untouched page fault in on the calling thread (a pure read
-// would merely map the shared zero page) and pulls a touched one's cache
-// lines toward it.
-func touchWords(p []uint64, lo, hi int) {
-	for i := lo; i < hi; i += touchPageWords {
-		v := p[i]
-		p[i] = v
-	}
-	if hi > lo {
-		v := p[hi-1]
-		p[hi-1] = v
-	}
-}
-
-// touchMsgs is touchWords over a Message plane window.
-func touchMsgs(p []Message, lo, hi int64) {
-	for i := lo; i < hi; i += touchPageMsgs {
-		v := p[i]
-		p[i] = v
-	}
-	if hi > lo {
-		v := p[hi-1]
-		p[hi-1] = v
-	}
-}
-
-// touchBytes is the touch walk over one arena buffer's full capacity.
-func touchBytes(p []byte) {
-	for i := 0; i < len(p); i += 1 << 12 {
-		v := p[i]
-		p[i] = v
-	}
-	if len(p) > 0 {
-		v := p[len(p)-1]
-		p[len(p)-1] = v
-	}
-}
-
-// firstTouch is the worker body of phaseTouch: page-stride idempotent writes
-// over everything this worker owns — its inbox window (unpacked plane or
-// packed word window), its private out plane's window, and its arena's
-// retained buffers. Owner-exclusive by the same single-writer invariant the
-// round phases rely on, and barrier-separated from them, so it is race-free
-// and cannot change any Result: every write stores back the value it read.
-func (w *parallelWorker) firstTouch(st *engineStateCore) {
-	if st.packed {
-		touchWords(st.inBits.present, w.wlo, w.whi)
-		touchWords(st.inBits.value, w.wlo, w.whi)
-		if w.out != nil && w.hi > w.lo {
-			plo, phi := int(st.off[w.lo]>>6), int((st.off[w.hi]+63)>>6)
-			touchWords(w.out.present, plo, phi)
-			touchWords(w.out.value, plo, phi)
-		}
-	} else {
-		touchMsgs(st.inbox, st.off[w.lo], st.off[w.hi])
-	}
-	w.arena.touch()
-}
 
 type phaseCmd struct {
 	phase int
@@ -479,32 +400,24 @@ type engineStateCore struct {
 // and ReshardOff pins the initial cut. The policy changes wall clock only,
 // never the Result.
 //
-// On top of *when*, the engine is topology-aware about *where* and *how
-// wide*. Where: under cfg.Place (PlacePin, or PlaceAuto on a multi-CPU
-// host) every worker locks its OS thread for the run and first-touches its
-// shard's plane windows and arena from that thread at setup and after every
-// re-cut, so pages land on the owning thread's NUMA node; and each re-cut
-// assigns the new shard ranges to workers by measured affinity
-// (graph.AssignShardsAffine over the cross-shard staged-message matrix the
-// coordinator accumulates at the staging sites), so workers keep the
-// windows — and the traffic — they already own instead of being dealt
-// ranges by pool order. How wide: under ReshardAdaptive the same debt
-// ledger carries a pool-width model (poolModel): when the live worklist
-// shrinks below the measured per-worker profitability threshold, the
-// coordinator re-cuts to fewer shards and parks the surplus workers on
-// their command channels — the shattering tail stops paying P-way barrier
-// and scatter costs for one worker's work — and wakes them if the workload
-// re-grows. Because per-worker wall clocks cannot see processor
-// oversubscription (time-sliced workers all measure the full round span),
-// the width model is additionally clamped to the host's processor count:
-// under ReshardAdaptive a pool wider than GOMAXPROCS starts at hardware
-// width, and a pool that collapses to width 1 dispatches to the sequential
-// engine outright (a one-wide pool still pays the stage-and-scatter copy
-// the sequential path avoids). Explicit policies (ReshardHalving,
-// ReshardOff) treat the configured worker count as a contract and never
-// resize. All of it changes wall clock only: Results and
-// Telemetry.Injected are byte-identical across place policies × reshard
-// policies × worker counts, as the equivalence suite asserts.
+// On top of *when*, the engine adapts *how wide* it runs: under
+// ReshardAdaptive the same debt ledger carries a pool-width model
+// (poolModel): when the live worklist shrinks below the measured per-worker
+// profitability threshold, the coordinator re-cuts to fewer shards and parks
+// the surplus workers on their command channels — the shattering tail stops
+// paying P-way barrier and scatter costs for one worker's work — and wakes
+// them if the workload re-grows. Because per-worker wall clocks cannot see
+// processor oversubscription (time-sliced workers all measure the full round
+// span), the width model is additionally clamped to the host's processor
+// count: under ReshardAdaptive a pool wider than GOMAXPROCS starts at
+// hardware width, and a pool that collapses to width 1 dispatches to the
+// sequential engine outright (a one-wide pool still pays the
+// stage-and-scatter copy the sequential path avoids). Explicit policies
+// (ReshardHalving, ReshardOff) treat the configured worker count as a
+// contract and never resize. Every cut — initial or re-cut — gives range i
+// to worker i. All of it changes wall clock only: Results and
+// Telemetry.Injected are byte-identical across reshard policies × worker
+// counts, as the equivalence suite asserts.
 //
 // Every mutable location has a single writer (the shard owner), phases are
 // separated by barriers, and counters merge over order-independent sums and
@@ -529,27 +442,10 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 	if workers <= 1 {
 		// A one-worker pool is the sequential schedule; skip the barriers,
 		// but keep the telemetry labeled with the engine the caller asked
-		// for (one lane; cfg.Reshard and cfg.Place are moot without shards).
+		// for (one lane; cfg.Reshard is moot without shards).
 		st.initTelemetry(Parallel, 1)
 		return st.runSequential(maxRounds)
 	}
-
-	// Placement: PlaceAuto resolves through the package default and then by
-	// hardware — pinning pays only when the runtime actually has more than
-	// one CPU to place workers on; on a single-CPU host (1-core containers,
-	// CI quota) a locked thread just adds affinity churn.
-	place := cfg.Place
-	if place == PlaceAuto {
-		place = DefaultPlace()
-	}
-	if place == PlaceAuto {
-		if numProcs() >= 2 {
-			place = PlacePin
-		} else {
-			place = PlaceNone
-		}
-	}
-	pin := place == PlacePin
 
 	// The re-shard policy is resolved up front because it also governs the
 	// pool's starting width: under the adaptive policy a pool wider than
@@ -639,39 +535,28 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		round:          st.roundFor,
 		packed:         st.packed,
 		inBits:         st.inBits,
-		src:            pool,
+		src:            pool[:width],
 	}
-	// act is the active worker set — the pool indices that own a shard and
-	// run the phases — in ascending pool order; actW the same workers in
-	// ascending *node-range* order. Affinity re-cuts permute which worker
-	// owns which range, and everything that must replay the sequential
-	// engine's node order — counter merges, held-message queues, the live
-	// gathers feeding the adversary and ShardBoundsLiveInto (whose contract
-	// requires an ascending worklist) — walks actW, while phase commands
-	// and telemetry lanes go by pool index. Initially the starting width in
-	// identity order; every mutation happens between rounds and is
-	// published to the workers by the next phase-command sends.
-	act := make([]int, width, workers)
-	actW := make([]*parallelWorker, width, workers)
-	for i := 0; i < width; i++ {
-		act[i] = i
-		actW[i] = pool[i]
-	}
-	core.src = actW
-	// Word-rounded scatter windows: the worker owning range s of the cut
-	// holds the exclusive word range [wlo, whi) of the packed inbox plane
-	// (graph.ShardWordBounds), so adjacent shards whose slot ranges share a
-	// boundary word never write the same word concurrently. assign maps cut
-	// range → owning pool index (identity at setup, affinity-chosen at
-	// re-cuts).
+	// The active workers are pool[:width]: worker s owns range s of the
+	// current cut, so pool order is node-range order, and everything that
+	// must replay the sequential engine's node order — counter merges,
+	// held-message queues, the live gathers feeding the adversary and
+	// ShardBoundsLiveInto (whose contract requires an ascending worklist) —
+	// walks the pool prefix. width changes only between rounds; the next
+	// phase-command sends publish it to the workers.
+	//
+	// Word-rounded scatter windows: worker s holds the exclusive word range
+	// [wlo, whi) of the packed inbox plane (graph.ShardWordBounds), so
+	// adjacent shards whose slot ranges share a boundary word never write
+	// the same word concurrently.
 	var wordBoundsScratch []int
-	applyWordBounds := func(bounds []int, assign []int) {
+	applyWordBounds := func(bounds []int) {
 		wordBoundsScratch = st.g.ShardWordBoundsInto(bounds, wordBoundsScratch)
 		for s := 0; s+1 < len(wordBoundsScratch); s++ {
-			w := pool[assign[s]]
+			w := pool[s]
 			w.wlo, w.whi = wordBoundsScratch[s], wordBoundsScratch[s+1]
 			for wd := w.wlo; wd < w.whi; wd++ {
-				core.wordShardOf[wd] = int32(assign[s])
+				core.wordShardOf[wd] = int32(s)
 			}
 		}
 	}
@@ -681,7 +566,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		} else {
 			core.wordShardOf = make([]int32, st.inBits.words())
 		}
-		applyWordBounds(bounds, act)
+		applyWordBounds(bounds)
 	}
 
 	cmds := make([]chan phaseCmd, workers)
@@ -693,13 +578,6 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 	for i, w := range pool {
 		go func(i int, w *parallelWorker) {
 			defer lifetime.Done()
-			if pin {
-				// Pinned run: the goroutine keeps one OS thread for its
-				// lifetime, so the pages its phaseTouch passes fault in stay
-				// with the thread that owns the windows.
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			for c := range cmds[i] {
 				switch c.phase {
 				case phaseCompute:
@@ -710,8 +588,6 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 					} else {
 						w.scatter(core, i, core.src)
 					}
-				case phaseTouch:
-					w.firstTouch(core)
 				}
 				barrier.Done()
 			}
@@ -723,9 +599,9 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 	// outboxes (and of every coordinator mutation since the last barrier).
 	// Parked workers stay blocked on their channel, costing nothing.
 	runPhase := func(c phaseCmd) {
-		barrier.Add(len(act))
-		for _, i := range act {
-			cmds[i] <- c
+		barrier.Add(width)
+		for _, ch := range cmds[:width] {
+			ch <- c
 		}
 		barrier.Wait()
 	}
@@ -752,51 +628,28 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 	}
 	var boundsScratch []int
 	var prefixScratch []int64
-	// Cross-shard staging matrices, flat workers×workers, src-major:
-	// crossTel accumulates over the whole run (Telemetry.CrossShardStaged),
-	// crossCut since the last cut (the affinity input of the next one).
-	// Counted at the staging lists the scatter phase just drained — O(k²)
-	// int adds per round. Skipped entirely under ReshardOff with telemetry
-	// off, where nobody would read them.
 	st.initTelemetry(Parallel, workers)
-	var crossTel, crossCut []int64
-	if st.tel != nil || policy != ReshardOff {
-		crossTel = make([]int64, workers*workers)
-		crossCut = make([]int64, workers*workers)
-	}
-	oldLo := make([]int, workers)
-	oldHi := make([]int, workers)
-	var assignScratch []int
 	// reshard re-cuts target contiguous shards over the live worklist and
-	// assigns them to workers by measured affinity. target may differ from
-	// the current width: the pool-width ledger shrinks the cut through the
-	// shattering tail (surplus workers park on their command channels) and
-	// re-grows it if the workload recovers. It runs between rounds, while
-	// every worker is parked, so moving worklist entries, node ownership
-	// (shardOf), arena wiring and recorded inbox slots is plain
-	// single-threaded code; the next phase commands publish it to the pool.
-	// Arenas stay with their workers and every active arena still rotates
-	// once per round, so payloads carved before the cut remain live exactly
-	// as long as the retention rule promises (a parked worker's arena is
-	// simply frozen — its last payloads age out before it can be woken).
-	// It returns how many workers' ranges changed, for the placement event.
-	reshard := func(live []int32, target int) int {
+	// gives range s to worker s. target may differ from the current width:
+	// the pool-width ledger shrinks the cut through the shattering tail
+	// (surplus workers park on their command channels) and re-grows it if
+	// the workload recovers. It runs between rounds, while every worker is
+	// parked, so moving worklist entries, node ownership (shardOf), arena
+	// wiring and recorded inbox slots is plain single-threaded code; the
+	// next phase commands publish it to the pool. Arenas stay with their
+	// workers and every active arena still rotates once per round, so
+	// payloads carved before the cut remain live exactly as long as the
+	// retention rule promises (a parked worker's arena is simply frozen —
+	// its last payloads age out before it can be woken).
+	reshard := func(live []int32, target int) {
 		var bounds []int
 		bounds, prefixScratch = st.g.ShardBoundsLiveInto(target, live, boundsScratch, prefixScratch)
 		boundsScratch = bounds
-		// Choose owners: greedy max-affinity over window overlap plus the
-		// staged-traffic matrix accumulated since the last cut, so workers
-		// keep the windows whose pages and traffic they already hold.
-		for i, w := range pool {
-			oldLo[i], oldHi[i] = w.lo, w.hi
-		}
-		assignScratch = st.g.AssignShardsAffine(bounds, oldLo, oldHi, crossCut, assignScratch)
-		assign := assignScratch
 		// Collect every recorded inbox slot before the windows move; a
 		// worker whose last scatter was dense has no slot list, so scan its
 		// (old) window for survivors. Parked workers own no window.
 		slots := slotScratch[:0]
-		for _, w := range actW {
+		for _, w := range pool[:width] {
 			if w.denseInbox {
 				if st.packed {
 					// A dense packed scatter left no slot list either; scan
@@ -826,20 +679,15 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		// Park everyone, then hand out the new node ranges, worklist
 		// segments and arenas (and, packed, the live nodes' out-plane
 		// wiring — a migrated node must write its bits where its new owner
-		// harvests) to the assigned owners.
+		// harvests).
 		for _, w := range pool {
 			w.lo, w.hi = 0, 0
 			w.wlo, w.whi = 0, 0
 			w.active = w.active[:0]
 		}
 		li := 0
-		moved := 0
-		for s := 0; s < target; s++ {
-			w := pool[assign[s]]
+		for s, w := range pool[:target] {
 			lo, hi := bounds[s], bounds[s+1]
-			if oldLo[assign[s]] != lo || oldHi[assign[s]] != hi {
-				moved++
-			}
 			w.lo, w.hi = lo, hi
 			seg := w.active[:0]
 			for ; li < len(live) && int(live[li]) < hi; li++ {
@@ -847,7 +695,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			}
 			w.active = seg
 			for v := lo; v < hi; v++ {
-				shardOf[v] = int32(assign[s])
+				shardOf[v] = int32(s)
 			}
 			for _, v := range w.active {
 				st.ctxs[v].arena = w.arena
@@ -857,7 +705,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			}
 		}
 		if st.packed {
-			applyWordBounds(bounds, assign)
+			applyWordBounds(bounds)
 		}
 		// Re-own the surviving inbox slots: on Message planes slot i belongs
 		// to node adj[rev[i]]'s owner; on packed planes to whichever worker
@@ -872,23 +720,8 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			}
 			owner.inboxSlots = append(owner.inboxSlots, i)
 		}
-		// Rebuild the active sets and publish them: act by pool index (phase
-		// commands), actW by node range — range s of the cut belongs to
-		// pool[assign[s]] and ranges ascend with s, so walking the
-		// assignment yields the sequential engine's node order.
-		act = act[:0]
-		for i, w := range pool {
-			if w.hi > w.lo {
-				act = append(act, i)
-			}
-		}
-		actW = actW[:0]
-		for s := 0; s < target; s++ {
-			actW = append(actW, pool[assign[s]])
-		}
-		core.src = actW
-		clear(crossCut)
-		return moved
+		width = target
+		core.src = pool[:width]
 	}
 	var computeScratch []int64
 	var stagedScratch []int
@@ -897,27 +730,6 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		computeScratch = make([]int64, workers)
 		stagedScratch = make([]int, workers)
 		modeScratch = make([]DeliveryMode, workers)
-	}
-
-	// First-touch at setup, with the slab's placement memory: workers take
-	// shards in pool order here, so a warm slab whose last pinned run
-	// started from identical bounds already has every window's pages where
-	// this run wants them, and the pass is skipped.
-	if pin {
-		touched := true
-		if s := st.slab; s != nil {
-			if s.placePinned && equalBounds(s.placeBounds, bounds) {
-				touched = false
-			}
-			s.placePinned = true
-			s.placeBounds = append(s.placeBounds[:0], bounds...)
-		}
-		if touched {
-			runPhase(phaseCmd{phase: phaseTouch})
-		}
-		st.tel.recordPlace(-1, width, true, width, touched)
-	} else {
-		st.tel.recordPlace(-1, width, false, width, false)
 	}
 
 	// Re-shard policy state (see policy.go): the halving trigger tracks
@@ -942,41 +754,20 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		// wall time even when telemetry is off.
 		roundStart := time.Now()
 		runPhase(phaseCmd{phase: phaseCompute, round: r})
-		// actW ascends by node range, so the first erroring worker holds
-		// the error of the lowest-indexed erroring node — the same error
-		// the sequential scheduler reports (pool order would not do: an
-		// affinity re-cut permutes which worker owns which range). Like
-		// Run, surface it before any of the round's deliveries are tallied.
-		for _, w := range actW {
+		// The pool prefix ascends by node range, so the first erroring
+		// worker holds the error of the lowest-indexed erroring node — the
+		// same error the sequential scheduler reports. Like Run, surface it
+		// before any of the round's deliveries are tallied.
+		for _, w := range pool[:width] {
 			if w.err != nil {
 				stop()
 				return nil, w.err
 			}
 		}
 		runPhase(phaseCmd{phase: phaseScatter, round: r})
-		// Cross-shard traffic: the staging lists the scatter just drained
-		// still hold their lengths until the next compute truncates them.
-		if crossTel != nil {
-			for _, wi := range act {
-				w := pool[wi]
-				if st.packed {
-					for s := range w.pout {
-						c := int64(len(w.pout[s]))
-						crossTel[wi*workers+s] += c
-						crossCut[wi*workers+s] += c
-					}
-				} else {
-					for s := range w.outbox {
-						c := int64(len(w.outbox[s]))
-						crossTel[wi*workers+s] += c
-						crossCut[wi*workers+s] += c
-					}
-				}
-			}
-		}
 		activeN, liveN := 0, 0
 		var maxComputeNS, sumComputeNS int64
-		for _, w := range actW {
+		for _, w := range pool[:width] {
 			activeN += w.activeN
 			liveN += len(w.active)
 			st.running -= w.halted
@@ -1007,8 +798,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 					modeScratch[i] = DeliverSparse
 				}
 			}
-			for _, wi := range act {
-				w := pool[wi]
+			for wi, w := range pool[:width] {
 				computeScratch[wi] = w.computeNS
 				// The staged lane counts what the shard's programs emitted,
 				// including what the adversary then dropped, cut or held.
@@ -1024,7 +814,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			}
 			st.tel.recordRound(time.Since(roundStart).Nanoseconds(), computeScratch, stagedScratch, modeScratch)
 		}
-		st.tel.recordWidth(len(act))
+		st.tel.recordWidth(width)
 		if st.adv != nil {
 			// Round boundary: all workers are parked on their command
 			// channels, so the adversary's inbox writes, crash-stops and
@@ -1033,7 +823,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			var advLive []int32
 			if st.adv.cfg.CrashPerRound > 0 || st.adv.cfg.StallPerRound > 0 {
 				lv := liveScratch[:0]
-				for _, w := range actW {
+				for _, w := range pool[:width] {
 					lv = append(lv, w.active...)
 				}
 				liveScratch = lv
@@ -1061,7 +851,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 				st.maxBits = maxBits
 			}
 			if crashed > 0 {
-				for _, w := range actW {
+				for _, w := range pool[:width] {
 					liveSeg := w.active[:0]
 					for _, v := range w.active {
 						if !st.done[v] {
@@ -1085,7 +875,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		// bounds and pay the price for nothing — while a width change is
 		// worth a cut on its own.
 		if policy != ReshardOff && liveN > 0 {
-			cur := len(act)
+			cur := width
 			target := cur
 			doCut := false
 			if policy == ReshardHalving {
@@ -1106,21 +896,14 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			}
 			if doCut {
 				live := liveScratch[:0]
-				for _, w := range actW {
+				for _, w := range pool[:width] {
 					live = append(live, w.active...)
 				}
 				liveScratch = live
 				cutStart := time.Now()
-				moved := reshard(live, target)
+				reshard(live, target)
 				cost := time.Since(cutStart).Nanoseconds()
-				if pin {
-					// Re-place: pages that have not faulted yet will land
-					// with their new owners; already-placed ones at least
-					// pull their cache lines over.
-					runPhase(phaseCmd{phase: phaseTouch})
-				}
 				st.tel.recordReshard(r, liveN, cost, model.wasteNS)
-				st.tel.recordPlace(r, target, pin, moved, pin)
 				model.cutDone(liveN, cost)
 				model.workers = target
 				pm.resized(target)
@@ -1130,21 +913,5 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		st.progress()
 	}
 	stop()
-	if st.tel != nil {
-		st.tel.setCrossShard(workers, crossTel)
-	}
 	return st.result(), nil
-}
-
-// equalBounds reports whether two shard cuts are identical.
-func equalBounds(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

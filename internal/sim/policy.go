@@ -7,9 +7,9 @@ import (
 
 // numProcs reports how many workers the runtime can actually execute
 // concurrently. It is a variable so tests can simulate wider (or narrower)
-// hardware than the host: the adaptive pool-width machinery and the
-// PlaceAuto hardware resolution both read it, and on a single-CPU CI runner
-// the real value would collapse every multi-worker code path to width 1.
+// hardware than the host: the adaptive pool-width machinery reads it, and on
+// a single-CPU CI runner the real value would collapse every multi-worker
+// code path to width 1.
 var numProcs = func() int { return runtime.GOMAXPROCS(0) }
 
 // ReshardPolicy selects when RunParallel re-cuts its shards over the live
@@ -76,66 +76,6 @@ func ParseReshardPolicy(name string) (ReshardPolicy, error) {
 		return ReshardOff, nil
 	default:
 		return ReshardAuto, fmt.Errorf("sim: unknown re-shard policy %q (want adaptive, halving or off)", name)
-	}
-}
-
-// PlacePolicy selects whether RunParallel pins its pool workers to OS
-// threads and first-touches each worker's shard windows (inbox/next message
-// planes, packed bit planes) from the owning goroutine. Like ReshardPolicy,
-// placement is purely a performance decision: the Result — outputs, rounds,
-// active trajectory, every counter, and Telemetry.Injected under an
-// adversary — is byte-identical under every policy (the equivalence suite
-// asserts this), so policies exist to be A/B-benchmarked, not to change
-// behavior. Placement changes wall clock only.
-type PlacePolicy uint8
-
-const (
-	// PlaceAuto defers to the package-wide default (SetDefaultPlace); out
-	// of the box that resolves by hardware at run time — PlacePin when
-	// runtime.GOMAXPROCS(0) >= 2, PlaceNone on single-CPU hosts where
-	// pinning buys nothing and costs thread-affinity churn. It is the zero
-	// value, so a Config that never mentions placement keeps sensible
-	// behavior everywhere.
-	PlaceAuto PlacePolicy = iota
-	// PlacePin locks every pool worker to its OS thread for the run
-	// (runtime.LockOSThread) and first-touches the worker's shard windows
-	// from that goroutine at acquisition and after every re-cut, so the
-	// backing pages fault in on — and stay local to — the owning thread's
-	// NUMA node. Best-effort: Go offers no page-migration API, so re-cut
-	// touches only help pages that have not faulted yet plus the caches.
-	PlacePin
-	// PlaceNone disables pinning and first-touch passes entirely. The
-	// right choice in containers and CI runners whose CPU quota is below
-	// the pool width: a locked thread that loses its CPU slice stalls the
-	// whole barrier until the scheduler hands the thread back.
-	PlaceNone
-)
-
-// String returns the flag-friendly name of the policy.
-func (p PlacePolicy) String() string {
-	switch p {
-	case PlaceAuto:
-		return "auto"
-	case PlacePin:
-		return "pin"
-	case PlaceNone:
-		return "none"
-	default:
-		return fmt.Sprintf("PlacePolicy(%d)", int(p))
-	}
-}
-
-// ParsePlacePolicy parses a -place flag value.
-func ParsePlacePolicy(name string) (PlacePolicy, error) {
-	switch name {
-	case "", "auto":
-		return PlaceAuto, nil
-	case "pin":
-		return PlacePin, nil
-	case "none", "off":
-		return PlaceNone, nil
-	default:
-		return PlaceAuto, fmt.Errorf("sim: unknown placement policy %q (want auto, pin or none)", name)
 	}
 }
 

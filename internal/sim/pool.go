@@ -126,14 +126,6 @@ type engineSlab struct {
 	wordShardOf []int32
 	liveScratch []int32
 	slotScratch []int32
-
-	// Placement memory (survives scrub — it describes where the slab's pages
-	// physically live, which outlasts any one run): the initial shard bounds
-	// of the last pinned run of this slab. Workers take shards in pool order
-	// at setup, so identical bounds mean worker i re-acquires exactly the
-	// windows it first-touched last time and the touch pass can be skipped.
-	placePinned bool
-	placeBounds []int
 }
 
 // msgPlane materializes one of the slab's Message planes.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"randlocal/internal/graph"
@@ -98,161 +97,10 @@ func TestPoolModel(t *testing.T) {
 	}
 }
 
-// TestParsePlacePolicy pins the flag surface and the package default's
-// semantics: unlike SetDefaultReshard, SetDefaultPlace stores Auto as-is —
-// the engine resolves it by hardware at run time.
-func TestParsePlacePolicy(t *testing.T) {
-	for name, want := range map[string]PlacePolicy{
-		"": PlaceAuto, "auto": PlaceAuto,
-		"pin":  PlacePin,
-		"none": PlaceNone, "off": PlaceNone,
-	} {
-		got, err := ParsePlacePolicy(name)
-		if err != nil || got != want {
-			t.Errorf("ParsePlacePolicy(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParsePlacePolicy("bogus"); err == nil {
-		t.Error("bogus policy accepted")
-	}
-	if PlaceAuto.String() != "auto" || PlacePin.String() != "pin" || PlaceNone.String() != "none" {
-		t.Error("PlacePolicy.String names drifted")
-	}
-	SetDefaultPlace(PlaceNone)
-	defer SetDefaultPlace(PlaceAuto)
-	if got := DefaultPlace(); got != PlaceNone {
-		t.Fatalf("DefaultPlace() = %v after SetDefaultPlace(None)", got)
-	}
-	SetDefaultPlace(PlaceAuto)
-	if got := DefaultPlace(); got != PlaceAuto {
-		t.Errorf("DefaultPlace() = %v after SetDefaultPlace(Auto), want auto (hardware-resolved per run)", got)
-	}
-}
-
-// TestPlacePolicyEquivalence is the topology-aware engine's determinism
-// proof: across place policies × re-shard policies × worker counts, on both
-// plane representations, clean and faulted, the Result — and the injected-
-// fault record under an adversary — must be byte-identical to the sequential
-// engine's. Placement and pool-width adaptation may only ever change wall
-// clock.
-func TestPlacePolicyEquivalence(t *testing.T) {
-	rng := prng.New(909)
-	g := graph.PowerLaw(400, 3, rng)
-	n := g.N()
-	diam := graph.Diameter(g)
-	key := NewSimulationKey(uint64(n)*11 + 3)
-	ids := RandomIDs(n, 3, key)
-
-	type variant struct {
-		name    string
-		cfg     Config
-		factory func(int) NodeProgram[uint64]
-	}
-	variants := []variant{
-		{
-			name:    "unpacked/clean",
-			cfg:     Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n)},
-			factory: func(int) NodeProgram[uint64] { return &staggeredHalt{} },
-		},
-		{
-			name: "packed/clean",
-			cfg:  Config{Graph: g, IDs: ids},
-			factory: func(int) NodeProgram[uint64] {
-				return &bitGossip{rounds: diam + 1}
-			},
-		},
-		{
-			name: "unpacked/faulted",
-			cfg: Config{
-				Graph: g, IDs: ids, MaxMessageBits: CongestBits(n),
-				Adversary: mustAdversary(t, key, AdversaryConfig{
-					DropProb: 0.05, DelayProb: 0.05, DelayMax: 2,
-					CrashPerRound: 1, StallPerRound: 2,
-				}),
-			},
-			factory: func(int) NodeProgram[uint64] { return &staggeredHalt{} },
-		},
-		{
-			name: "packed/faulted",
-			cfg: Config{
-				Graph: g, IDs: ids,
-				Adversary: mustAdversary(t, key, AdversaryConfig{DropProb: 0.08, StallPerRound: 2}),
-			},
-			factory: func(int) NodeProgram[uint64] {
-				return &bitGossip{rounds: diam + 1}
-			},
-		},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			want, err := Run(v.cfg, v.factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, place := range []PlacePolicy{PlaceAuto, PlacePin, PlaceNone} {
-				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-					for _, workers := range []int{2, 4} {
-						cfg := v.cfg
-						cfg.Place = place
-						cfg.Reshard = policy
-						got, err := RunParallel(cfg, v.factory, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("place=%v/%v/workers=%d", place, policy, workers)
-						assertResultsEqual(t, label, want, got)
-						if v.cfg.Adversary != nil {
-							assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestPlacePolicyPooledEquivalence runs pinned pooled runs back to back on
-// one slab: the second run must hit the slab's placement memory (identical
-// initial bounds skip the touch pass) and still produce a byte-identical
-// Result, and a cold run must match both.
-func TestPlacePolicyPooledEquivalence(t *testing.T) {
-	rng := prng.New(910)
-	g := graph.GNPConnected(300, 0.03, rng)
-	n := g.N()
-	ids := RandomIDs(n, 3, NewSimulationKey(uint64(n)))
-	cfg := Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n), Place: PlacePin}
-	factory := func(int) NodeProgram[uint64] { return &staggeredHalt{} }
-	want, err := RunParallel(cfg, factory, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := cfg
-	pcfg.Pool = NewEnginePool()
-	pcfg.Telemetry = true
-	first, err := RunParallel(pcfg, factory, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, "pooled/cold-slab", want, first)
-	second, err := RunParallel(pcfg, factory, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, "pooled/warm-slab", want, second)
-	// The warm run re-acquired a slab whose pages were placed by the first:
-	// its initial placement event must record the skipped touch pass.
-	if len(second.Telemetry.Places) == 0 {
-		t.Fatal("warm pinned run recorded no placement events")
-	}
-	if ev := second.Telemetry.Places[0]; ev.Round != -1 || !ev.Pinned || ev.Touched {
-		t.Errorf("warm initial placement = %+v, want round=-1 pinned touch-skipped", ev)
-	}
-}
-
-// TestTelemetryPoolWidth pins the new telemetry surface: PoolWidthPerRound
-// spans every round with widths in [1, Workers], placement events are
-// recorded (the initial one at round -1 first), and the cross-shard matrix
-// is Workers×Workers with every staged message accounted on its source row.
+// TestTelemetryPoolWidth pins the pool-width telemetry: PoolWidthPerRound
+// spans every round with widths in [1, Workers], the first round runs the
+// full starting width, and the per-lane Staged counts account for every
+// delivered message.
 func TestTelemetryPoolWidth(t *testing.T) {
 	rng := prng.New(911)
 	g := graph.PowerLaw(400, 3, rng)
@@ -260,53 +108,34 @@ func TestTelemetryPoolWidth(t *testing.T) {
 	ids := RandomIDs(n, 3, NewSimulationKey(uint64(n)*5))
 	const workers = 4
 	withTelemetry(t, func() {
-		for _, place := range []PlacePolicy{PlacePin, PlaceNone} {
-			cfg := Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n), Place: place}
-			res, err := RunParallel(cfg, func(int) NodeProgram[uint64] { return &staggeredHalt{} }, workers)
-			if err != nil {
-				t.Fatal(err)
+		cfg := Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n)}
+		res, err := RunParallel(cfg, func(int) NodeProgram[uint64] { return &staggeredHalt{} }, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := res.Telemetry
+		if len(tel.PoolWidthPerRound) != res.Rounds {
+			t.Fatalf("%d width samples for %d rounds", len(tel.PoolWidthPerRound), res.Rounds)
+		}
+		for r, w := range tel.PoolWidthPerRound {
+			if w < 1 || w > workers {
+				t.Fatalf("round %d pool width %d outside [1, %d]", r, w, workers)
 			}
-			label := fmt.Sprintf("place=%v", place)
-			tel := res.Telemetry
-			if len(tel.PoolWidthPerRound) != res.Rounds {
-				t.Fatalf("%s: %d width samples for %d rounds", label, len(tel.PoolWidthPerRound), res.Rounds)
+		}
+		if tel.PoolWidthPerRound[0] != workers {
+			t.Errorf("round 0 pool width = %d, want %d", tel.PoolWidthPerRound[0], workers)
+		}
+		// Every delivered message was staged by exactly one lane; the
+		// adversary's own injections (none here) are the only messages the
+		// lanes would not see.
+		var total int64
+		for _, rs := range tel.Rounds {
+			for _, c := range rs.Staged {
+				total += int64(c)
 			}
-			for r, w := range tel.PoolWidthPerRound {
-				if w < 1 || w > workers {
-					t.Fatalf("%s: round %d pool width %d outside [1, %d]", label, r, w, workers)
-				}
-			}
-			if len(tel.Places) == 0 {
-				t.Fatalf("%s: no placement events", label)
-			}
-			first := tel.Places[0]
-			if first.Round != -1 || first.Width != workers {
-				t.Errorf("%s: initial placement = %+v", label, first)
-			}
-			if first.Pinned != (place == PlacePin) {
-				t.Errorf("%s: initial placement pinned=%v", label, first.Pinned)
-			}
-			if len(tel.CrossShardStaged) != workers {
-				t.Fatalf("%s: cross-shard matrix has %d rows", label, len(tel.CrossShardStaged))
-			}
-			var total int64
-			for i, row := range tel.CrossShardStaged {
-				if len(row) != workers {
-					t.Fatalf("%s: cross-shard row %d has %d cells", label, i, len(row))
-				}
-				for j, c := range row {
-					if c < 0 {
-						t.Fatalf("%s: cross-shard[%d][%d] = %d", label, i, j, c)
-					}
-					total += c
-				}
-			}
-			// Every staged delivery has a source shard and a destination
-			// shard; the adversary's own injections (none here) are the only
-			// messages the matrix would not see.
-			if total != res.Messages {
-				t.Errorf("%s: cross-shard total %d != messages %d", label, total, res.Messages)
-			}
+		}
+		if total != res.Messages {
+			t.Errorf("staged total %d != messages %d", total, res.Messages)
 		}
 	})
 }
@@ -325,7 +154,6 @@ func TestRunParallelProgressHook(t *testing.T) {
 	cfg := Config{
 		Graph: g, IDs: ids, MaxMessageBits: CongestBits(n),
 		Reshard:  ReshardAdaptive,
-		Place:    PlacePin,
 		Progress: func(p Progress) { updates = append(updates, p) },
 	}
 	res, err := RunParallel(cfg, func(int) NodeProgram[uint64] { return &staggeredHalt{} }, 4)
@@ -377,8 +205,8 @@ func TestAdaptiveWidthProcessorClamp(t *testing.T) {
 	}
 	withTelemetry(t, func() {
 		// A single-processor runtime collapses the adaptive pool to the
-		// sequential schedule outright — one telemetry lane, no pool, no
-		// placement, exactly like a configured one-worker pool.
+		// sequential schedule outright — one telemetry lane, no pool,
+		// exactly like a configured one-worker pool.
 		setProcs(t, 1)
 		acfg := cfg
 		acfg.Reshard = ReshardAdaptive
@@ -401,8 +229,8 @@ func TestAdaptiveWidthProcessorClamp(t *testing.T) {
 		if tel.Workers != 4 {
 			t.Fatalf("procs=2: telemetry reports %d workers, want the configured 4", tel.Workers)
 		}
-		if len(tel.Places) == 0 || tel.Places[0].Width != 2 {
-			t.Errorf("procs=2: initial placement %+v, want width 2", tel.Places)
+		if len(tel.PoolWidthPerRound) == 0 || tel.PoolWidthPerRound[0] != 2 {
+			t.Errorf("procs=2: pool widths %v, want a starting width of 2", tel.PoolWidthPerRound)
 		}
 		for r, w := range tel.PoolWidthPerRound {
 			if w > 2 {

@@ -62,8 +62,7 @@ var defaultMu sync.RWMutex
 var defaultScheduler = Sequential
 var defaultWorkers = 0 // 0 = GOMAXPROCS for the parallel engine
 var defaultReshard = ReshardAdaptive
-var defaultPlace = PlaceAuto // PlaceAuto = resolve by hardware at run time
-var defaultPool *EnginePool  // nil = allocate fresh per run
+var defaultPool *EnginePool // nil = allocate fresh per run
 
 // SetDefaultScheduler sets the engine used when a Config leaves Scheduler
 // as Auto — the lever the command-line front ends use to steer every
@@ -109,25 +108,6 @@ func DefaultReshard() ReshardPolicy {
 	return defaultReshard
 }
 
-// SetDefaultPlace sets the placement policy RunParallel uses when a Config
-// leaves Place as PlaceAuto (the zero value) — the lever the command-line
-// front ends use to steer worker pinning across whole workloads. An explicit
-// Config.Place always wins. Unlike SetDefaultReshard, PlaceAuto is a legal
-// default in its own right (it resolves by hardware at run time), so it is
-// stored as-is rather than being rewritten.
-func SetDefaultPlace(policy PlacePolicy) {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	defaultPlace = policy
-}
-
-// DefaultPlace reports the current package-wide default placement policy.
-func DefaultPlace() PlacePolicy {
-	defaultMu.RLock()
-	defer defaultMu.RUnlock()
-	return defaultPlace
-}
-
 // SetDefaultPool sets the EnginePool runs draw their buffer slabs from when a
 // Config leaves Pool nil — the lever single-tenant front ends (the
 // experiments Runner, locsim) use to warm every simulation they start
@@ -160,7 +140,6 @@ type ExecOptions struct {
 	Scheduler Scheduler
 	Workers   int
 	Reshard   ReshardPolicy
-	Place     PlacePolicy
 	Unpacked  bool
 	Telemetry bool
 	Pool      *EnginePool
@@ -175,7 +154,6 @@ func (o ExecOptions) Apply(cfg *Config) {
 	cfg.Scheduler = o.Scheduler
 	cfg.Workers = o.Workers
 	cfg.Reshard = o.Reshard
-	cfg.Place = o.Place
 	if o.Unpacked {
 		cfg.Unpacked = true
 	}

@@ -39,44 +39,11 @@ type Telemetry struct {
 	// collects telemetry (the injected record is part of the run's
 	// reproducibility story), even when SetTelemetry is off.
 	Injected []InjectedEvent
-	// CrossShardStaged is the parallel engine's cumulative staging matrix:
-	// CrossShardStaged[src][dst] counts the messages worker src staged into
-	// worker dst's shard window over the whole run. The off-diagonal mass is
-	// the cross-shard traffic the placement-aware re-cut minimizes; the
-	// diagonal is self-delivery, which scatter serves from the owner's own
-	// cache. Dimensions are Workers×Workers; nil for the other engines and
-	// for single-worker runs.
-	CrossShardStaged [][]int64
 	// PoolWidthPerRound[r] is the number of workers that actually ran round
 	// r — the adaptive pool ledger parks excess workers through the
 	// shattering tail, so this can drop below (and climb back toward)
 	// Workers. Length equals len(Rounds); nil for the other engines.
 	PoolWidthPerRound []int
-	// Places lists the parallel coordinator's placement events — the
-	// initial wiring plus every re-cut's shard→worker assignment — in
-	// execution order. Empty for the other engines.
-	Places []PlaceEvent
-}
-
-// PlaceEvent records one shard→worker (re)assignment of the parallel
-// coordinator: the initial wiring (Round −1) and each re-cut.
-type PlaceEvent struct {
-	// Round is the index of the round after which the assignment ran; −1
-	// marks the initial wiring before round 0.
-	Round int
-	// Width is the pool width in force after the event — how many workers
-	// own a (non-empty) shard.
-	Width int
-	// Pinned reports whether the run's workers are locked to OS threads
-	// (PlacePin, or PlaceAuto resolved to pin).
-	Pinned bool
-	// Moved counts the workers whose shard range changed in this event; 0
-	// on a re-cut that reproduced the previous assignment.
-	Moved int
-	// Touched reports whether a first-touch pass ran over the new windows
-	// (pinned runs only; warm slab reuse with an unchanged assignment
-	// skips it).
-	Touched bool
 }
 
 // RoundStats is one round's measurement across the telemetry lanes. All
@@ -206,25 +173,4 @@ func (t *Telemetry) recordWidth(width int) {
 		return
 	}
 	t.PoolWidthPerRound = append(t.PoolWidthPerRound, width)
-}
-
-// recordPlace appends one placement event.
-func (t *Telemetry) recordPlace(round, width int, pinned bool, moved int, touched bool) {
-	if t == nil {
-		return
-	}
-	t.Places = append(t.Places, PlaceEvent{Round: round, Width: width, Pinned: pinned, Moved: moved, Touched: touched})
-}
-
-// setCrossShard installs the run's cumulative staging matrix from the
-// coordinator's flat workers×workers scratch.
-func (t *Telemetry) setCrossShard(workers int, flat []int64) {
-	if t == nil || workers < 2 {
-		return
-	}
-	m := make([][]int64, workers)
-	for i := range m {
-		m[i] = append([]int64(nil), flat[i*workers:(i+1)*workers]...)
-	}
-	t.CrossShardStaged = m
 }

@@ -292,36 +292,6 @@ var (
 	DefaultReshard = sim.DefaultReshard
 )
 
-// PlacePolicy selects whether RunParallel pins workers to OS threads and
-// first-touches each worker's shard windows from the owning goroutine;
-// purely a performance lever — results are identical under every policy.
-// See the Place* constants.
-type PlacePolicy = sim.PlacePolicy
-
-// The placement policies for SimConfig.Place and SetDefaultPlace.
-const (
-	// PlaceAuto (the zero value) defers to the package default set by
-	// SetDefaultPlace — out of the box it resolves by hardware (pin on
-	// multi-CPU hosts, none on single-CPU ones).
-	PlaceAuto = sim.PlaceAuto
-	// PlacePin locks each pool worker to its OS thread and first-touches
-	// its shard windows from that thread at setup and after each re-cut.
-	PlacePin = sim.PlacePin
-	// PlaceNone disables pinning and first-touch; the right choice in
-	// containers/CI whose CPU quota is below the pool width.
-	PlaceNone = sim.PlaceNone
-)
-
-var (
-	// ParsePlacePolicy parses a -place flag value ("auto", "pin", "none").
-	ParsePlacePolicy = sim.ParsePlacePolicy
-	// SetDefaultPlace sets the policy used when SimConfig.Place is left at
-	// its zero value.
-	SetDefaultPlace = sim.SetDefaultPlace
-	// DefaultPlace reports the current package-wide default policy.
-	DefaultPlace = sim.DefaultPlace
-)
-
 // Telemetry is the optional per-run scheduling measurement attached to
 // SimResult.Telemetry when collection is enabled: per-round per-worker
 // compute times, staged-message counts, delivery-mode choices, and the
@@ -333,10 +303,6 @@ type RoundStats = sim.RoundStats
 
 // ReshardEvent records one shard re-cut of the parallel coordinator.
 type ReshardEvent = sim.ReshardEvent
-
-// PlaceEvent records one placement action of the parallel coordinator
-// (initial pinning or a re-cut's shard-to-worker reassignment).
-type PlaceEvent = sim.PlaceEvent
 
 // DeliveryMode names the delivery strategy a lane chose for one round.
 type DeliveryMode = sim.DeliveryMode
