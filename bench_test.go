@@ -240,32 +240,6 @@ func BenchmarkE9Ledger(b *testing.B) {
 	})
 }
 
-// BenchmarkEngine compares the deterministic sequential scheduler with the
-// goroutine-per-node α-synchronizer on the same program — the E10
-// engine ablation.
-func BenchmarkEngine(b *testing.B) {
-	g := GNPConnected(512, 4.0/512, NewRNG(10))
-	cfgOf := func(seed uint64) SimConfig {
-		return SimConfig{Graph: g, Source: NewFullRandomness(seed), MaxMessageBits: CongestBits(g.N())}
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := Luby(g, NewFullRandomness(uint64(i)), nil, LubyConfig{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("concurrent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := cfgOf(uint64(i))
-			factory := func(int) NodeProgram[LubyOutput] { return NewLubyProgram(LubyConfig{}) }
-			if _, err := RunConcurrent(cfg, factory); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkE10MPX measures the single-pass MPX partition ablation
 // (experiment E10).
 func BenchmarkE10MPX(b *testing.B) {

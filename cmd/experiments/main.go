@@ -42,7 +42,7 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 2019, "master seed (2019 reproduces EXPERIMENTS.md)")
 	exp := fs.String("experiment", "", "comma-separated experiment IDs to run (E1..E13; empty = all)")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
-	scheduler := fs.String("scheduler", "sequential", "simulation engine: sequential | concurrent | parallel")
+	scheduler := fs.String("scheduler", "sequential", "simulation engine: sequential | parallel")
 	workers := fs.Int("workers", 0, "worker-pool size for -scheduler parallel (0 = GOMAXPROCS)")
 	reshard := fs.String("reshard", "adaptive", "parallel re-shard policy: adaptive | halving | off")
 	outDir := fs.String("out", "", "checkpoint/emission directory (enables resume + records.json/.csv)")

@@ -54,10 +54,10 @@ func run(args []string) error {
 	algo := fs.String("algo", "en", "algorithm: en | lowrand | strong37 | sharedrand | shattering | detdecomp | mpx | sinkless | luby | lubybit | coloring | derand-mis | derand-coloring")
 	h := fs.Int("h", 2, "bit-holder sparseness for lowrand/strong37")
 	seed := fs.Uint64("seed", 1, "random seed")
-	scheduler := fs.String("scheduler", "sequential", "simulation engine: sequential | concurrent | parallel")
+	scheduler := fs.String("scheduler", "sequential", "simulation engine: sequential | parallel")
 	workers := fs.Int("workers", 0, "worker-pool size for -scheduler parallel (0 = GOMAXPROCS, clamped to the node count)")
 	reshard := fs.String("reshard", "adaptive", "parallel re-shard policy: adaptive | halving | off")
-	telemetry := fs.Bool("telemetry", false, "collect per-round scheduling telemetry and print a summary for the single-simulation algorithms (en, luby, lubybit, coloring); delivery modes are packed (bit planes), dense (plane sweep), sparse (staged-slot walk) and channels (concurrent engine)")
+	telemetry := fs.Bool("telemetry", false, "collect per-round scheduling telemetry and print a summary for the single-simulation algorithms (en, luby, lubybit, coloring); delivery modes are packed (bit planes), dense (plane sweep) and sparse (staged-slot walk)")
 	drop := fs.Float64("drop", 0, "adversary: per-message drop probability (en, luby, coloring)")
 	delay := fs.Float64("delay", 0, "adversary: per-message delay probability")
 	delayMax := fs.Int("delaymax", 2, "adversary: max extra rounds a delayed message is held")

@@ -32,7 +32,7 @@ func TestGoldenAccountingAcrossSchedulers(t *testing.T) {
 	SetDebugOutboxCheck(true)
 	defer SetDebugOutboxCheck(false)
 	defer SetDefaultScheduler(SchedulerSequential, 0)
-	for _, sched := range []Scheduler{SchedulerSequential, SchedulerConcurrent, SchedulerParallel} {
+	for _, sched := range []Scheduler{SchedulerSequential, SchedulerParallel} {
 		SetDefaultScheduler(sched, 3)
 		t.Run(sched.String(), func(t *testing.T) {
 			d, res, err := ElkinNeiman(g, NewFullRandomness(7), nil, ENConfig{})

@@ -249,9 +249,9 @@ func TestDecompositionStats(t *testing.T) {
 	}
 }
 
-func TestElkinNeimanConcurrentEngineAgrees(t *testing.T) {
-	// The EN program under the goroutine/channel engine produces the exact
-	// same decomposition as under the sequential scheduler.
+func TestElkinNeimanParallelEngineAgrees(t *testing.T) {
+	// The EN program under the worker-pool engine produces the exact same
+	// decomposition as under the sequential scheduler.
 	g := graph.GNPConnected(64, 0.08, prng.New(33))
 	cfg := sim.Config{Graph: g, Source: randomness.NewFull(6), MaxMessageBits: sim.CongestBits(g.N())}
 	seq, err := sim.Run(cfg, func(int) sim.NodeProgram[enOutput] { return &enProgram{} })
@@ -260,13 +260,13 @@ func TestElkinNeimanConcurrentEngineAgrees(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.Source = randomness.NewFull(6)
-	con, err := sim.RunConcurrent(cfg2, func(int) sim.NodeProgram[enOutput] { return &enProgram{} })
+	par, err := sim.RunParallel(cfg2, func(int) sim.NodeProgram[enOutput] { return &enProgram{} }, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range seq.Outputs {
-		if seq.Outputs[v] != con.Outputs[v] {
-			t.Fatalf("node %d: %+v vs %+v", v, seq.Outputs[v], con.Outputs[v])
+		if seq.Outputs[v] != par.Outputs[v] {
+			t.Fatalf("node %d: %+v vs %+v", v, seq.Outputs[v], par.Outputs[v])
 		}
 	}
 }

@@ -129,7 +129,7 @@ var E10 = &Experiment{
 				fmt.Sprintf("max %d over %d trials; geometric sink decay", int(r.max), tr))
 		}
 		t.Notes = append(t.Notes,
-			"engine-equivalence (sequential ≡ concurrent ≡ parallel given one seed) is asserted directly by the sim and mis test suites",
+			"engine-equivalence (sequential ≡ parallel ≡ a test-only reference engine given one seed) is asserted directly by the sim and mis test suites",
 			"sinkless orientation is the paper's §1.1 example of an exponential randomized/deterministic separation below O(log n)")
 		return t
 	},

@@ -32,8 +32,8 @@ type Options struct {
 	// (RunSpec.Seed), so records are independent of execution order.
 	Seed uint64
 	// Scheduler selects the simulation engine every experiment's inner
-	// simulations run on (sim.Auto keeps the sequential default); all
-	// three engines produce identical records for the same seed.
+	// simulations run on (sim.Auto keeps the sequential default); both
+	// engines produce identical records for the same seed.
 	Scheduler sim.Scheduler
 	// Workers is the pool size for the parallel engine; 0 means
 	// runtime.GOMAXPROCS(0).

@@ -121,27 +121,6 @@ func TestLubyDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestLubyConcurrentEngineAgrees(t *testing.T) {
-	rng := prng.New(77)
-	g := graph.GNPConnected(80, 0.06, rng)
-	cfg := sim.Config{Graph: g, Source: randomness.NewFull(4), MaxMessageBits: sim.CongestBits(g.N())}
-	seq, err := sim.Run(cfg, func(int) sim.NodeProgram[LubyOutput] { return &lubyProgram{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := cfg
-	cfg2.Source = randomness.NewFull(4)
-	con, err := sim.RunConcurrent(cfg2, func(int) sim.NodeProgram[LubyOutput] { return &lubyProgram{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range seq.Outputs {
-		if seq.Outputs[v] != con.Outputs[v] {
-			t.Fatalf("node %d: sequential %+v vs concurrent %+v", v, seq.Outputs[v], con.Outputs[v])
-		}
-	}
-}
-
 func TestGreedyMISValid(t *testing.T) {
 	rng := prng.New(6)
 	for trial := 0; trial < 10; trial++ {

@@ -119,20 +119,20 @@ func TestBFSTreeDisconnected(t *testing.T) {
 	}
 }
 
-func TestBFSTreeConcurrentEngineAgrees(t *testing.T) {
+func TestBFSTreeParallelEngineAgrees(t *testing.T) {
 	g := graph.GNPConnected(50, 0.1, prng.New(8))
 	cfg := sim.Config{Graph: g, MaxMessageBits: sim.CongestBits(g.N())}
 	seq, err := sim.Run(cfg, func(int) sim.NodeProgram[BFSOutput] { return &bfsTree{RootID: 0} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := sim.RunConcurrent(cfg, func(int) sim.NodeProgram[BFSOutput] { return &bfsTree{RootID: 0} })
+	par, err := sim.RunParallel(cfg, func(int) sim.NodeProgram[BFSOutput] { return &bfsTree{RootID: 0} }, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range seq.Outputs {
-		if seq.Outputs[v] != con.Outputs[v] {
-			t.Fatalf("node %d: %+v vs %+v", v, seq.Outputs[v], con.Outputs[v])
+		if seq.Outputs[v] != par.Outputs[v] {
+			t.Fatalf("node %d: %+v vs %+v", v, seq.Outputs[v], par.Outputs[v])
 		}
 	}
 }

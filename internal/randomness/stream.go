@@ -11,8 +11,8 @@ import (
 // deterministically from seeds (k-wise evaluations, shared-seed reads).
 // The distinction is the whole point of Section 3 of the paper: an algorithm
 // may *read* poly(n) bits while only poly(log n) of them are true
-// randomness. Methods are safe for concurrent use (the concurrent engine
-// runs one goroutine per node).
+// randomness. Methods are safe for concurrent use (RunParallel's workers
+// draw coins at the same time).
 type Ledger struct {
 	trueBits    atomic.Int64
 	derivedBits atomic.Int64

@@ -121,7 +121,7 @@ func TestExecuteGraphFileMatchesGenerated(t *testing.T) {
 	}{
 		{"luby-sequential", RunRequest{Algo: "luby", N: n, Seed: seed}},
 		{"en-parallel", RunRequest{Algo: "en", N: n, Seed: seed, Scheduler: "parallel", Workers: 3}},
-		{"coloring-concurrent", RunRequest{Algo: "coloring", N: n, Seed: seed, Scheduler: "concurrent"}},
+		{"coloring-sequential", RunRequest{Algo: "coloring", N: n, Seed: seed, Scheduler: "sequential"}},
 		{"lubybit-unpacked", RunRequest{Algo: "lubybit", N: n, Seed: seed, Unpacked: true}},
 		{"luby-faulted", RunRequest{Algo: "luby", N: n, Seed: seed,
 			Adversary: AdversaryKnobs{Drop: 0.1, Crash: 1}}},

@@ -353,6 +353,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if code := post(`{"algo":"luby","n":64,"seed":1,"place":"pin"}`); code != http.StatusBadRequest {
 		t.Errorf("place field: status %d", code)
 	}
+	// Only auto, sequential and parallel name a scheduler.
+	if code := post(`{"algo":"luby","n":64,"seed":1,"scheduler":"concurrent"}`); code != http.StatusBadRequest {
+		t.Errorf("concurrent scheduler: status %d", code)
+	}
 	if code := post(`not json`); code != http.StatusBadRequest {
 		t.Errorf("garbage body: status %d", code)
 	}

@@ -10,7 +10,7 @@ import (
 // AdversaryConfig sets the per-round fault budgets of an Adversary. The zero
 // value is the null adversary: enabled but injecting nothing (useful as the
 // control arm — by stream isolation it reproduces the fault-free run bit for
-// bit, which adversary_test.go asserts across all three schedulers).
+// bit, which adversary_test.go asserts across both schedulers).
 type AdversaryConfig struct {
 	// DropProb is the probability that any one sent message is silently
 	// lost in transit (the receiver sees nothing; the sender is not told).
@@ -74,8 +74,8 @@ func (c AdversaryConfig) Zero() bool {
 //
 // Determinism contract: for a fixed Config (graph, IDs, source seed,
 // adversary), the faulted Result — outputs, rounds, ActivePerRound, message
-// and bit counters — and the injected-event record are identical across all
-// three schedulers and every reshard policy. Message-level decisions are
+// and bit counters — and the injected-event record are identical across both
+// schedulers and every reshard policy. Message-level decisions are
 // pure hashes of (adversary seed, round, destination slot), which no engine
 // reorders; node- and edge-level decisions (crashes, churn, stalls) are made
 // single-threaded at round boundaries from one coordinator stream.
@@ -220,8 +220,8 @@ type advState struct {
 	stalledList []int32
 
 	// Per-round send-side counters. The sequential engine increments them
-	// directly; the concurrent and parallel engines accumulate per
-	// goroutine/worker and merge via mergeRound before the boundary.
+	// directly; the parallel engine accumulates per worker and merges via
+	// mergeRound before the boundary.
 	roundDrops  int
 	roundCuts   int
 	roundDelays int
@@ -290,10 +290,9 @@ func holdMsg(slot int32, r, d int, msg Message) heldMsg {
 	}
 }
 
-// mergeRound folds one worker's (or one node goroutine's) per-round fault
-// accumulators into the coordinator state. The concurrent engine merges in
-// report-arrival order; that is safe because the counters are sums and the
-// held list is re-sorted deterministically at injection time.
+// mergeRound folds one worker's per-round fault accumulators into the
+// coordinator state. The counters are sums and the held list is re-sorted
+// deterministically at injection time, so the merge order is immaterial.
 func (s *advState) mergeRound(drops, cuts, delays int, held []heldMsg) {
 	s.roundDrops += drops
 	s.roundCuts += cuts

@@ -58,12 +58,9 @@ func TestAdversaryZeroBudgetInvariance(t *testing.T) {
 				cfg.Source = key.FullSource()
 				var res *Result[uint64]
 				var err error
-				switch sched {
-				case Concurrent:
-					res, err = RunConcurrent(cfg, factory)
-				case Parallel:
+				if sched == Parallel {
 					res, err = RunParallel(cfg, factory, workers)
-				default:
+				} else {
 					res, err = Run(cfg, factory)
 				}
 				if err != nil {
@@ -81,7 +78,6 @@ func TestAdversaryZeroBudgetInvariance(t *testing.T) {
 				workers int
 			}{
 				{"sequential", Sequential, 0},
-				{"concurrent", Concurrent, 0},
 				{"parallel/1", Parallel, 1},
 				{"parallel/3", Parallel, 3},
 				{"parallel/8", Parallel, 8},
@@ -101,9 +97,8 @@ func TestAdversaryZeroBudgetInvariance(t *testing.T) {
 
 // TestAdversaryFaultEquivalence extends the scheduler-equivalence suite to
 // faulted executions: under deterministic drop/delay/crash/churn/stall
-// schedules, Run, RunConcurrent and RunParallel (across worker counts and
-// every reshard policy) must agree on every Result field and on the
-// injected-event record.
+// schedules, Run and RunParallel (across worker counts and every reshard
+// policy) must agree on every Result field and on the injected-event record.
 func TestAdversaryFaultEquivalence(t *testing.T) {
 	rng := prng.New(505)
 	graphs := []struct {
@@ -143,13 +138,6 @@ func TestAdversaryFaultEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Source = key.FullSource()
-				got, err := RunConcurrent(cfg, factory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsEqual(t, "concurrent", want, got)
-				assertInjectedEqual(t, "concurrent", want.Telemetry, got.Telemetry)
 				for _, workers := range []int{1, 2, 3, 8} {
 					for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
 						cfg.Source = key.FullSource()
@@ -249,7 +237,6 @@ func TestAdversaryTelemetryReconciliation(t *testing.T) {
 		run   func() (*Result[uint64], error)
 	}{
 		{"sequential", func() (*Result[uint64], error) { cfg.Source = key.FullSource(); return Run(cfg, factory) }},
-		{"concurrent", func() (*Result[uint64], error) { cfg.Source = key.FullSource(); return RunConcurrent(cfg, factory) }},
 		{"parallel", func() (*Result[uint64], error) { cfg.Source = key.FullSource(); return RunParallel(cfg, factory, 4) }},
 	} {
 		t.Run(sc.label, func(t *testing.T) {
@@ -391,7 +378,6 @@ func TestAdversarySmallNetworks(t *testing.T) {
 			run   func(Config) (*Result[uint64], error)
 		}{
 			{"sequential", func(c Config) (*Result[uint64], error) { return Run(c, floodFactory(n+2)) }},
-			{"concurrent", func(c Config) (*Result[uint64], error) { return RunConcurrent(c, floodFactory(n+2)) }},
 			{"parallel", func(c Config) (*Result[uint64], error) { return RunParallel(c, floodFactory(n+2), 4) }},
 		} {
 			if _, err := sc.run(Config{Graph: g, Adversary: adv}); err != nil {

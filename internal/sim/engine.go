@@ -41,7 +41,7 @@ type Config struct {
 	KT0 bool
 	// Scheduler selects the engine Execute dispatches to; Auto (the zero
 	// value) defers to the package default set by SetDefaultScheduler.
-	// Calling Run, RunConcurrent or RunParallel directly ignores it.
+	// Calling Run or RunParallel directly ignores it.
 	Scheduler Scheduler
 	// Workers is the pool size for the Parallel scheduler; 0 means the
 	// package default, falling back to runtime.GOMAXPROCS(0).
@@ -147,7 +147,7 @@ type Result[T any] struct {
 	Telemetry *Telemetry
 }
 
-// engineState is the shared substrate of all three schedulers. The message
+// engineState is the shared substrate of both schedulers. The message
 // plane is flat: every per-port quantity lives in a single contiguous array
 // indexed by the graph's CSR half-edge index i = off[v] + p ("port p of
 // node v"), so a round is one linear sweep over cache-resident buffers
@@ -173,7 +173,7 @@ type engineState[T any] struct {
 	// scratch exposed to programs as NodeCtx.Outbox, one slot per
 	// half-edge. Only the sequential round loop double-buffers, so next is
 	// allocated lazily by runSequential; RunParallel scatters straight into
-	// inbox and RunConcurrent delivers through channels.
+	// inbox.
 	inbox  []Message
 	next   []Message
 	outbox []Message
@@ -181,19 +181,17 @@ type engineState[T any] struct {
 	// inboxSlots the slots currently non-nil in inbox: delivery touches
 	// exactly those slots instead of sweeping all 2m, so it costs
 	// O(messages), not O(m). Used by the sequential engine; RunParallel
-	// keeps the same pair per worker and RunConcurrent delivers through
-	// channels.
+	// keeps the same pair per worker.
 	staged     []int32
 	inboxSlots []int32
 	arena      *arena
 	ctxs       []NodeCtx
 	// packed marks a run whose planes are bitmaps: every program declared
-	// PayloadBits() <= 1, the config did not opt out, and the engine supports
-	// it (Run and RunParallel do; RunConcurrent always unpacks). inBits and
-	// nextBits then replace inbox/next, and outBitsPlane replaces outbox as
-	// the programs' write side (RunParallel rewires ctxs to per-worker
-	// planes). The staged/inboxSlots slot lists keep their exact unpacked
-	// meaning, so the accounting and the adversary see identical slots.
+	// PayloadBits() <= 1 and the config did not opt out. inBits and nextBits
+	// then replace inbox/next, and outBitsPlane replaces outbox as the
+	// programs' write side (RunParallel rewires ctxs to per-worker planes).
+	// The staged/inboxSlots slot lists keep their exact unpacked meaning, so
+	// the accounting and the adversary see identical slots.
 	packed       bool
 	inBits       *bitPlane
 	nextBits     *bitPlane
@@ -221,23 +219,18 @@ type engineState[T any] struct {
 	maxBits     int
 }
 
-func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T], sched Scheduler) (*engineState[T], error) {
-	return newEngineStateMode(cfg, factory, true, sched)
-}
-
-// newEngineStateMode builds the shared engine substrate. allowPacked lets the
-// calling engine veto packed bit planes (RunConcurrent does — its frames are
-// per-edge channels); when it holds, every program declares PayloadBits() <= 1,
-// the config does not opt out, and the bandwidth bound admits the canonical
-// 8-bit wire message (MaxMessageBits 0 or >= 8 — a tighter bound would reject
-// even the 1-byte encoding, and the unpacked path must be the one to say so),
-// the message planes are allocated as packed bitmaps.
+// newEngineState builds the shared engine substrate. When every program
+// declares PayloadBits() <= 1, the config does not opt out, and the bandwidth
+// bound admits the canonical 8-bit wire message (MaxMessageBits 0 or >= 8 — a
+// tighter bound would reject even the 1-byte encoding, and the unpacked path
+// must be the one to say so), the message planes are allocated as packed
+// bitmaps.
 //
 // sched names the engine that will drive the state; it selects the slab
 // shelf when the run is pooled (Config.Pool / SetDefaultPool), in which case
 // every buffer below comes warm from the slab instead of make. The engine
 // entry points must pair a successful call with exactly one st.release().
-func newEngineStateMode[T any](cfg Config, factory func(v int) NodeProgram[T], allowPacked bool, sched Scheduler) (*engineState[T], error) {
+func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T], sched Scheduler) (*engineState[T], error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("sim: config requires a graph")
 	}
@@ -304,7 +297,7 @@ func newEngineStateMode[T any](cfg Config, factory func(v int) NodeProgram[T], a
 	// Programs are constructed before the planes are allocated so their
 	// declared payload widths can pick the plane representation; Init runs
 	// afterwards, against fully wired contexts.
-	packed := allowPacked && !cfg.Unpacked && n > 0 &&
+	packed := !cfg.Unpacked && n > 0 &&
 		(cfg.MaxMessageBits == 0 || cfg.MaxMessageBits >= 8)
 	for v := 0; v < n; v++ {
 		st.progs[v] = factory(v)

@@ -99,36 +99,6 @@ func TestFloodMinWithCustomIDs(t *testing.T) {
 	}
 }
 
-func TestSequentialConcurrentEquivalence(t *testing.T) {
-	rng := prng.New(5)
-	for trial := 0; trial < 5; trial++ {
-		g := graph.GNPConnected(60, 0.06, rng)
-		ids := RandomIDs(g.N(), g.N(), NewSimulationKey(rng.Uint64()))
-		rounds := graph.Diameter(g) + 1
-		cfg := Config{Graph: g, IDs: ids}
-		seqRes, err := Run(cfg, floodFactory(rounds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		conRes, err := RunConcurrent(cfg, floodFactory(rounds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqRes.Rounds != conRes.Rounds {
-			t.Errorf("trial %d: rounds %d vs %d", trial, seqRes.Rounds, conRes.Rounds)
-		}
-		if seqRes.Messages != conRes.Messages || seqRes.BitsTotal != conRes.BitsTotal {
-			t.Errorf("trial %d: accounting differs (%d,%d) vs (%d,%d)",
-				trial, seqRes.Messages, seqRes.BitsTotal, conRes.Messages, conRes.BitsTotal)
-		}
-		for v := range seqRes.Outputs {
-			if seqRes.Outputs[v] != conRes.Outputs[v] {
-				t.Fatalf("trial %d: node %d output %d vs %d", trial, v, seqRes.Outputs[v], conRes.Outputs[v])
-			}
-		}
-	}
-}
-
 // neighborIDCheck verifies that the engine delivers each message to the
 // correct port: each node sends its ID on every port in round 0 and checks
 // in round 1 that port p delivered NeighborIDs[p].
@@ -164,17 +134,13 @@ func TestPortDeliveryMatchesNeighborIDs(t *testing.T) {
 	rng := prng.New(10)
 	g := graph.GNPConnected(40, 0.15, rng)
 	ids := RandomIDs(g.N(), 7, NewSimulationKey(rng.Uint64()))
-	for name, run := range map[string]func(Config, func(int) NodeProgram[bool]) (*Result[bool], error){
-		"sequential": Run[bool], "concurrent": RunConcurrent[bool],
-	} {
-		res, err := run(Config{Graph: g, IDs: ids}, func(int) NodeProgram[bool] { return &neighborIDCheck{} })
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for v, ok := range res.Outputs {
-			if !ok {
-				t.Errorf("%s: node %d saw wrong port delivery", name, v)
-			}
+	res, err := Run(Config{Graph: g, IDs: ids}, func(int) NodeProgram[bool] { return &neighborIDCheck{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, ok := range res.Outputs {
+		if !ok {
+			t.Errorf("node %d saw wrong port delivery", v)
 		}
 	}
 }
@@ -200,10 +166,6 @@ func TestCongestBandwidthEnforced(t *testing.T) {
 	}
 	if bw.Bits != 8000 {
 		t.Errorf("reported bits = %d", bw.Bits)
-	}
-	_, err = RunConcurrent(cfg, func(int) NodeProgram[int] { return &bigTalker{} })
-	if !errors.As(err, &bw) {
-		t.Fatalf("concurrent: got %v, want BandwidthError", err)
 	}
 }
 
@@ -238,9 +200,6 @@ func TestStuckDetection(t *testing.T) {
 	if stuck.Running != 3 {
 		t.Errorf("running = %d", stuck.Running)
 	}
-	if _, err := RunConcurrent(cfg, func(int) NodeProgram[int] { return &sleeper{} }); !errors.As(err, &stuck) {
-		t.Fatalf("concurrent: got %v, want StuckError", err)
-	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -272,9 +231,6 @@ func TestOversizedOutboxRejected(t *testing.T) {
 	g := graph.Ring(4)
 	if _, err := Run(Config{Graph: g}, func(int) NodeProgram[int] { return &oversender{} }); err == nil {
 		t.Error("sequential accepted oversized outbox")
-	}
-	if _, err := RunConcurrent(Config{Graph: g}, func(int) NodeProgram[int] { return &oversender{} }); err == nil {
-		t.Error("concurrent accepted oversized outbox")
 	}
 }
 

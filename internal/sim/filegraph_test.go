@@ -76,12 +76,6 @@ func TestFileBackedEquivalence(t *testing.T) {
 			requirePackedModes(t, "sequential", got)
 			requireStagedSum(t, "sequential", got)
 
-			got, err = RunConcurrent(cfg(fg), factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsEqual(t, "concurrent", want, got)
-
 			for _, workers := range []int{1, 2, 3, 8} {
 				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
 					for _, unpack := range []bool{false, true} {
@@ -143,13 +137,6 @@ func TestFileBackedFaultEquivalence(t *testing.T) {
 			}
 			assertResultsEqual(t, "sequential", want, got)
 			assertInjectedEqual(t, "sequential", want.Telemetry, got.Telemetry)
-
-			got, err = RunConcurrent(cfg(fg), factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsEqual(t, "concurrent", want, got)
-			assertInjectedEqual(t, "concurrent", want.Telemetry, got.Telemetry)
 
 			for _, workers := range []int{1, 2, 3, 8} {
 				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {

@@ -5,17 +5,15 @@
 // degree and (for non-uniform algorithms) the declared network size, and —
 // in the CONGEST model — messages are limited to O(log n) bits.
 //
-// Three engines execute the same node programs: Run is a deterministic
-// sequential scheduler used by tests and experiments, RunConcurrent spawns
-// one goroutine per node with a channel per directed edge (an
-// α-synchronizer), demonstrating that programs are genuinely local, and
-// RunParallel drives contiguous node shards over a fixed worker pool for
-// million-node simulations. All three account rounds, message counts and
-// message bits identically and enforce the CONGEST bandwidth bound, so the
-// paper's round-complexity and bandwidth claims become machine-checked
-// assertions; Execute dispatches between them by Config.Scheduler.
+// Two engines execute the same node programs: Run is a deterministic
+// sequential scheduler used by tests and experiments, and RunParallel drives
+// contiguous node shards over a fixed worker pool for million-node
+// simulations. Both account rounds, message counts and message bits
+// identically and enforce the CONGEST bandwidth bound, so the paper's
+// round-complexity and bandwidth claims become machine-checked assertions;
+// Execute dispatches between them by Config.Scheduler.
 //
-// All three engines share one flat message plane: inboxes, staged messages
+// Both engines share one flat message plane: inboxes, staged messages
 // and the NodeCtx.Outbox scratch are single contiguous arrays indexed by
 // the graph's CSR half-edge index (see graph.Graph.CSR), so a round is a
 // linear sweep over cache-resident buffers and a run allocates O(1) slices
@@ -77,10 +75,9 @@ type NodeCtx struct {
 	Shared *randomness.Shared
 	// arena is the per-round payload arena this node carves Uints/Alloc
 	// payloads from. The engines wire it before Init: the sequential engine
-	// shares one arena across all nodes, RunParallel uses one per worker
-	// shard, and RunConcurrent one per node — in every case it has a single
-	// writer. nil (a hand-built NodeCtx outside an engine) falls back to
-	// plain heap allocation.
+	// shares one arena across all nodes and RunParallel uses one per worker
+	// shard — in either case it has a single writer. nil (a hand-built
+	// NodeCtx outside an engine) falls back to plain heap allocation.
 	arena *arena
 	// packed is set when the engine runs this node over packed bit planes
 	// (every program declared PayloadBits() <= 1; see PayloadBitsDeclarer):
@@ -174,7 +171,7 @@ var bitWire = [2]Message{{0}, {1}}
 // representation is invisible to the model: rounds, message and bit counts,
 // ActivePerRound and adversary injections are byte-identical to the unpacked
 // run, which the equivalence suite asserts. Config.Unpacked opts a run out
-// (A/B lever); RunConcurrent always runs unpacked (its frames are channels).
+// (A/B lever).
 type PayloadBitsDeclarer interface {
 	PayloadBits() int
 }

@@ -380,8 +380,7 @@ type engineStateCore struct {
 // of the flat message plane is a contiguous half-edge window; worklists and
 // staged-slot delivery make a late round cost O(active + messages) rather
 // than O(n + m), and no per-node goroutines or per-edge channels are
-// allocated, so the engine scales to million-node graphs where
-// RunConcurrent's goroutine-per-node synchronizer collapses.
+// allocated, so the engine scales to million-node graphs.
 //
 // Two adaptations keep the pool busy across a run's whole lifetime. Per
 // round and per shard, the scatter phase chooses between a staged-slot walk
@@ -423,9 +422,8 @@ type engineStateCore struct {
 // separated by barriers, and counters merge over order-independent sums and
 // maxima, so for a given Config and seed the Result — outputs, rounds,
 // active trajectory, message count, bit total, and max message size — is
-// identical to Run's and RunConcurrent's. The test suite asserts this
-// equivalence on random GNP, tree and power-law networks under every
-// randomness regime.
+// identical to Run's. The test suite asserts this equivalence on random GNP,
+// tree and power-law networks under every randomness regime.
 func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers int) (*Result[T], error) {
 	st, err := newEngineState(cfg, factory, Parallel)
 	if err != nil {

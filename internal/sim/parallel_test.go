@@ -52,7 +52,7 @@ func (f *randFlood) Round(r int, inbox []Message) ([]Message, bool) {
 
 func (f *randFlood) Output() uint64 { return f.best }
 
-func assertResultsEqual(t *testing.T, label string, want, got *Result[uint64]) {
+func assertResultsEqual[T comparable](t *testing.T, label string, want, got *Result[T]) {
 	t.Helper()
 	if got.Rounds != want.Rounds {
 		t.Errorf("%s: rounds = %d, want %d", label, got.Rounds, want.Rounds)
@@ -78,48 +78,57 @@ func assertResultsEqual(t *testing.T, label string, want, got *Result[uint64]) {
 	}
 	for v := range want.Outputs {
 		if got.Outputs[v] != want.Outputs[v] {
-			t.Fatalf("%s: node %d output %d, want %d", label, v, got.Outputs[v], want.Outputs[v])
+			t.Fatalf("%s: node %d output %v, want %v", label, v, got.Outputs[v], want.Outputs[v])
 		}
 	}
 }
 
-// TestSchedulerEquivalence is the determinism proof of the parallel engine:
-// on every graph family and randomness regime, Run, RunConcurrent and
-// RunParallel (across worker counts) must agree on every Result field.
-func TestSchedulerEquivalence(t *testing.T) {
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// equivalenceGraphs returns the graph families of the equivalence suites.
+func equivalenceGraphs() []namedGraph {
 	rng := prng.New(2019)
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
+	return []namedGraph{
 		{"gnp", graph.GNPConnected(120, 0.04, rng)},
 		{"tree", graph.RandomTree(150, rng)},
 		{"powerlaw", graph.PowerLaw(130, 3, rng)},
 	}
-	regimes := []struct {
-		name string
-		mk   func(n int) randomness.Source
-	}{
-		{"deterministic", func(int) randomness.Source { return nil }},
-		{"full", func(int) randomness.Source { return randomness.NewFull(7) }},
-		{"shared", func(int) randomness.Source { return randomness.NewShared(64, prng.New(5)) }},
-		{"sparse", func(n int) randomness.Source {
-			holders := make([]int, 0, n/3+1)
-			for v := 0; v < n; v += 3 {
-				holders = append(holders, v)
-			}
-			src, err := randomness.NewSparse(holders, 8, 13)
-			if err != nil {
-				panic(err)
-			}
-			return src
-		}},
-	}
-	for _, tg := range graphs {
+}
+
+// equivalenceRegimes are the randomness regimes of the equivalence suites;
+// mk returns a fresh source for an n-node run.
+var equivalenceRegimes = []struct {
+	name string
+	mk   func(n int) randomness.Source
+}{
+	{"deterministic", func(int) randomness.Source { return nil }},
+	{"full", func(int) randomness.Source { return randomness.NewFull(7) }},
+	{"shared", func(int) randomness.Source { return randomness.NewShared(64, prng.New(5)) }},
+	{"sparse", func(n int) randomness.Source {
+		holders := make([]int, 0, n/3+1)
+		for v := 0; v < n; v += 3 {
+			holders = append(holders, v)
+		}
+		src, err := randomness.NewSparse(holders, 8, 13)
+		if err != nil {
+			panic(err)
+		}
+		return src
+	}},
+}
+
+// TestSchedulerEquivalence is the determinism proof of the parallel engine:
+// on every graph family and randomness regime, Run and RunParallel (across
+// worker counts) must agree on every Result field.
+func TestSchedulerEquivalence(t *testing.T) {
+	for _, tg := range equivalenceGraphs() {
 		n := tg.g.N()
 		ids := RandomIDs(n, n, NewSimulationKey(uint64(n)))
 		factory := func(int) NodeProgram[uint64] { return &randFlood{rounds: graph.Diameter(tg.g) + 1} }
-		for _, reg := range regimes {
+		for _, reg := range equivalenceRegimes {
 			t.Run(tg.name+"/"+reg.name, func(t *testing.T) {
 				cfg := Config{Graph: tg.g, IDs: ids, MaxMessageBits: CongestBits(n)}
 				cfg.Source = reg.mk(n)
@@ -127,12 +136,6 @@ func TestSchedulerEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Source = reg.mk(n)
-				got, err := RunConcurrent(cfg, factory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsEqual(t, "concurrent", want, got)
 				for _, workers := range []int{0, 1, 2, 3, 7, n + 5} {
 					cfg.Source = reg.mk(n)
 					got, err := RunParallel(cfg, factory, workers)
@@ -205,11 +208,6 @@ func TestSchedulerEquivalenceWithCtxOutbox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunConcurrent(cfg, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsEqual(t, "concurrent", want, got)
 		for _, workers := range []int{2, 5, n} {
 			got, err := RunParallel(cfg, factory, workers)
 			if err != nil {
@@ -316,7 +314,7 @@ func TestExecuteDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Scheduler{Auto, Sequential, Concurrent, Parallel} {
+	for _, sched := range []Scheduler{Auto, Sequential, Parallel} {
 		got, err := Execute(Config{Graph: g, Scheduler: sched, Workers: 3}, floodFactory(6))
 		if err != nil {
 			t.Fatalf("%v: %v", sched, err)
@@ -338,16 +336,17 @@ func TestParseScheduler(t *testing.T) {
 	for name, want := range map[string]Scheduler{
 		"": Auto, "auto": Auto,
 		"sequential": Sequential, "seq": Sequential,
-		"concurrent": Concurrent,
-		"parallel":   Parallel, "par": Parallel,
+		"parallel": Parallel, "par": Parallel,
 	} {
 		got, err := ParseScheduler(name)
 		if err != nil || got != want {
 			t.Errorf("ParseScheduler(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseScheduler("bogus"); err == nil {
-		t.Error("bogus scheduler accepted")
+	for _, name := range []string{"bogus", "concurrent"} {
+		if _, err := ParseScheduler(name); err == nil {
+			t.Errorf("scheduler %q accepted", name)
+		}
 	}
 	if Parallel.String() != "parallel" {
 		t.Errorf("String() = %q", Parallel.String())

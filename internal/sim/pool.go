@@ -12,8 +12,8 @@ import "sync"
 //
 // The pool never changes Results: a slab is handed back scrubbed (planes
 // cleared, worklists truncated, arenas rotated empty), and the warm-vs-cold
-// equivalence suite asserts byte-identical Results and Telemetry across all
-// three schedulers, every re-shard policy, and both plane representations.
+// equivalence suite asserts byte-identical Results and Telemetry across both
+// schedulers, every re-shard policy, and both plane representations.
 //
 // Sharing: a pool is safe for concurrent use by independent runs (the
 // experiments trial pool, the locsimd daemon's job workers). Each run holds
@@ -33,9 +33,9 @@ type EnginePool struct {
 
 // slabKey is the shape a slab serves: buffer sizes are functions of the node
 // and half-edge counts alone, and the scheduler decides which sections exist
-// (per-worker staging for Parallel, per-node arenas for Concurrent), so two
-// different graphs of equal shape share slabs safely — every per-run content
-// (contexts, neighbor IDs, shard cuts) is rewritten by the engine setup.
+// (per-worker staging for Parallel), so two different graphs of equal shape
+// share slabs safely — every per-run content (contexts, neighbor IDs, shard
+// cuts) is rewritten by the engine setup.
 type slabKey struct {
 	n     int
 	h     int
@@ -112,10 +112,8 @@ type engineSlab struct {
 	// Sequential staged-slot lists and the active trace (length 0 parked).
 	staged, inboxSlots []int32
 	activeTrace        []int
-	// arena is the sequential/coordinator payload arena; nodeArenas the
-	// concurrent engine's per-node arenas.
-	arena      arena
-	nodeArenas []arena
+	// arena is the sequential/coordinator payload arena.
+	arena arena
 
 	// Parallel-engine sections: persistent workers (usedWorkers marks how
 	// many the last run wired), the node- and word-ownership tables, and the
@@ -151,14 +149,6 @@ func (s *engineSlab) neighborIDs() []uint64 {
 		s.nids = make([]uint64, s.key.h)
 	}
 	return s.nids
-}
-
-// nodeArena returns node v's persistent arena (concurrent engine).
-func (s *engineSlab) nodeArena(v int) *arena {
-	if s.nodeArenas == nil {
-		s.nodeArenas = make([]arena, s.key.n)
-	}
-	return &s.nodeArenas[v]
 }
 
 // shardTable materializes the node-ownership table of the parallel engine.
@@ -240,9 +230,6 @@ func (s *engineSlab) scrub() {
 	s.inboxSlots = s.inboxSlots[:0]
 	s.activeTrace = s.activeTrace[:0]
 	s.arena.reset()
-	for i := range s.nodeArenas {
-		s.nodeArenas[i].reset()
-	}
 	for _, w := range s.workers[:s.usedWorkers] {
 		w.active = w.active[:0]
 		w.inboxSlots = w.inboxSlots[:0]

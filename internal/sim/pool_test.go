@@ -58,8 +58,6 @@ func TestEnginePoolWarmColdEquivalence(t *testing.T) {
 				check(t, fmt.Sprintf("sequential/unpacked=%v", unpack), cfg,
 					func(c Config) (*Result[uint64], error) { return Run(c, factory) })
 			}
-			check(t, "concurrent", base,
-				func(c Config) (*Result[uint64], error) { return RunConcurrent(c, factory) })
 			for _, workers := range []int{1, 2, 3, 8} {
 				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
 					for _, unpack := range []bool{false, true} {
@@ -117,7 +115,6 @@ func TestEnginePoolFaultedEquivalence(t *testing.T) {
 		}
 	}
 	check("sequential", base, func(c Config) (*Result[uint64], error) { return Run(c, factory) })
-	check("concurrent", base, func(c Config) (*Result[uint64], error) { return RunConcurrent(c, factory) })
 	for _, workers := range []int{2, 3, 8} {
 		for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
 			cfg := base
@@ -327,7 +324,7 @@ func BenchmarkPooledRun(b *testing.B) {
 // counters matching the final Result exactly.
 func TestProgressHook(t *testing.T) {
 	g := graph.Ring(48)
-	for _, sched := range []Scheduler{Sequential, Concurrent, Parallel} {
+	for _, sched := range []Scheduler{Sequential, Parallel} {
 		t.Run(sched.String(), func(t *testing.T) {
 			var got []Progress
 			cfg := Config{

@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// Scheduler selects which engine executes a simulation. All three produce
+// Scheduler selects which engine executes a simulation. Both produce
 // identical Results for the same Config and seed — including the per-round
 // active-node trajectory — they differ only in how the synchronous schedule
-// is realized on the host machine: one worklist sweep, a goroutine-per-node
-// synchronizer over the live fringe, or a half-edge-balanced worker pool.
+// is realized on the host machine: one worklist sweep, or a
+// half-edge-balanced worker pool.
 type Scheduler int
 
 const (
@@ -19,8 +19,6 @@ const (
 	Auto Scheduler = iota
 	// Sequential is the deterministic single-core scheduler of Run.
 	Sequential
-	// Concurrent is the goroutine-per-node α-synchronizer of RunConcurrent.
-	Concurrent
 	// Parallel is the sharded worker-pool engine of RunParallel.
 	Parallel
 )
@@ -32,8 +30,6 @@ func (s Scheduler) String() string {
 		return "auto"
 	case Sequential:
 		return "sequential"
-	case Concurrent:
-		return "concurrent"
 	case Parallel:
 		return "parallel"
 	default:
@@ -49,12 +45,10 @@ func ParseScheduler(name string) (Scheduler, error) {
 		return Auto, nil
 	case "sequential", "seq":
 		return Sequential, nil
-	case "concurrent":
-		return Concurrent, nil
 	case "parallel", "par":
 		return Parallel, nil
 	default:
-		return Auto, fmt.Errorf("sim: unknown scheduler %q (want sequential, concurrent or parallel)", name)
+		return Auto, fmt.Errorf("sim: unknown scheduler %q (want sequential or parallel)", name)
 	}
 }
 
@@ -168,7 +162,7 @@ func (o ExecOptions) Apply(cfg *Config) {
 // resolving Auto through the package default. Every algorithm wrapper in
 // this repository executes through it, so one SetDefaultScheduler call (or
 // one Config.Scheduler field) switches the whole stack between the
-// sequential, concurrent and parallel engines.
+// sequential and parallel engines.
 func Execute[T any](cfg Config, factory func(v int) NodeProgram[T]) (*Result[T], error) {
 	sched, workers := cfg.Scheduler, cfg.Workers
 	ds, dw := DefaultScheduler()
@@ -178,12 +172,8 @@ func Execute[T any](cfg Config, factory func(v int) NodeProgram[T]) (*Result[T],
 	if workers == 0 {
 		workers = dw
 	}
-	switch sched {
-	case Concurrent:
-		return RunConcurrent(cfg, factory)
-	case Parallel:
+	if sched == Parallel {
 		return RunParallel(cfg, factory, workers)
-	default:
-		return Run(cfg, factory)
 	}
+	return Run(cfg, factory)
 }

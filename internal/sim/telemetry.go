@@ -21,9 +21,7 @@ type Telemetry struct {
 	// Scheduler is the engine that produced this record.
 	Scheduler Scheduler
 	// Workers is the number of telemetry lanes per round: the pool width
-	// for the parallel engine, 1 for the sequential and concurrent engines
-	// (the concurrent engine's per-node goroutines are not individually
-	// metered; its lane records the coordinator's view).
+	// for the parallel engine, 1 for the sequential engine.
 	Workers int
 	// Rounds holds one entry per executed round, aligned with
 	// Result.ActivePerRound.
@@ -72,9 +70,6 @@ const (
 	// DeliverDense swaps or memclrs the whole plane window — the
 	// vectorized sweep dense rounds take.
 	DeliverDense
-	// DeliverChannels is the concurrent engine's per-edge channel
-	// delivery (no per-round strategy choice exists there).
-	DeliverChannels
 	// DeliverPacked is delivery over packed bit planes (every program
 	// declared PayloadBits() <= 1, see PayloadBitsDeclarer): staged bits are
 	// OR-ed into []uint64 words, and the dense/sparse choice — made with the
@@ -91,8 +86,6 @@ func (m DeliveryMode) String() string {
 		return "sparse"
 	case DeliverDense:
 		return "dense"
-	case DeliverChannels:
-		return "channels"
 	case DeliverPacked:
 		return "packed"
 	default:

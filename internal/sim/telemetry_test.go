@@ -124,20 +124,6 @@ func TestTelemetryInvariants(t *testing.T) {
 			t.Error("sequential engine reported reshard events")
 		}
 
-		res, err = RunConcurrent(cfg, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTelemetryInvariants(t, "concurrent", res)
-		if res.Telemetry.Scheduler != Concurrent {
-			t.Errorf("concurrent telemetry scheduler = %v", res.Telemetry.Scheduler)
-		}
-		for r, rs := range res.Telemetry.Rounds {
-			if rs.Mode[0] != DeliverChannels {
-				t.Fatalf("concurrent round %d mode = %v", r, rs.Mode[0])
-			}
-		}
-
 		for _, workers := range []int{2, 4} {
 			pcfg := cfg
 			pcfg.Reshard = ReshardHalving // deterministic cut schedule
@@ -351,7 +337,7 @@ func TestParseReshardPolicy(t *testing.T) {
 	if got := DefaultReshard(); got != ReshardAdaptive {
 		t.Errorf("DefaultReshard() = %v after SetDefaultReshard(Auto), want adaptive", got)
 	}
-	if DeliverSparse.String() != "sparse" || DeliverDense.String() != "dense" || DeliverChannels.String() != "channels" {
+	if DeliverSparse.String() != "sparse" || DeliverDense.String() != "dense" || DeliverPacked.String() != "packed" {
 		t.Error("DeliveryMode.String names drifted")
 	}
 }

@@ -219,12 +219,6 @@ func Run[T any](cfg SimConfig, factory func(v int) NodeProgram[T]) (*SimResult[T
 	return sim.Run(cfg, factory)
 }
 
-// RunConcurrent executes with one goroutine per node and one channel per
-// directed edge (an α-synchronizer); outputs equal Run's for equal configs.
-func RunConcurrent[T any](cfg SimConfig, factory func(v int) NodeProgram[T]) (*SimResult[T], error) {
-	return sim.RunConcurrent(cfg, factory)
-}
-
 // RunParallel executes with the sharded worker-pool engine: contiguous node
 // shards over a fixed pool of `workers` goroutines (<= 0 means GOMAXPROCS),
 // no per-node goroutines and no per-edge channels, so it scales to
@@ -233,26 +227,25 @@ func RunParallel[T any](cfg SimConfig, factory func(v int) NodeProgram[T], worke
 	return sim.RunParallel(cfg, factory, workers)
 }
 
-// Execute dispatches to Run, RunConcurrent or RunParallel by cfg.Scheduler,
+// Execute dispatches to Run or RunParallel by cfg.Scheduler,
 // resolving SchedulerAuto through the package default.
 func Execute[T any](cfg SimConfig, factory func(v int) NodeProgram[T]) (*SimResult[T], error) {
 	return sim.Execute(cfg, factory)
 }
 
-// Scheduler names one of the three engines; see the Scheduler* constants.
+// Scheduler names one of the two engines; see the Scheduler* constants.
 type Scheduler = sim.Scheduler
 
 // The engine choices for SimConfig.Scheduler and SetDefaultScheduler.
 const (
 	SchedulerAuto       = sim.Auto
 	SchedulerSequential = sim.Sequential
-	SchedulerConcurrent = sim.Concurrent
 	SchedulerParallel   = sim.Parallel
 )
 
 var (
 	// ParseScheduler parses a -scheduler flag value ("sequential",
-	// "concurrent", "parallel", plus short aliases).
+	// "parallel", plus short aliases).
 	ParseScheduler = sim.ParseScheduler
 	// SetDefaultScheduler steers every simulation whose config leaves
 	// Scheduler as Auto — including those started inside the algorithm
@@ -309,10 +302,9 @@ type DeliveryMode = sim.DeliveryMode
 
 // The delivery strategies reported in RoundStats.Mode.
 const (
-	DeliverSparse   = sim.DeliverSparse
-	DeliverDense    = sim.DeliverDense
-	DeliverChannels = sim.DeliverChannels
-	DeliverPacked   = sim.DeliverPacked
+	DeliverSparse = sim.DeliverSparse
+	DeliverDense  = sim.DeliverDense
+	DeliverPacked = sim.DeliverPacked
 )
 
 // PayloadBitsDeclarer is the optional capability a node program implements
@@ -453,7 +445,7 @@ type LubyOutput = mis.LubyOutput
 type LubyBitConfig = mis.LubyBitConfig
 
 // NewLubyProgram returns one node's Luby state machine for direct use with
-// Run or RunConcurrent.
+// Run or RunParallel.
 var NewLubyProgram = mis.NewProgram
 
 // NewLubyBitProgram returns one node's coin-flip Luby state machine — a pure
