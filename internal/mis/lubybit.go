@@ -30,15 +30,16 @@ type LubyBitConfig struct {
 	Exec sim.ExecOptions
 }
 
-func (c LubyBitConfig) withDefaults(n int) LubyBitConfig {
-	if c.MaxPhases == 0 {
-		lg := 0
-		for 1<<lg < n {
-			lg++
-		}
-		c.MaxPhases = 32*lg + 32
+// maxPhases resolves MaxPhases for an n-node network.
+func (c *LubyBitConfig) maxPhases(n int) int {
+	if c.MaxPhases != 0 {
+		return c.MaxPhases
 	}
-	return c
+	lg := 0
+	for 1<<lg < n {
+		lg++
+	}
+	return 32*lg + 32
 }
 
 // lubyBitProgram is one node of the coin-flip variant of Luby's algorithm
@@ -65,12 +66,15 @@ func (c LubyBitConfig) withDefaults(n int) LubyBitConfig {
 // ANDs the arrival words against a precomputed stronger-neighbor mask, and
 // the IN test ORs the arrival words — 64 ports per operation.
 type lubyBitProgram struct {
-	cfg LubyBitConfig
+	cfg *LubyBitConfig // shared by every node of the run
 	ctx *sim.NodeCtx
 	// activeMask has bit p set while the neighbor on port p is still
-	// undecided; strongerMask while that neighbor's ID exceeds ours.
+	// undecided; strongerMask while that neighbor's ID exceeds ours. For
+	// degree ≤ 64 both live in inlineMasks, so Init allocates nothing.
 	activeMask   []uint64
 	strongerMask []uint64
+	inlineMasks  [2]uint64
+	maxPhases    int
 	markBits     int
 	marked       bool
 	inMIS        bool
@@ -83,9 +87,15 @@ func (p *lubyBitProgram) PayloadBits() int { return 1 }
 
 func (p *lubyBitProgram) Init(ctx *sim.NodeCtx) {
 	p.ctx = ctx
-	p.cfg = p.cfg.withDefaults(ctx.N)
+	p.maxPhases = p.cfg.maxPhases(ctx.N)
 	nw := ctx.BitWords()
-	masks := make([]uint64, 2*nw)
+	var masks []uint64
+	if 2*nw <= len(p.inlineMasks) {
+		masks = p.inlineMasks[:2*nw]
+		clear(masks)
+	} else {
+		masks = make([]uint64, 2*nw)
+	}
 	p.activeMask, p.strongerMask = masks[:nw:nw], masks[nw:]
 	for port := 0; port < ctx.Degree; port++ {
 		p.activeMask[port>>6] |= 1 << (uint(port) & 63)
@@ -113,7 +123,7 @@ func (p *lubyBitProgram) drawMark(phase int) bool {
 
 func (p *lubyBitProgram) Round(r int, _ []sim.Message) ([]sim.Message, bool) {
 	phase := r / 3
-	if phase >= p.cfg.MaxPhases {
+	if phase >= p.maxPhases {
 		return nil, true // give up undecided; the wrapper flags it
 	}
 	switch r % 3 {
@@ -168,18 +178,18 @@ func (p *lubyBitProgram) Output() LubyOutput {
 // NewBitProgram returns one node's coin-flip Luby state machine for direct
 // use with the sim engines (LubyBit wraps it with validation and unpacking).
 func NewBitProgram(cfg LubyBitConfig) sim.NodeProgram[LubyOutput] {
-	return &lubyBitProgram{cfg: cfg}
+	return &lubyBitProgram{cfg: &cfg}
 }
 
 // NewBitProgramSlab returns a factory handing out coin-flip Luby programs
 // carved from one pre-allocated contiguous slab — the million-node
 // construction idiom (see README "Memory layout"): per-node program structs
 // collapse into a single allocation, and the index-ordered round sweep walks
-// them in prefetch-friendly order.
+// them in prefetch-friendly order. All programs share one copy of cfg.
 func NewBitProgramSlab(n int, cfg LubyBitConfig) func(int) sim.NodeProgram[LubyOutput] {
 	slab := make([]lubyBitProgram, n)
 	return func(v int) sim.NodeProgram[LubyOutput] {
-		slab[v] = lubyBitProgram{cfg: cfg}
+		slab[v] = lubyBitProgram{cfg: &cfg}
 		return &slab[v]
 	}
 }
@@ -201,9 +211,7 @@ func LubyBit(g *graph.Graph, src randomness.Source, ids []uint64, cfg LubyBitCon
 		Unpacked:       cfg.Unpacked,
 	}
 	cfg.Exec.Apply(&simCfg)
-	res, err := sim.Execute(simCfg, func(int) sim.NodeProgram[LubyOutput] {
-		return &lubyBitProgram{cfg: cfg}
-	})
+	res, err := sim.Execute(simCfg, NewBitProgramSlab(g.N(), cfg))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -57,7 +57,7 @@ func TestLubyBitPackedUnpackedEquivalence(t *testing.T) {
 			Unpacked:       unpacked,
 		}
 		factory := func(int) sim.NodeProgram[LubyOutput] {
-			return &lubyBitProgram{cfg: LubyBitConfig{}}
+			return &lubyBitProgram{cfg: &LubyBitConfig{}}
 		}
 		var res *sim.Result[LubyOutput]
 		var err error
@@ -164,7 +164,7 @@ func TestLubyBitSteadyStateRoundsAllocNothing(t *testing.T) {
 		nids[p] = uint64(100 + p)
 	}
 	ctx, setIn, reset := sim.NewPackedBenchCtx(deg, 42, 1024, nids)
-	prog := &lubyBitProgram{cfg: LubyBitConfig{Mark: func(v, phase int) bool { return phase%2 == 0 }}}
+	prog := &lubyBitProgram{cfg: &LubyBitConfig{Mark: func(v, phase int) bool { return phase%2 == 0 }}}
 	prog.Init(ctx)
 
 	r := 0
@@ -179,5 +179,32 @@ func TestLubyBitSteadyStateRoundsAllocNothing(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("packed LubyBit round allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestLubyBitRunAllocs pins per-node setup of a LubyBit run at (near) zero
+// allocations: programs come from one slab, streams from the source's slab,
+// and the port masks of nodes with degree ≤ 64 live inside the program. The
+// engine's own allocations per run (plane and worklist growth, ~60 at these
+// sizes) do not grow with n node by node, so the pin is on the allocations a
+// run gains when the network doubles from 4096 nodes: at most 1 per 64 of
+// the added nodes (one per node would be 4096).
+func TestLubyBitRunAllocs(t *testing.T) {
+	runAllocs := func(n int) float64 {
+		g := graph.GNPConnected(n, 6.0/float64(n), prng.New(67))
+		seed := uint64(0)
+		return testing.AllocsPerRun(3, func() {
+			seed++
+			if _, _, err := LubyBit(g, randomness.NewFull(seed), nil, LubyBitConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 4096
+	small, large := runAllocs(n), runAllocs(2*n)
+	t.Logf("LubyBit allocations per run: %.0f at %d nodes, %.0f at %d nodes", small, n, large, 2*n)
+	if large-small > n/64 {
+		t.Errorf("doubling the network from %d nodes adds %.0f allocations per run, want at most %d (1 per 64 nodes)",
+			n, large-small, n/64)
 	}
 }

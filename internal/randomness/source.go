@@ -30,8 +30,9 @@ type Source interface {
 type Full struct {
 	master uint64
 	ledger Ledger
-	// streams are created on demand; each node uses an independent
-	// SplitMix64 stream keyed by (master, node).
+	// streams are created on demand from slab; each node uses an
+	// independent SplitMix64 stream keyed by (master, node).
+	slab streamSlab
 }
 
 // NewFull returns a Full source with the given master seed.
@@ -51,23 +52,11 @@ func (f *Full) Ledger() *Ledger { return &f.ledger }
 // is fixed up front, as in the usual definition of a randomized algorithm);
 // accounting still records every read.
 func (f *Full) Stream(v int) *Stream {
-	rng := prng.New(prng.Hash64(f.master ^ uint64(v)*0x9E3779B97F4A7C15))
-	var buf uint64
-	var have uint
-	return &Stream{
+	return f.slab.carve(Stream{
+		rng:    *prng.New(prng.Hash64(f.master ^ uint64(v)*0x9E3779B97F4A7C15)),
 		budget: -1,
 		ledger: &f.ledger,
-		next: func() uint64 {
-			if have == 0 {
-				buf = rng.Uint64()
-				have = 64
-			}
-			b := buf & 1
-			buf >>= 1
-			have--
-			return b
-		},
-	}
+	})
 }
 
 // Shared is the shared-randomness model of Section 3.2: the entire network
@@ -80,6 +69,7 @@ type Shared struct {
 	seed   []uint64 // packed seed bits
 	nbits  int
 	ledger Ledger
+	slab   streamSlab
 }
 
 // NewShared draws a shared seed of nbits true random bits.
@@ -122,28 +112,30 @@ func (s *Shared) SeedWord(off, k int) uint64 {
 	if k < 0 || k > 64 {
 		panic(fmt.Sprintf("randomness: SeedWord width %d", k))
 	}
-	var v uint64
-	for i := 0; i < k; i++ {
-		v |= s.SeedBit(off+i) << uint(i)
+	if k == 0 {
+		return 0
 	}
-	return v
+	if off < 0 || off+k > s.nbits {
+		panic(ErrExhausted)
+	}
+	w, b := off/64, uint(off%64)
+	v := s.seed[w] >> b
+	if b+uint(k) > 64 {
+		v |= s.seed[w+1] << (64 - b)
+	}
+	return v & (1<<uint(k) - 1)
 }
 
 // Stream returns node v's view of the seed: a budgeted stream that replays
 // the public seed bits in order. All nodes see identical bits — that is the
 // defining property of shared randomness.
 func (s *Shared) Stream(v int) *Stream {
-	pos := 0
-	return &Stream{
+	return s.slab.carve(Stream{
+		shared:  s,
 		budget:  int64(s.nbits),
 		ledger:  &s.ledger,
 		derived: true, // the true bits were billed once at construction
-		next: func() uint64 {
-			b := s.SeedBit(pos)
-			pos++
-			return b
-		},
-	}
+	})
 }
 
 // KWiseFamily deterministically expands the shared seed into a k-wise
@@ -192,6 +184,7 @@ type Sparse struct {
 	bitsPerHolder int
 	master        uint64
 	ledger        Ledger
+	slab          streamSlab
 }
 
 // NewSparse places bitsPerHolder independent private bits at each listed
@@ -235,23 +228,11 @@ func (s *Sparse) Stream(v int) *Stream {
 	if !ok {
 		panic(fmt.Sprintf("randomness: node %d holds no random bits under the sparse model", v))
 	}
-	rng := prng.New(prng.Hash64(s.master ^ uint64(i)*0xD1B54A32D192ED03))
-	var buf uint64
-	var have uint
-	return &Stream{
+	return s.slab.carve(Stream{
+		rng:    *prng.New(prng.Hash64(s.master ^ uint64(i)*0xD1B54A32D192ED03)),
 		budget: int64(s.bitsPerHolder),
 		ledger: &s.ledger,
-		next: func() uint64 {
-			if have == 0 {
-				buf = rng.Uint64()
-				have = 64
-			}
-			b := buf & 1
-			buf >>= 1
-			have--
-			return b
-		},
-	}
+	})
 }
 
 var (

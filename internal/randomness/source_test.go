@@ -144,13 +144,13 @@ func TestStreamGeometricDistribution(t *testing.T) {
 
 func TestStreamGeometricCap(t *testing.T) {
 	// A stream of all-heads (all ones) must hit the cap and report !ok.
-	s := &Stream{budget: -1, ledger: &Ledger{}, next: func() uint64 { return 1 }}
+	s := fixedWordStream(^uint64(0))
 	v, ok := s.Geometric(5)
 	if ok || v != 5 {
 		t.Errorf("Geometric on all-heads = (%d, %v), want (5, false)", v, ok)
 	}
 	// All-tails gives 1 immediately.
-	s2 := &Stream{budget: -1, ledger: &Ledger{}, next: func() uint64 { return 0 }}
+	s2 := fixedWordStream(0)
 	if v, ok := s2.Geometric(5); !ok || v != 1 {
 		t.Errorf("Geometric on all-tails = (%d, %v), want (1, true)", v, ok)
 	}
