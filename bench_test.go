@@ -476,10 +476,8 @@ func BenchmarkRunParallel(b *testing.B) {
 
 // BenchmarkRunParallelStaggered puts the worker pool on the late-round-
 // dominated workload: the live worklist halves round after round, so this
-// is the row that exercises dynamic re-sharding (under the default
-// cost-model policy, which re-cuts when the observed barrier imbalance has
-// out-cost a measured re-cut) together with the adaptive dense/sparse
-// scatter.
+// is the row that exercises the adaptive dense/sparse scatter and the
+// barrier imbalance of a fixed cut over a shrinking fringe.
 func BenchmarkRunParallelStaggered(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
 		for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
@@ -497,29 +495,6 @@ func BenchmarkRunParallelStaggered(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkRunParallelStaggeredPolicy A/Bs the re-shard policies on the
-// same workload: the cost-model default against the fixed halving rule and
-// no re-sharding at all. The Result is byte-identical across rows (asserted
-// by the equivalence suite) — only the wall clock may differ, which is the
-// point of keeping the overrides.
-func BenchmarkRunParallelStaggeredPolicy(b *testing.B) {
-	n := 1 << 16
-	g := benchEngineGraph(n)
-	for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-		b.Run(fmt.Sprintf("n=%d/policy=%v", n, policy), func(b *testing.B) {
-			cfg := SimConfig{Graph: g, MaxMessageBits: CongestBits(n), Reshard: policy}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := RunParallel(cfg, staggeredSlabFactory(n), 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Messages), "msgs")
-			}
-		})
 	}
 }
 

@@ -40,11 +40,10 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "run smaller, faster versions of every experiment")
 	seed := fs.Uint64("seed", 2019, "master seed (2019 reproduces EXPERIMENTS.md)")
-	exp := fs.String("experiment", "", "comma-separated experiment IDs to run (E1..E13; empty = all)")
+	exp := fs.String("experiment", "", "comma-separated experiment IDs to run (E1..E12; empty = all)")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	scheduler := fs.String("scheduler", "sequential", "simulation engine: sequential | parallel")
 	workers := fs.Int("workers", 0, "worker-pool size for -scheduler parallel (0 = GOMAXPROCS)")
-	reshard := fs.String("reshard", "adaptive", "parallel re-shard policy: adaptive | halving | off")
 	outDir := fs.String("out", "", "checkpoint/emission directory (enables resume + records.json/.csv)")
 	jobs := fs.Int("jobs", 0, "trial-level worker pool size (0 = GOMAXPROCS)")
 	limit := fs.Int("limit", 0, "stop after this many new records (0 = no limit; checkpoint stays resumable)")
@@ -77,11 +76,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	policy, err := sim.ParseReshardPolicy(*reshard)
-	if err != nil {
-		return err
-	}
-	sim.SetDefaultReshard(policy)
 
 	exps, err := selectExperiments(*exp)
 	if err != nil {

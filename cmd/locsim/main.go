@@ -56,7 +56,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	scheduler := fs.String("scheduler", "sequential", "simulation engine: sequential | parallel")
 	workers := fs.Int("workers", 0, "worker-pool size for -scheduler parallel (0 = GOMAXPROCS, clamped to the node count)")
-	reshard := fs.String("reshard", "adaptive", "parallel re-shard policy: adaptive | halving | off")
 	telemetry := fs.Bool("telemetry", false, "collect per-round scheduling telemetry and print a summary for the single-simulation algorithms (en, luby, lubybit, coloring); delivery modes are packed (bit planes), dense (plane sweep) and sparse (staged-slot walk)")
 	drop := fs.Float64("drop", 0, "adversary: per-message drop probability (en, luby, coloring)")
 	delay := fs.Float64("delay", 0, "adversary: per-message delay probability")
@@ -72,15 +71,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	policy, err := sim.ParseReshardPolicy(*reshard)
-	if err != nil {
-		return err
-	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	sim.SetDefaultScheduler(sched, *workers)
-	sim.SetDefaultReshard(policy)
 	sim.SetTelemetry(*telemetry)
 	if *telemetry {
 		defer sim.SetTelemetry(false)
@@ -334,8 +328,7 @@ func run(args []string) error {
 
 // printTelemetry summarizes a run's telemetry record when -telemetry
 // enabled collection: pool shape, round count, the compute-time imbalance
-// the adaptive re-shard policy watches, the delivery-mode split, and every
-// re-shard event.
+// across the pool and the delivery-mode split.
 func printTelemetry(tel *sim.Telemetry) {
 	if tel == nil {
 		return
@@ -368,26 +361,6 @@ func printTelemetry(tel *sim.Telemetry) {
 		float64(wallNS)/1e6, float64(computeNS)/1e6, float64(idleNS)/1e6)
 	if packed+dense+sparse > 0 {
 		fmt.Printf("telemetry: delivery modes: %d packed / %d dense / %d sparse (per worker-round)\n", packed, dense, sparse)
-	}
-	if len(tel.PoolWidthPerRound) > 0 {
-		// The effective pool width per round: the adaptive ledger parks
-		// surplus workers through the shattering tail, so min can sit well
-		// below the configured worker count.
-		minW, maxW := tel.PoolWidthPerRound[0], tel.PoolWidthPerRound[0]
-		for _, w := range tel.PoolWidthPerRound {
-			if w < minW {
-				minW = w
-			}
-			if w > maxW {
-				maxW = w
-			}
-		}
-		fmt.Printf("telemetry: effective pool width: %d configured, %d-%d active per round\n",
-			tel.Workers, minW, maxW)
-	}
-	for _, ev := range tel.Reshards {
-		fmt.Printf("telemetry: reshard after round %d over %d live nodes (cost %.2fms, imbalance debt %.2fms)\n",
-			ev.Round, ev.Live, float64(ev.CostNS)/1e6, float64(ev.WasteNS)/1e6)
 	}
 	if len(tel.Injected) > 0 {
 		totals := map[sim.InjectKind]int{}

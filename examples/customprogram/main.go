@@ -90,17 +90,13 @@ func main() {
 	fmt.Printf("live fringe (ActivePerRound): %v\n\n", seq.ActivePerRound)
 
 	// Telemetry is the *host-level* story of the same run: where the time
-	// went, which delivery strategy each round picked, and when the
-	// parallel coordinator decided re-balancing its shards would pay.
+	// went, how many messages each worker staged, and which delivery
+	// strategy each round picked.
 	tel := par.Telemetry
 	fmt.Printf("parallel telemetry: %d workers × %d rounds\n", tel.Workers, len(tel.Rounds))
 	for r, rs := range tel.Rounds {
 		if r < 3 || r == len(tel.Rounds)-1 {
 			fmt.Printf("  round %2d: staged=%v modes=%v\n", r, rs.Staged, rs.Mode)
 		}
-	}
-	for _, ev := range tel.Reshards {
-		fmt.Printf("  reshard after round %d over %d live nodes (cost %.2fms)\n",
-			ev.Round, ev.Live, float64(ev.CostNS)/1e6)
 	}
 }

@@ -27,9 +27,9 @@ type ENConfig struct {
 	// Adversary, when non-nil, injects its faults into the execution;
 	// attaching one never changes the radius coins the nodes draw.
 	Adversary *sim.Adversary
-	// Exec carries the per-run execution knobs (scheduler, workers, re-shard
-	// policy, engine pool, telemetry, progress hook); the zero value defers
-	// to the package-wide defaults. Multi-tenant hosts set it per run.
+	// Exec carries the per-run execution knobs (scheduler, workers, engine
+	// pool, telemetry, progress hook); the zero value defers to the
+	// package-wide defaults. Multi-tenant hosts set it per run.
 	Exec sim.ExecOptions
 }
 

@@ -71,7 +71,7 @@ type Experiment struct {
 }
 
 // experimentOrder fixes the presentation (and record-sort) order.
-var experimentOrder = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}
+var experimentOrder = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
 
 // registry is populated by init rather than a var initializer: experiment
 // Table closures look their own metadata up through ByID, which would
@@ -79,7 +79,7 @@ var experimentOrder = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "
 var registry []*Experiment
 
 func init() {
-	registry = []*Experiment{E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, E13}
+	registry = []*Experiment{E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12}
 }
 
 // Registry returns every experiment in order.

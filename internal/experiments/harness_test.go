@@ -19,7 +19,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 		t.Fatal("quick run left specs unrun")
 	}
 	tables := rep.Tables()
-	if len(tables) != 13 {
+	if len(tables) != 12 {
 		t.Fatalf("got %d tables", len(tables))
 	}
 	for _, tab := range tables {
@@ -74,7 +74,7 @@ func TestByID(t *testing.T) {
 	if ByID("E42") != nil {
 		t.Error("unknown ID resolved")
 	}
-	if len(IDs()) != 13 {
+	if len(IDs()) != 12 {
 		t.Error("IDs() wrong length")
 	}
 	for i, exp := range Registry() {

@@ -39,9 +39,9 @@ type LubyConfig struct {
 	// adversary stream of a SimulationKey, so attaching one never changes
 	// the priority coins the nodes draw.
 	Adversary *sim.Adversary
-	// Exec carries the per-run execution knobs (scheduler, workers, re-shard
-	// policy, engine pool, telemetry, progress hook); the zero value defers
-	// to the package-wide defaults. Multi-tenant hosts set it per run.
+	// Exec carries the per-run execution knobs (scheduler, workers, engine
+	// pool, telemetry, progress hook); the zero value defers to the
+	// package-wide defaults. Multi-tenant hosts set it per run.
 	Exec sim.ExecOptions
 }
 

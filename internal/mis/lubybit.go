@@ -24,9 +24,9 @@ type LubyBitConfig struct {
 	// Unpacked opts the run out of packed bit planes (A/B lever; forwarded
 	// to sim.Config.Unpacked). Results are identical either way.
 	Unpacked bool
-	// Exec carries the per-run execution knobs (scheduler, workers, re-shard
-	// policy, engine pool, telemetry, progress hook); the zero value defers
-	// to the package-wide defaults. Multi-tenant hosts set it per run.
+	// Exec carries the per-run execution knobs (scheduler, workers, engine
+	// pool, telemetry, progress hook); the zero value defers to the
+	// package-wide defaults. Multi-tenant hosts set it per run.
 	Exec sim.ExecOptions
 }
 

@@ -31,13 +31,11 @@ func writeGraphFile(t *testing.T, dir, name, kind string, n int, seed uint64) st
 	return path
 }
 
-// assertOutcomeEqual compares everything about two outcomes of req except
-// what the host's clock decides, which is all that may differ between a
-// file-backed and a generated run of the same request: the wall-clock
-// telemetry and, on a parallel run under the adaptive re-shard policy, the
-// re-cut count and delivery modes (that policy re-cuts and resizes the pool
-// from measured compute times).
-func assertOutcomeEqual(t *testing.T, label string, req RunRequest, got, want *RunOutcome) {
+// assertOutcomeEqual compares everything about two outcomes of one request
+// except what the host's clock decides — the wall-clock telemetry — which is
+// all that may differ between a file-backed and a generated run of it, on
+// every scheduler.
+func assertOutcomeEqual(t *testing.T, label string, got, want *RunOutcome) {
 	t.Helper()
 	if got == nil || want == nil {
 		t.Fatalf("%s: nil outcome (got=%v want=%v)", label, got, want)
@@ -63,16 +61,8 @@ func assertOutcomeEqual(t *testing.T, label string, req RunRequest, got, want *R
 		return
 	}
 	if gt.Scheduler != wt.Scheduler || gt.Workers != wt.Workers || gt.Rounds != wt.Rounds ||
-		!reflect.DeepEqual(gt.Injected, wt.Injected) {
+		!reflect.DeepEqual(gt.Injected, wt.Injected) || !reflect.DeepEqual(gt.Modes, wt.Modes) {
 		t.Errorf("%s: telemetry diverged (beyond wall clock):\n got: %+v\nwant: %+v", label, gt, wt)
-	}
-	sched, _ := sim.ParseScheduler(req.Scheduler)
-	if sched == sim.Parallel && reshardOrDefault(req.Reshard) == "adaptive" {
-		return
-	}
-	if gt.Reshards != wt.Reshards || !reflect.DeepEqual(gt.Modes, wt.Modes) {
-		t.Errorf("%s: re-cuts or delivery modes diverged:\n got: reshards=%d modes=%v\nwant: reshards=%d modes=%v",
-			label, gt.Reshards, gt.Modes, wt.Reshards, wt.Modes)
 	}
 }
 
@@ -126,7 +116,7 @@ func TestExecuteGraphFileMatchesGenerated(t *testing.T) {
 		{"luby-faulted", RunRequest{Algo: "luby", N: n, Seed: seed,
 			Adversary: AdversaryKnobs{Drop: 0.1, Crash: 1}}},
 		{"en-faulted-parallel", RunRequest{Algo: "en", N: n, Seed: seed,
-			Scheduler: "parallel", Workers: 2, Reshard: "halving",
+			Scheduler: "parallel", Workers: 2,
 			Adversary: AdversaryKnobs{Drop: 0.15, Stall: 1}}},
 		{"n-filled-from-header", RunRequest{Algo: "luby", Seed: seed}}, // N left 0
 	}
@@ -144,7 +134,7 @@ func TestExecuteGraphFileMatchesGenerated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertOutcomeEqual(t, tc.name, tc.req, got, want)
+			assertOutcomeEqual(t, tc.name, got, want)
 		})
 	}
 }
@@ -230,7 +220,7 @@ func TestServerGraphFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertOutcomeEqual(t, "daemon-vs-generated", req, v.Outcome, direct)
+	assertOutcomeEqual(t, "daemon-vs-generated", v.Outcome, direct)
 
 	post := func(req RunRequest) (int, string) {
 		body, _ := json.Marshal(req)

@@ -68,12 +68,11 @@ type RunRequest struct {
 	// and (through the derived SimulationKey) the adversary's. The same
 	// request is byte-deterministic across processes.
 	Seed uint64 `json:"seed"`
-	// Scheduler ("" = sequential), Workers, Reshard ("" = adaptive) and
-	// Unpacked select the engine exactly as the CLI flags do. Workers above
-	// N is clamped to N (a shard needs a node).
+	// Scheduler ("" = sequential), Workers and Unpacked select the engine
+	// exactly as the CLI flags do. Workers above N is clamped to N (a shard
+	// needs a node).
 	Scheduler string `json:"scheduler,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
-	Reshard   string `json:"reshard,omitempty"`
 	Unpacked  bool   `json:"unpacked,omitempty"`
 	// Adversary attaches fault budgets; the zero value runs fault-free.
 	Adversary AdversaryKnobs `json:"adversary,omitempty"`
@@ -119,9 +118,6 @@ func (r *RunRequest) Validate() error {
 	if _, err := sim.ParseScheduler(r.Scheduler); err != nil {
 		return err
 	}
-	if _, err := sim.ParseReshardPolicy(reshardOrDefault(r.Reshard)); err != nil {
-		return err
-	}
 	if r.Workers < 0 {
 		return fmt.Errorf("workers must be nonnegative, got %d", r.Workers)
 	}
@@ -136,13 +132,6 @@ func (r *RunRequest) Validate() error {
 		return fmt.Errorf("adversary budgets out of range")
 	}
 	return nil
-}
-
-func reshardOrDefault(s string) string {
-	if s == "" {
-		return "adaptive"
-	}
-	return s
 }
 
 // ValidateGraphSpec rejects family parameters the generators would panic on —
@@ -224,14 +213,7 @@ type TelemetrySummary struct {
 	WallMS    float64        `json:"wallMS"`
 	ComputeMS float64        `json:"computeMS"`
 	Modes     map[string]int `json:"modes,omitempty"`
-	Reshards  int            `json:"reshards,omitempty"`
 	Injected  map[string]int `json:"injected,omitempty"`
-	// Effective pool width of the parallel engine: Workers is the
-	// configured pool, PoolWidthMin/Max the smallest and largest active set
-	// any round ran with (the adaptive ledger parks surplus workers through
-	// the shattering tail).
-	PoolWidthMin int `json:"poolWidthMin,omitempty"`
-	PoolWidthMax int `json:"poolWidthMax,omitempty"`
 }
 
 func summarizeTelemetry(tel *sim.Telemetry) *TelemetrySummary {
@@ -243,18 +225,6 @@ func summarizeTelemetry(tel *sim.Telemetry) *TelemetrySummary {
 		Workers:   tel.Workers,
 		Rounds:    len(tel.Rounds),
 		Modes:     map[string]int{},
-		Reshards:  len(tel.Reshards),
-	}
-	if len(tel.PoolWidthPerRound) > 0 {
-		out.PoolWidthMin, out.PoolWidthMax = tel.PoolWidthPerRound[0], tel.PoolWidthPerRound[0]
-		for _, w := range tel.PoolWidthPerRound {
-			if w < out.PoolWidthMin {
-				out.PoolWidthMin = w
-			}
-			if w > out.PoolWidthMax {
-				out.PoolWidthMax = w
-			}
-		}
 	}
 	var wallNS, computeNS int64
 	for _, rs := range tel.Rounds {
@@ -323,13 +293,8 @@ func Execute(req RunRequest, exec sim.ExecOptions) (*RunOutcome, error) {
 	if sched == sim.Auto {
 		sched = sim.Sequential
 	}
-	policy, err := sim.ParseReshardPolicy(reshardOrDefault(req.Reshard))
-	if err != nil {
-		return nil, err
-	}
 	exec.Scheduler = sched
 	exec.Workers = req.Workers
-	exec.Reshard = policy
 	if req.Unpacked {
 		exec.Unpacked = true
 	}

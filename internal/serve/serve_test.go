@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -27,14 +28,13 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("Validate did not default the graph family: %q", ok.Graph)
 	}
 	bad := []RunRequest{
-		{N: 64},                                  // missing algo
-		{Algo: "nope", N: 64},                    // unknown algo
-		{Algo: "luby", N: 0},                     // n
-		{Algo: "luby", N: MaxN + 1},              // over cap
-		{Algo: "luby", N: 64, Graph: "torus"},    // unknown family
-		{Algo: "luby", N: 64, P: 1.5},            // p out of range
-		{Algo: "luby", N: 64, Scheduler: "gpu"},  // bad scheduler
-		{Algo: "luby", N: 64, Reshard: "always"}, // bad policy
+		{N: 64},                                 // missing algo
+		{Algo: "nope", N: 64},                   // unknown algo
+		{Algo: "luby", N: 0},                    // n
+		{Algo: "luby", N: MaxN + 1},             // over cap
+		{Algo: "luby", N: 64, Graph: "torus"},   // unknown family
+		{Algo: "luby", N: 64, P: 1.5},           // p out of range
+		{Algo: "luby", N: 64, Scheduler: "gpu"}, // bad scheduler
 		{Algo: "luby", N: 64, Adversary: AdversaryKnobs{Drop: -0.1}},
 		{Algo: "luby", N: 64, Deg: -1},                    // negative deg
 		{Algo: "luby", N: 3, Graph: "cliques"},            // RingOfCliques(0, 4) would panic
@@ -334,12 +334,15 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	var lastBody string
 	post := func(body string) int {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		lastBody = string(b)
 		return resp.StatusCode
 	}
 	if code := post(`{"algo":"warp","n":64,"seed":1}`); code != http.StatusBadRequest {
@@ -352,6 +355,16 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	// any unknown field.
 	if code := post(`{"algo":"luby","n":64,"seed":1,"place":"pin"}`); code != http.StatusBadRequest {
 		t.Errorf("place field: status %d", code)
+	}
+	// Shard re-cutting is gone too: a body that still names a re-shard
+	// policy gets a 400 naming the field, not a 500.
+	if code := post(`{"algo":"luby","n":64,"seed":1,"reshard":"always"}`); code != http.StatusBadRequest {
+		t.Errorf("reshard field: status %d", code)
+	} else {
+		var e struct{ Error string }
+		if err := json.Unmarshal([]byte(lastBody), &e); err != nil || !strings.Contains(e.Error, `"reshard"`) {
+			t.Errorf("reshard field: error body %q does not name the field", lastBody)
+		}
 	}
 	// Only auto, sequential and parallel name a scheduler.
 	if code := post(`{"algo":"luby","n":64,"seed":1,"scheduler":"concurrent"}`); code != http.StatusBadRequest {

@@ -75,8 +75,8 @@ func (c AdversaryConfig) Zero() bool {
 // Determinism contract: for a fixed Config (graph, IDs, source seed,
 // adversary), the faulted Result — outputs, rounds, ActivePerRound, message
 // and bit counters — and the injected-event record are identical across both
-// schedulers and every reshard policy. Message-level decisions are
-// pure hashes of (adversary seed, round, destination slot), which no engine
+// schedulers and every worker count. Message-level decisions are pure
+// hashes of (adversary seed, round, destination slot), which no engine
 // reorders; node- and edge-level decisions (crashes, churn, stalls) are made
 // single-threaded at round boundaries from one coordinator stream.
 type Adversary struct {

@@ -97,8 +97,7 @@ func TestAdversaryZeroBudgetInvariance(t *testing.T) {
 
 // TestAdversaryFaultEquivalence extends the scheduler-equivalence suite to
 // faulted executions: under deterministic drop/delay/crash/churn/stall
-// schedules, Run and RunParallel (across worker counts and every reshard
-// policy) must agree on every Result field and on the injected-event record.
+// schedules, Run and RunParallel (across worker counts) must agree on every Result field and on the injected-event record.
 func TestAdversaryFaultEquivalence(t *testing.T) {
 	rng := prng.New(505)
 	graphs := []struct {
@@ -139,17 +138,14 @@ func TestAdversaryFaultEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 2, 3, 8} {
-					for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-						cfg.Source = key.FullSource()
-						cfg.Reshard = policy
-						got, err := RunParallel(cfg, factory, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("parallel/workers=%d/%v", workers, policy)
-						assertResultsEqual(t, label, want, got)
-						assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
+					cfg.Source = key.FullSource()
+					got, err := RunParallel(cfg, factory, workers)
+					if err != nil {
+						t.Fatal(err)
 					}
+					label := fmt.Sprintf("parallel/workers=%d", workers)
+					assertResultsEqual(t, label, want, got)
+					assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
 				}
 			})
 		}

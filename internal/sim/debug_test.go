@@ -13,13 +13,6 @@ import (
 // verified to set or nil every port, every round, on every scheduler.
 func TestMain(m *testing.M) {
 	SetDebugOutboxCheck(true)
-	// Pretend four processors for the whole suite: the adaptive pool-width
-	// machinery clamps to numProcs, and on a single-CPU CI runner the real
-	// value would collapse every multi-worker engine path — scatter, merge,
-	// re-cuts — to width 1 and silently stop testing them.
-	// Hardware-sensitive behavior has focused tests that override numProcs
-	// per test (setProcs in poolwidth_test.go).
-	numProcs = func() int { return 4 }
 	os.Exit(m.Run())
 }
 

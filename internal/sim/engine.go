@@ -46,13 +46,6 @@ type Config struct {
 	// Workers is the pool size for the Parallel scheduler; 0 means the
 	// package default, falling back to runtime.GOMAXPROCS(0).
 	Workers int
-	// Reshard selects the Parallel scheduler's re-sharding policy:
-	// ReshardAuto (the zero value) defers to the package default set by
-	// SetDefaultReshard (adaptive out of the box); ReshardAdaptive,
-	// ReshardHalving and ReshardOff are explicit choices. Purely a
-	// performance lever — Results are identical under every policy — and
-	// ignored by the other engines.
-	Reshard ReshardPolicy
 	// Unpacked opts the run out of packed bit planes: even when every node
 	// program declares PayloadBits() <= 1 (see PayloadBitsDeclarer), the
 	// engines keep the full-width []Message planes. Purely a representation
@@ -139,9 +132,8 @@ type Result[T any] struct {
 	// MaxMessageBits is the largest single message observed, in bits.
 	MaxMessageBits int
 	// Telemetry is the run's scheduling measurement record — per-round
-	// per-worker compute times, staged-message counts, delivery-mode
-	// choices and re-shard events — collected only when SetTelemetry is
-	// enabled, nil otherwise. Unlike every other field its wall-clock
+	// per-worker compute times, staged-message counts and delivery-mode
+	// choices — collected only when SetTelemetry is enabled, nil otherwise. Unlike every other field its wall-clock
 	// content is host- and run-specific, so it is excluded from the
 	// scheduler-equivalence guarantees.
 	Telemetry *Telemetry

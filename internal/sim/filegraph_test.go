@@ -33,7 +33,7 @@ func fileBacked(t *testing.T, g *graph.Graph) *graph.Graph {
 
 // TestFileBackedEquivalence is the engine half of the out-of-core guarantee:
 // swapping the in-RAM CSR for the mmap-backed one changes nothing observable.
-// Every scheduler, worker count, reshard policy and representation must
+// Every scheduler, worker count and representation must
 // produce a byte-identical Result to the in-RAM sequential baseline — the
 // same bar the packed planes are held to.
 func TestFileBackedEquivalence(t *testing.T) {
@@ -77,18 +77,15 @@ func TestFileBackedEquivalence(t *testing.T) {
 			requireStagedSum(t, "sequential", got)
 
 			for _, workers := range []int{1, 2, 3, 8} {
-				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-					for _, unpack := range []bool{false, true} {
-						c := cfg(fg)
-						c.Reshard = policy
-						c.Unpacked = unpack
-						got, err := RunParallel(c, factory, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("parallel/workers=%d/%v/unpacked=%v", workers, policy, unpack)
-						assertResultsEqual(t, label, want, got)
+				for _, unpack := range []bool{false, true} {
+					c := cfg(fg)
+					c.Unpacked = unpack
+					got, err := RunParallel(c, factory, workers)
+					if err != nil {
+						t.Fatal(err)
 					}
+					label := fmt.Sprintf("parallel/workers=%d/unpacked=%v", workers, unpack)
+					assertResultsEqual(t, label, want, got)
 				}
 			}
 		})
@@ -98,7 +95,7 @@ func TestFileBackedEquivalence(t *testing.T) {
 // TestFileBackedFaultEquivalence extends the proof to faulted executions: the
 // adversary's deterministic schedules hash graph-derived state, so the mapped
 // graph must reproduce the in-RAM run's injected-event record exactly — every
-// scheduler, every reshard policy, Result and Telemetry.Injected alike.
+// scheduler and worker count, Result and Telemetry.Injected alike.
 func TestFileBackedFaultEquivalence(t *testing.T) {
 	rng := prng.New(1117)
 	g := graph.GNPConnected(120, 0.05, rng)
@@ -139,17 +136,14 @@ func TestFileBackedFaultEquivalence(t *testing.T) {
 			assertInjectedEqual(t, "sequential", want.Telemetry, got.Telemetry)
 
 			for _, workers := range []int{1, 2, 3, 8} {
-				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-					c := cfg(fg)
-					c.Reshard = policy
-					got, err := RunParallel(c, factory, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("parallel/workers=%d/%v", workers, policy)
-					assertResultsEqual(t, label, want, got)
-					assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
+				c := cfg(fg)
+				got, err := RunParallel(c, factory, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
+				label := fmt.Sprintf("parallel/workers=%d", workers)
+				assertResultsEqual(t, label, want, got)
+				assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
 			}
 		})
 	}

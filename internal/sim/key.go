@@ -9,9 +9,8 @@ import (
 )
 
 // SimulationKey is the single reproducibility handle of a run: every random
-// choice a simulation makes — the algorithm's coins, the adversary's coins,
-// workload generation (random IDs, random graphs), and scheduling jitter —
-// is derived from one key through per-subsystem one-way subseeds, so the
+// choice a simulation makes — the algorithm's coins, the adversary's coins
+// and workload generation (random IDs, random graphs) — is derived from one key through per-subsystem one-way subseeds, so the
 // streams are mutually isolated. Consuming any amount of one subsystem's
 // randomness never perturbs another's: an injected fault can never shift the
 // algorithm's coin sequence, which is what makes faulted runs diffable
@@ -38,10 +37,6 @@ const (
 	// StreamWorkload seeds instance generation: random IDs, random graphs,
 	// random inputs.
 	StreamWorkload
-	// StreamShardJitter is reserved for randomized scheduling decisions of
-	// the engines themselves (e.g. jittered shard cuts); no engine draws
-	// from it yet, but the slot is part of the key contract.
-	StreamShardJitter
 
 	numSubsystems
 )
@@ -50,9 +45,8 @@ const (
 // (its subseed is the key itself, for backward bit-compatibility); the
 // others pass through the SplitMix64 finalizer with distinct odd constants.
 var subsystemSalt = [numSubsystems]uint64{
-	StreamAdversary:   0xB5AD4ECEDA1CE2A9,
-	StreamWorkload:    0x2545F4914F6CDD1D,
-	StreamShardJitter: 0x9E6C63D0876A9A99,
+	StreamAdversary: 0xB5AD4ECEDA1CE2A9,
+	StreamWorkload:  0x2545F4914F6CDD1D,
 }
 
 // Subseed derives the 64-bit seed of one subsystem. The algorithm subseed is
@@ -133,6 +127,3 @@ func (p *PartitionedRNG) Adversary() *prng.SplitMix64 { return p.Stream(StreamAd
 
 // Workload returns the instance-generation stream.
 func (p *PartitionedRNG) Workload() *prng.SplitMix64 { return p.Stream(StreamWorkload) }
-
-// ShardJitter returns the scheduling-jitter stream.
-func (p *PartitionedRNG) ShardJitter() *prng.SplitMix64 { return p.Stream(StreamShardJitter) }

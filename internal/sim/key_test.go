@@ -73,7 +73,6 @@ func TestStreamIsolation(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		drained.Adversary().Uint64()
 		drained.Workload().Uint64()
-		drained.ShardJitter().Uint64()
 	}
 	for i := range cleanAlgo {
 		if got := drained.Algorithm().Uint64(); got != cleanAlgo[i] {
@@ -81,7 +80,7 @@ func TestStreamIsolation(t *testing.T) {
 		}
 	}
 
-	subs := []Subsystem{StreamAlgorithm, StreamAdversary, StreamWorkload, StreamShardJitter}
+	subs := []Subsystem{StreamAlgorithm, StreamAdversary, StreamWorkload}
 	seeds := map[uint64]Subsystem{}
 	for _, s := range subs {
 		seed := key.Subseed(s)

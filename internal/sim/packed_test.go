@@ -102,8 +102,8 @@ func requireStagedSum(t *testing.T, label string, res *Result[uint64]) {
 // TestPackedUnpackedEquivalence is the representation-independence proof of
 // the bit planes: on every graph family and randomness regime, the packed
 // run must produce a byte-identical Result to the unpacked run of the same
-// program — across both schedulers, worker counts, and reshard
-// policies. Word-boundary-hostile sizes (odd rings, a star whose hub spans
+// program — across both schedulers and worker counts.
+// Word-boundary-hostile sizes (odd rings, a star whose hub spans
 // multiple words) are in the family on purpose.
 func TestPackedUnpackedEquivalence(t *testing.T) {
 	defer SetTelemetry(TelemetryEnabled())
@@ -154,21 +154,18 @@ func TestPackedUnpackedEquivalence(t *testing.T) {
 				requireStagedSum(t, "sequential/packed", got)
 
 				for _, workers := range []int{1, 2, 3, 8} {
-					for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-						for _, unpack := range []bool{false, true} {
-							cfg := base
-							cfg.Reshard = policy
-							cfg.Unpacked = unpack
-							got, err := RunParallel(prep(cfg), factory, workers)
-							if err != nil {
-								t.Fatal(err)
-							}
-							label := fmt.Sprintf("parallel/workers=%d/%v/unpacked=%v", workers, policy, unpack)
-							assertResultsEqual(t, label, want, got)
-							if !unpack {
-								requirePackedModes(t, label, got)
-								requireStagedSum(t, label, got)
-							}
+					for _, unpack := range []bool{false, true} {
+						cfg := base
+						cfg.Unpacked = unpack
+						got, err := RunParallel(prep(cfg), factory, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("parallel/workers=%d/unpacked=%v", workers, unpack)
+						assertResultsEqual(t, label, want, got)
+						if !unpack {
+							requirePackedModes(t, label, got)
+							requireStagedSum(t, label, got)
 						}
 					}
 				}
@@ -225,18 +222,15 @@ func TestPackedFaultEquivalence(t *testing.T) {
 			assertInjectedEqual(t, "sequential/packed", want.Telemetry, got.Telemetry)
 
 			for _, workers := range []int{1, 2, 3, 8} {
-				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-					cfg := base
-					cfg.Source = key.FullSource()
-					cfg.Reshard = policy
-					got, err := RunParallel(cfg, factory, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("parallel/workers=%d/%v", workers, policy)
-					assertResultsEqual(t, label, want, got)
-					assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
+				cfg := base
+				cfg.Source = key.FullSource()
+				got, err := RunParallel(cfg, factory, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
+				label := fmt.Sprintf("parallel/workers=%d", workers)
+				assertResultsEqual(t, label, want, got)
+				assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
 			}
 		})
 	}
@@ -359,7 +353,7 @@ func TestDenseCutoverPaths(t *testing.T) {
 		for _, v := range senders {
 			isSender[v] = true
 		}
-		cfg := Config{Graph: g, MaxMessageBits: CongestBits(g.N()), Reshard: ReshardOff}
+		cfg := Config{Graph: g, MaxMessageBits: CongestBits(g.N())}
 		factory := func(v int) NodeProgram[uint64] { return &modeProbe{rounds: 3, send: isSender[v]} }
 		var res *Result[uint64]
 		var err error
@@ -392,7 +386,7 @@ func TestDenseCutoverPaths(t *testing.T) {
 		}
 	}
 
-	// Parallel, workers=2, ReshardOff: shards are nodes [0,32) and [32,64),
+	// Parallel, workers=2: shards are nodes [0,32) and [32,64),
 	// each with a 64-slot window. Senders {1,2,3} land 6 arrivals in shard 0
 	// (sparse); {1,2,3,4} land 8 (exactly dense). Shard 1 hears nothing and
 	// must stay sparse either way.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	mathbits "math/bits"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -71,11 +72,8 @@ type parallelWorker struct {
 	cuts   int
 	delays int
 	held   []heldMsg
-	// computeNS is the wall time of this worker's last compute phase. The
-	// spread across the pool is the barrier imbalance the adaptive
-	// re-shard policy weighs against the re-cut price; two clock reads per
-	// worker per round cost nothing next to the phase itself, so it is
-	// measured unconditionally.
+	// computeNS is the wall time of this worker's last compute phase,
+	// measured only when the run records telemetry.
 	computeNS int64
 	// err is the shard's first error by node index. Shards are contiguous
 	// and worker i owns range i, so the first erroring worker in pool order
@@ -97,8 +95,6 @@ type phaseCmd struct {
 // worklist, staging outgoing messages into per-destination-shard outboxes
 // and compacting the worklist as nodes halt.
 func (w *parallelWorker) compute(st *engineStateCore, r int) {
-	start := time.Now()
-	defer func() { w.computeNS = time.Since(start).Nanoseconds() }()
 	w.msgs, w.bits, w.maxBits, w.halted = 0, 0, 0, 0
 	w.drops, w.cuts, w.delays, w.held = 0, 0, 0, w.held[:0]
 	w.err = nil
@@ -347,76 +343,49 @@ type engineStateCore struct {
 	maxMessageBits int
 	// Packed-run fields (zero on unpacked runs): the packed inbox plane and
 	// the word-ownership table — wordShardOf[wd] is the shard whose scatter
-	// phase owns word wd of the plane, rebuilt on every re-cut. packed
-	// staging routes by it, not by shardOf: the two disagree exactly on the
-	// boundary slots a word-rounded cut shifted to the lower shard.
+	// phase owns word wd of the plane. Packed staging routes by it, not by
+	// shardOf: the two disagree exactly on the boundary slots a word-rounded
+	// cut shifted to the lower shard.
 	packed      bool
 	inBits      *bitPlane
 	wordShardOf []int32
 	poison      bool // poisoned-Outbox debug check (see debug.go)
+	// timed is set when the run records telemetry; only then do the workers
+	// read the clock around their compute phase.
+	timed bool
 	// adv is the run's adversary state (nil when fault-free). Workers call
 	// only its pure fate hash and read stalled flags, both stable within a
 	// round; every mutation happens at the coordinator's round boundary.
 	adv   *advState
 	round func(v, r int) ([]Message, bool)
-	// src is the pool's current *active* worker set — the scatter phase
-	// gathers staged messages from exactly these workers. The coordinator
-	// rewrites it between rounds as the adaptive pool ledger parks and
-	// wakes workers; the phase-command sends publish it to the pool.
-	src []*parallelWorker
 }
 
 // RunParallel executes the network with a sharded worker-pool engine: nodes
 // are partitioned into `workers` contiguous shards of near-equal half-edge
 // count (graph.ShardBounds — equal node counts would let one hub-heavy shard
 // of a power-law graph dominate every barrier), and a fixed pool of
-// `workers` goroutines (default runtime.GOMAXPROCS(0) when workers <= 0)
-// drives each round in two barrier-separated phases. In the compute phase
-// every worker runs its shard's live worklist against the current inboxes
-// and stages outgoing messages into a per-destination-shard outbox; in the
-// scatter phase every worker delivers the messages addressed to its shard
-// into its window of the engine's flat inbox array and tallies the delivery
-// counters. Because shards are contiguous node ranges, each worker's slice
-// of the flat message plane is a contiguous half-edge window; worklists and
-// staged-slot delivery make a late round cost O(active + messages) rather
-// than O(n + m), and no per-node goroutines or per-edge channels are
-// allocated, so the engine scales to million-node graphs.
+// `workers` goroutines (default runtime.GOMAXPROCS(0) when workers <= 0,
+// clamped to the node count) drives each round in two barrier-separated
+// phases. In the compute phase every worker runs its shard's live worklist
+// against the current inboxes and stages outgoing messages into a
+// per-destination-shard outbox; in the scatter phase every worker delivers
+// the messages addressed to its shard into its window of the engine's flat
+// inbox array. Because shards are contiguous node ranges, each worker's
+// slice of the flat message plane is a contiguous half-edge window;
+// worklists and staged-slot delivery make a late round cost
+// O(active + messages) rather than O(n + m), and no per-node goroutines or
+// per-edge channels are allocated, so the engine scales to million-node
+// graphs.
 //
-// Two adaptations keep the pool busy across a run's whole lifetime. Per
-// round and per shard, the scatter phase chooses between a staged-slot walk
-// and a whole-window memclr by comparing message count against window size
-// (the same density cut-off as the sequential engine's plane swap), so dense
-// all-active rounds take the vectorized sweep and sparse tail rounds touch
-// only live slots. And the coordinator re-cuts the shards over the live
-// worklist by surviving half-edge spans (graph.ShardBoundsLiveInto), so the
-// shattering tail — where the initial whole-graph cut would leave most
-// workers idle — stays balanced. *When* a re-cut runs is governed by
-// cfg.Reshard: under the ReshardAdaptive default the coordinator accumulates
-// the barrier imbalance it actually observes (summed idle worker time,
-// computed from per-worker compute-phase clocks) and re-cuts once that debt
-// exceeds reshardPayoff × the measured price of a cut; ReshardHalving is the
-// fixed legacy rule (re-cut at every worklist halving) kept for A/B runs,
-// and ReshardOff pins the initial cut. The policy changes wall clock only,
-// never the Result.
-//
-// On top of *when*, the engine adapts *how wide* it runs: under
-// ReshardAdaptive the same debt ledger carries a pool-width model
-// (poolModel): when the live worklist shrinks below the measured per-worker
-// profitability threshold, the coordinator re-cuts to fewer shards and parks
-// the surplus workers on their command channels — the shattering tail stops
-// paying P-way barrier and scatter costs for one worker's work — and wakes
-// them if the workload re-grows. Because per-worker wall clocks cannot see
-// processor oversubscription (time-sliced workers all measure the full round
-// span), the width model is additionally clamped to the host's processor
-// count: under ReshardAdaptive a pool wider than GOMAXPROCS starts at
-// hardware width, and a pool that collapses to width 1 dispatches to the
-// sequential engine outright (a one-wide pool still pays the
-// stage-and-scatter copy the sequential path avoids). Explicit policies
-// (ReshardHalving, ReshardOff) treat the configured worker count as a
-// contract and never resize. Every cut — initial or re-cut — gives range i
-// to worker i. All of it changes wall clock only: Results and
-// Telemetry.Injected are byte-identical across reshard policies × worker
-// counts, as the equivalence suite asserts.
+// The cut and the pool width are fixed for the whole run: worker i owns
+// range i of the initial cut from the first round to the last, whatever the
+// host's processor count. Per round and per shard, the scatter phase chooses
+// between a staged-slot walk and a whole-window memclr by comparing message
+// count against window size (the same density cut-off as the sequential
+// engine's plane swap), so dense all-active rounds take the vectorized sweep
+// and sparse tail rounds touch only live slots. That choice depends only on
+// the Config and the worker count, so the telemetry's per-lane staged counts
+// and delivery modes are as reproducible as the Result.
 //
 // Every mutable location has a single writer (the shard owner), phases are
 // separated by barriers, and counters merge over order-independent sums and
@@ -431,7 +400,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 	}
 	defer st.release()
 	if workers <= 0 {
-		workers = numProcs()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > st.n {
 		workers = st.n
@@ -440,47 +409,18 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 	if workers <= 1 {
 		// A one-worker pool is the sequential schedule; skip the barriers,
 		// but keep the telemetry labeled with the engine the caller asked
-		// for (one lane; cfg.Reshard is moot without shards).
+		// for (one lane).
 		st.initTelemetry(Parallel, 1)
 		return st.runSequential(maxRounds)
 	}
-
-	// The re-shard policy is resolved up front because it also governs the
-	// pool's starting width: under the adaptive policy a pool wider than
-	// the runtime's concurrency limit starts clamped to it — the surplus
-	// workers would only time-slice the same processors, paying barrier and
-	// scatter coordination for zero overlap, and on a staggered workload
-	// the expensive early rounds are exactly the ones a late measurement-
-	// driven park would miss. The explicit policies run the configured
-	// width untouched: their contract is "do what I said".
-	policy := cfg.Reshard
-	if policy == ReshardAuto {
-		policy = DefaultReshard()
-	}
-	width := workers
-	if policy == ReshardAdaptive {
-		if p := numProcs(); p < width {
-			width = p
-		}
-	}
-	if width <= 1 {
-		// The topology clamp collapsed the pool to one worker: a one-wide
-		// pool still pays the stage-and-scatter machinery (every message
-		// copied through a staging list it never needed), so run the
-		// sequential schedule outright, exactly like a configured
-		// one-worker pool.
-		st.initTelemetry(Parallel, 1)
-		return st.runSequential(maxRounds)
-	}
+	st.initTelemetry(Parallel, workers)
 
 	// Contiguous shards balanced by half-edge count: worker i owns
-	// [bounds[i], bounds[i+1]) for i < width; workers beyond the starting
-	// width begin parked (empty range, blocked on their command channel)
-	// and cost nothing until the pool-width ledger wakes them. A pooled run
-	// draws the workers, ownership tables and scratch from the slab — the
-	// structure (arenas, worklist and staging capacity, private out planes)
-	// survives between runs; everything content-like is rewired below.
-	bounds := st.g.ShardBounds(width)
+	// [bounds[i], bounds[i+1]). A pooled run draws the workers, ownership
+	// tables and scratch from the slab — the structure (arenas, worklist and
+	// staging capacity, private out planes) survives between runs;
+	// everything content-like is rewired below.
+	bounds := st.g.ShardBounds(workers)
 	var shardOf []int32
 	var pool []*parallelWorker
 	if st.slab != nil {
@@ -503,14 +443,10 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		}
 	}
 	for i, w := range pool {
-		w.lo, w.hi = 0, 0
-		w.wlo, w.whi = 0, 0
-		w.active = w.active[:0]
-		if i >= width {
-			continue
-		}
 		lo, hi := bounds[i], bounds[i+1]
 		w.lo, w.hi = lo, hi
+		w.wlo, w.whi = 0, 0
+		w.active = w.active[:0]
 		for v := lo; v < hi; v++ {
 			shardOf[v] = int32(i)
 			w.active = append(w.active, int32(v))
@@ -529,42 +465,34 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		shardOf:        shardOf,
 		maxMessageBits: cfg.MaxMessageBits,
 		poison:         st.poison,
+		timed:          st.tel != nil,
 		adv:            st.adv,
 		round:          st.roundFor,
 		packed:         st.packed,
 		inBits:         st.inBits,
-		src:            pool[:width],
 	}
-	// The active workers are pool[:width]: worker s owns range s of the
-	// current cut, so pool order is node-range order, and everything that
-	// must replay the sequential engine's node order — counter merges,
-	// held-message queues, the live gathers feeding the adversary and
-	// ShardBoundsLiveInto (whose contract requires an ascending worklist) —
-	// walks the pool prefix. width changes only between rounds; the next
-	// phase-command sends publish it to the workers.
+	// Worker s owns range s of the cut, so pool order is node-range order,
+	// and everything that must replay the sequential engine's node order —
+	// counter merges, held-message queues, the live gather feeding the
+	// adversary — walks the pool in order.
 	//
 	// Word-rounded scatter windows: worker s holds the exclusive word range
 	// [wlo, whi) of the packed inbox plane (graph.ShardWordBounds), so
 	// adjacent shards whose slot ranges share a boundary word never write
 	// the same word concurrently.
-	var wordBoundsScratch []int
-	applyWordBounds := func(bounds []int) {
-		wordBoundsScratch = st.g.ShardWordBoundsInto(bounds, wordBoundsScratch)
-		for s := 0; s+1 < len(wordBoundsScratch); s++ {
-			w := pool[s]
-			w.wlo, w.whi = wordBoundsScratch[s], wordBoundsScratch[s+1]
-			for wd := w.wlo; wd < w.whi; wd++ {
-				core.wordShardOf[wd] = int32(s)
-			}
-		}
-	}
 	if st.packed {
 		if st.slab != nil {
 			core.wordShardOf = st.slab.wordShardTable(st.inBits.words())
 		} else {
 			core.wordShardOf = make([]int32, st.inBits.words())
 		}
-		applyWordBounds(bounds)
+		wb := st.g.ShardWordBounds(bounds)
+		for s, w := range pool {
+			w.wlo, w.whi = wb[s], wb[s+1]
+			for wd := w.wlo; wd < w.whi; wd++ {
+				core.wordShardOf[wd] = int32(s)
+			}
+		}
 	}
 
 	cmds := make([]chan phaseCmd, workers)
@@ -579,26 +507,31 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			for c := range cmds[i] {
 				switch c.phase {
 				case phaseCompute:
-					w.compute(core, c.round)
+					if core.timed {
+						start := time.Now()
+						w.compute(core, c.round)
+						w.computeNS = time.Since(start).Nanoseconds()
+					} else {
+						w.compute(core, c.round)
+					}
 				case phaseScatter:
 					if core.packed {
-						w.scatterPacked(core, i, core.src)
+						w.scatterPacked(core, i, pool)
 					} else {
-						w.scatter(core, i, core.src)
+						w.scatter(core, i, pool)
 					}
 				}
 				barrier.Done()
 			}
 		}(i, w)
 	}
-	// runPhase broadcasts one phase to the active workers and blocks until
-	// every one finishes it; the WaitGroup plus the command-channel sends
-	// give the scatter phase a happens-before view of every worker's staged
-	// outboxes (and of every coordinator mutation since the last barrier).
-	// Parked workers stay blocked on their channel, costing nothing.
+	// runPhase broadcasts one phase to the workers and blocks until every
+	// one finishes it; the WaitGroup plus the command-channel sends give the
+	// scatter phase a happens-before view of every worker's staged outboxes
+	// (and of every coordinator mutation since the last barrier).
 	runPhase := func(c phaseCmd) {
-		barrier.Add(width)
-		for _, ch := range cmds[:width] {
+		barrier.Add(workers)
+		for _, ch := range cmds {
 			ch <- c
 		}
 		barrier.Wait()
@@ -610,117 +543,6 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		lifetime.Wait()
 	}
 
-	// Coordinator scratch for re-cuts: the live-worklist gather and the
-	// surviving-slot collection (warm from the slab on pooled runs, handed
-	// back before release scrubs), plus the bounds/prefix scratch that
-	// ShardBoundsLiveInto recycles so a steady cut cadence allocates
-	// nothing.
-	var liveScratch, slotScratch []int32
-	if s := st.slab; s != nil {
-		// The coordinator's big gather buffers come warm from the slab; hand
-		// the (possibly grown) headers back before release scrubs them.
-		liveScratch, slotScratch = s.liveScratch[:0], s.slotScratch[:0]
-		defer func() { s.liveScratch, s.slotScratch = liveScratch, slotScratch }()
-	} else {
-		liveScratch = make([]int32, 0, st.n)
-	}
-	var boundsScratch []int
-	var prefixScratch []int64
-	st.initTelemetry(Parallel, workers)
-	// reshard re-cuts target contiguous shards over the live worklist and
-	// gives range s to worker s. target may differ from the current width:
-	// the pool-width ledger shrinks the cut through the shattering tail
-	// (surplus workers park on their command channels) and re-grows it if
-	// the workload recovers. It runs between rounds, while every worker is
-	// parked, so moving worklist entries, node ownership (shardOf), arena
-	// wiring and recorded inbox slots is plain single-threaded code; the
-	// next phase commands publish it to the pool. Arenas stay with their
-	// workers and every active arena still rotates once per round, so
-	// payloads carved before the cut remain live exactly as long as the
-	// retention rule promises (a parked worker's arena is simply frozen —
-	// its last payloads age out before it can be woken).
-	reshard := func(live []int32, target int) {
-		var bounds []int
-		bounds, prefixScratch = st.g.ShardBoundsLiveInto(target, live, boundsScratch, prefixScratch)
-		boundsScratch = bounds
-		// Collect every recorded inbox slot before the windows move; a
-		// worker whose last scatter was dense has no slot list, so scan its
-		// (old) window for survivors. Parked workers own no window.
-		slots := slotScratch[:0]
-		for _, w := range pool[:width] {
-			if w.denseInbox {
-				if st.packed {
-					// A dense packed scatter left no slot list either; scan
-					// the (old) word window's present bits for survivors.
-					for wd := w.wlo; wd < w.whi; wd++ {
-						pw := st.inBits.present[wd]
-						for pw != 0 {
-							k := mathbits.TrailingZeros64(pw)
-							pw &= pw - 1
-							slots = append(slots, int32(wd<<6+k))
-						}
-					}
-				} else {
-					for i := st.off[w.lo]; i < st.off[w.hi]; i++ {
-						if st.inbox[i] != nil {
-							slots = append(slots, int32(i))
-						}
-					}
-				}
-				w.denseInbox = false
-			} else {
-				slots = append(slots, w.inboxSlots...)
-			}
-			w.inboxSlots = w.inboxSlots[:0]
-		}
-		slotScratch = slots
-		// Park everyone, then hand out the new node ranges, worklist
-		// segments and arenas (and, packed, the live nodes' out-plane
-		// wiring — a migrated node must write its bits where its new owner
-		// harvests).
-		for _, w := range pool {
-			w.lo, w.hi = 0, 0
-			w.wlo, w.whi = 0, 0
-			w.active = w.active[:0]
-		}
-		li := 0
-		for s, w := range pool[:target] {
-			lo, hi := bounds[s], bounds[s+1]
-			w.lo, w.hi = lo, hi
-			seg := w.active[:0]
-			for ; li < len(live) && int(live[li]) < hi; li++ {
-				seg = append(seg, live[li])
-			}
-			w.active = seg
-			for v := lo; v < hi; v++ {
-				shardOf[v] = int32(s)
-			}
-			for _, v := range w.active {
-				st.ctxs[v].arena = w.arena
-				if st.packed {
-					st.ctxs[v].outBits = w.out
-				}
-			}
-		}
-		if st.packed {
-			applyWordBounds(bounds)
-		}
-		// Re-own the surviving inbox slots: on Message planes slot i belongs
-		// to node adj[rev[i]]'s owner; on packed planes to whichever worker
-		// owns the slot's word (the two differ only on word-rounded boundary
-		// slots).
-		for _, i := range slots {
-			var owner *parallelWorker
-			if st.packed {
-				owner = pool[core.wordShardOf[i>>6]]
-			} else {
-				owner = pool[shardOf[st.adjf[st.rev[i]]]]
-			}
-			owner.inboxSlots = append(owner.inboxSlots, i)
-		}
-		width = target
-		core.src = pool[:width]
-	}
 	var computeScratch []int64
 	var stagedScratch []int
 	var modeScratch []DeliveryMode
@@ -729,45 +551,34 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		stagedScratch = make([]int, workers)
 		modeScratch = make([]DeliveryMode, workers)
 	}
-
-	// Re-shard policy state (see policy.go): the halving trigger tracks
-	// the live size at the last cut, the cost model the imbalance debt, and
-	// — adaptive only — the pool-width ledger the per-worker profitability.
-	// ReshardAuto (the zero value) defers to the package default
-	// (SetDefaultReshard), adaptive out of the box; an explicit policy is
-	// never overridden.
-	lastReshard := st.n
-	model := newReshardModel(width, st.n)
-	pm := newPoolModel(workers)
-	if width != workers {
-		pm.resized(width)
-	}
+	// advLive gathers the live worklist for adversaries that crash or stall
+	// nodes; reused across rounds.
+	var advLive []int32
 
 	for r := 0; st.running > 0; r++ {
 		if r >= maxRounds {
 			stop()
 			return nil, &StuckError{MaxRounds: maxRounds, Running: st.running}
 		}
-		// Measured unconditionally: the pool-width ledger needs the round
-		// wall time even when telemetry is off.
-		roundStart := time.Now()
+		var roundStart time.Time
+		if core.timed {
+			roundStart = time.Now()
+		}
 		runPhase(phaseCmd{phase: phaseCompute, round: r})
-		// The pool prefix ascends by node range, so the first erroring
-		// worker holds the error of the lowest-indexed erroring node — the
-		// same error the sequential scheduler reports. Like Run, surface it
-		// before any of the round's deliveries are tallied.
-		for _, w := range pool[:width] {
+		// The pool ascends by node range, so the first erroring worker holds
+		// the error of the lowest-indexed erroring node — the same error the
+		// sequential scheduler reports. Like Run, surface it before any of
+		// the round's deliveries are tallied.
+		for _, w := range pool {
 			if w.err != nil {
 				stop()
 				return nil, w.err
 			}
 		}
 		runPhase(phaseCmd{phase: phaseScatter, round: r})
-		activeN, liveN := 0, 0
-		var maxComputeNS, sumComputeNS int64
-		for _, w := range pool[:width] {
+		activeN := 0
+		for _, w := range pool {
 			activeN += w.activeN
-			liveN += len(w.active)
 			st.running -= w.halted
 			st.messages += w.msgs
 			st.bits += w.bits
@@ -777,26 +588,11 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			if st.adv != nil {
 				st.adv.mergeRound(w.drops, w.cuts, w.delays, w.held)
 			}
-			if w.computeNS > maxComputeNS {
-				maxComputeNS = w.computeNS
-			}
-			sumComputeNS += w.computeNS
 		}
 		st.activeTrace = append(st.activeTrace, activeN)
 		st.rounds++
-		if st.tel != nil {
-			// Lanes always span the configured pool; a parked worker's lane
-			// reads zero (its stale counters describe an older round).
-			for i := range computeScratch {
-				computeScratch[i] = 0
-				stagedScratch[i] = 0
-				if st.packed {
-					modeScratch[i] = DeliverPacked
-				} else {
-					modeScratch[i] = DeliverSparse
-				}
-			}
-			for wi, w := range pool[:width] {
+		if core.timed {
+			for wi, w := range pool {
 				computeScratch[wi] = w.computeNS
 				// The staged lane counts what the shard's programs emitted,
 				// including what the adversary then dropped, cut or held.
@@ -812,22 +608,20 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			}
 			st.tel.recordRound(time.Since(roundStart).Nanoseconds(), computeScratch, stagedScratch, modeScratch)
 		}
-		st.tel.recordWidth(width)
 		if st.adv != nil {
 			// Round boundary: all workers are parked on their command
 			// channels, so the adversary's inbox writes, crash-stops and
 			// stall picks are single-threaded; the next phase commands
 			// publish them to the pool.
-			var advLive []int32
+			var live []int32
 			if st.adv.cfg.CrashPerRound > 0 || st.adv.cfg.StallPerRound > 0 {
-				lv := liveScratch[:0]
-				for _, w := range pool[:width] {
-					lv = append(lv, w.active...)
+				advLive = advLive[:0]
+				for _, w := range pool {
+					advLive = append(advLive, w.active...)
 				}
-				liveScratch = lv
-				advLive = lv
+				live = advLive
 			}
-			msgs, bits, maxBits, crashed := st.adv.boundary(r, advLive, st.inboxView(),
+			msgs, bits, maxBits, crashed := st.adv.boundary(r, live, st.inboxView(),
 				func(slot int32) {
 					var owner *parallelWorker
 					if st.packed {
@@ -849,7 +643,7 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 				st.maxBits = maxBits
 			}
 			if crashed > 0 {
-				for _, w := range pool[:width] {
+				for _, w := range pool {
 					liveSeg := w.active[:0]
 					for _, v := range w.active {
 						if !st.done[v] {
@@ -858,54 +652,6 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 					}
 					w.active = liveSeg
 				}
-				liveN -= crashed
-			}
-		}
-		// Re-shard decision: when, and at what width. The halving rule
-		// compares the live size against the last cut; the cost model
-		// charges this round's barrier imbalance — the idle worker time
-		// implied by the compute-phase spread — to a debt that must
-		// out-weigh the (measured) price of a cut before one is taken, and
-		// the pool-width ledger asks whether the measured per-node compute
-		// can still keep the current width profitably busy. An imbalance
-		// cut also requires the worklist to have shrunk since the last one
-		// — re-cutting an unchanged worklist would reproduce the same
-		// bounds and pay the price for nothing — while a width change is
-		// worth a cut on its own.
-		if policy != ReshardOff && liveN > 0 {
-			cur := width
-			target := cur
-			doCut := false
-			if policy == ReshardHalving {
-				doCut = liveN >= cur && liveN*2 <= lastReshard
-			} else {
-				model.charge(maxComputeNS, sumComputeNS)
-				pm.charge(time.Since(roundStart).Nanoseconds(), maxComputeNS, sumComputeNS, activeN)
-				if t := pm.desiredWidth(liveN); t != cur {
-					if t > liveN {
-						t = liveN
-					}
-					target = t
-					doCut = target != cur
-				}
-				if !doCut {
-					doCut = liveN >= cur && model.shouldCut(liveN)
-				}
-			}
-			if doCut {
-				live := liveScratch[:0]
-				for _, w := range pool[:width] {
-					live = append(live, w.active...)
-				}
-				liveScratch = live
-				cutStart := time.Now()
-				reshard(live, target)
-				cost := time.Since(cutStart).Nanoseconds()
-				st.tel.recordReshard(r, liveN, cost, model.wasteNS)
-				model.cutDone(liveN, cost)
-				model.workers = target
-				pm.resized(target)
-				lastReshard = liveN
 			}
 		}
 		st.progress()

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"randlocal/internal/graph"
@@ -218,39 +220,94 @@ func TestSchedulerEquivalenceWithCtxOutbox(t *testing.T) {
 	}
 }
 
-// TestRunParallelReshardEquivalence drives the re-sharding path hard: the
-// staggered-halting program shrinks the worklist geometrically, so the
-// coordinator re-cuts the shards at every halving (roughly log₂ n times per
-// run), across graphs with skewed degree distributions where the re-cut
-// actually moves boundaries. Results must stay byte-identical to the
-// sequential engine through every cut — including the delivery of messages
-// staged to nodes that changed shards, and the clearing of inbox slots
-// recorded under the old boundaries.
-func TestRunParallelReshardEquivalence(t *testing.T) {
-	rng := prng.New(404)
-	for _, tg := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"powerlaw", graph.PowerLaw(400, 3, rng)},
-		{"gnp", graph.GNPConnected(350, 0.02, rng)},
-		{"two-components", graph.Disjoint(graph.Ring(180), graph.RandomTree(200, rng))},
-	} {
-		t.Run(tg.name, func(t *testing.T) {
-			n := tg.g.N()
-			ids := RandomIDs(n, 3, NewSimulationKey(uint64(n)*7+5))
-			cfg := Config{Graph: tg.g, IDs: ids, MaxMessageBits: CongestBits(n)}
-			factory := func(int) NodeProgram[uint64] { return &staggeredHalt{} }
-			want, err := Run(cfg, factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 8} {
-				got, err := RunParallel(cfg, factory, workers)
-				if err != nil {
-					t.Fatal(err)
+// TestRunParallelProgressHook asserts the Progress feed under the parallel
+// engine on a shrinking fringe: the hook must fire exactly once per round,
+// in order, with the cumulative counters the final Result confirms. CI runs
+// this under -race, which would catch the hook racing the worker pool.
+func TestRunParallelProgressHook(t *testing.T) {
+	rng := prng.New(912)
+	g := graph.PowerLaw(500, 3, rng)
+	n := g.N()
+	ids := RandomIDs(n, 3, NewSimulationKey(uint64(n)*9+1))
+	var updates []Progress
+	cfg := Config{
+		Graph: g, IDs: ids, MaxMessageBits: CongestBits(n),
+		Progress: func(p Progress) { updates = append(updates, p) },
+	}
+	res, err := RunParallel(cfg, func(int) NodeProgram[uint64] { return &staggeredHalt{} }, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(updates) != res.Rounds {
+		t.Fatalf("%d progress updates for %d rounds", len(updates), res.Rounds)
+	}
+	running := n
+	var lastMsgs int64
+	for i, p := range updates {
+		if p.Round != i+1 {
+			t.Fatalf("update %d reports round %d, want %d (each round exactly once, in order)", i, p.Round, i+1)
+		}
+		if p.Active != res.ActivePerRound[i] {
+			t.Errorf("update %d active = %d, want %d", i, p.Active, res.ActivePerRound[i])
+		}
+		if p.Running > running {
+			t.Errorf("update %d running %d grew from %d", i, p.Running, running)
+		}
+		running = p.Running
+		if p.Messages < lastMsgs {
+			t.Errorf("update %d messages %d shrank from %d", i, p.Messages, lastMsgs)
+		}
+		lastMsgs = p.Messages
+	}
+	final := updates[len(updates)-1]
+	if final.Round != res.Rounds || final.Running != 0 || final.Messages != res.Messages {
+		t.Errorf("final update %+v disagrees with Result (rounds=%d messages=%d)", final, res.Rounds, res.Messages)
+	}
+}
+
+// TestRunParallelHostIndependent holds the engine to the worker count it was
+// given, whatever the runtime's processor limit: the same workers=3 run under
+// GOMAXPROCS 1 and 2 must agree on the Result and on every deterministic
+// telemetry field — the lane count and, per round, each lane's staged count
+// and delivery mode. Only the clock fields may differ.
+func TestRunParallelHostIndependent(t *testing.T) {
+	g := graph.GNPConnected(4096, 8.0/4096, prng.New(4096))
+	n := g.N()
+	key := NewSimulationKey(41)
+	ids := RandomIDs(n, n, key)
+	factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: 6} }
+	for _, unpacked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("unpacked=%v", unpacked), func(t *testing.T) {
+			run := func(procs int) *Result[uint64] {
+				t.Helper()
+				old := runtime.GOMAXPROCS(procs)
+				t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+				cfg := Config{
+					Graph: g, IDs: ids, MaxMessageBits: CongestBits(n),
+					Source: key.FullSource(), Unpacked: unpacked, Telemetry: true,
 				}
-				assertResultsEqual(t, fmt.Sprintf("workers=%d", workers), want, got)
+				res, err := RunParallel(cfg, factory, 3)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+				}
+				return res
+			}
+			want, got := run(1), run(2)
+			assertResultsEqual(t, "GOMAXPROCS=2 vs 1", want, got)
+			wt, gt := want.Telemetry, got.Telemetry
+			if wt.Workers != 3 || gt.Workers != 3 {
+				t.Fatalf("telemetry lanes = %d and %d, want the configured 3", wt.Workers, gt.Workers)
+			}
+			if len(gt.Rounds) != len(wt.Rounds) {
+				t.Fatalf("%d round records, want %d", len(gt.Rounds), len(wt.Rounds))
+			}
+			for r := range wt.Rounds {
+				if !slices.Equal(gt.Rounds[r].Staged, wt.Rounds[r].Staged) {
+					t.Errorf("round %d staged %v, want %v", r, gt.Rounds[r].Staged, wt.Rounds[r].Staged)
+				}
+				if !slices.Equal(gt.Rounds[r].Mode, wt.Rounds[r].Mode) {
+					t.Errorf("round %d modes %v, want %v", r, gt.Rounds[r].Mode, wt.Rounds[r].Mode)
+				}
 			}
 		})
 	}

@@ -13,7 +13,7 @@ import "sync"
 // The pool never changes Results: a slab is handed back scrubbed (planes
 // cleared, worklists truncated, arenas rotated empty), and the warm-vs-cold
 // equivalence suite asserts byte-identical Results and Telemetry across both
-// schedulers, every re-shard policy, and both plane representations.
+// schedulers, every worker count, and both plane representations.
 //
 // Sharing: a pool is safe for concurrent use by independent runs (the
 // experiments trial pool, the locsimd daemon's job workers). Each run holds
@@ -116,14 +116,11 @@ type engineSlab struct {
 	arena arena
 
 	// Parallel-engine sections: persistent workers (usedWorkers marks how
-	// many the last run wired), the node- and word-ownership tables, and the
-	// coordinator's large scratch.
+	// many the last run wired) and the node- and word-ownership tables.
 	workers     []*parallelWorker
 	usedWorkers int
 	shardOf     []int32
 	wordShardOf []int32
-	liveScratch []int32
-	slotScratch []int32
 }
 
 // msgPlane materializes one of the slab's Message planes.
@@ -249,8 +246,6 @@ func (s *engineSlab) scrub() {
 		w.arena.reset()
 	}
 	s.usedWorkers = 0
-	s.liveScratch = s.liveScratch[:0]
-	s.slotScratch = s.slotScratch[:0]
 }
 
 // reset empties both of the arena's round buffers, retaining their capacity

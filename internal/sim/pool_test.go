@@ -9,7 +9,7 @@ import (
 )
 
 // TestEnginePoolWarmColdEquivalence is the correctness proof of the engine
-// pool: on every scheduler, re-shard policy and plane representation, a run
+// pool: on every scheduler, worker count and plane representation, a run
 // drawing its buffers from a warm slab — one a previous run of the same shape
 // already dirtied — must produce a Result byte-identical to the cold
 // (unpooled) run. The pooled run executes twice so the second pass really
@@ -59,15 +59,12 @@ func TestEnginePoolWarmColdEquivalence(t *testing.T) {
 					func(c Config) (*Result[uint64], error) { return Run(c, factory) })
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
-				for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-					for _, unpack := range []bool{false, true} {
-						cfg := base
-						cfg.Reshard = policy
-						cfg.Unpacked = unpack
-						label := fmt.Sprintf("parallel/workers=%d/%v/unpacked=%v", workers, policy, unpack)
-						check(t, label, cfg,
-							func(c Config) (*Result[uint64], error) { return RunParallel(c, factory, workers) })
-					}
+				for _, unpack := range []bool{false, true} {
+					cfg := base
+					cfg.Unpacked = unpack
+					label := fmt.Sprintf("parallel/workers=%d/unpacked=%v", workers, unpack)
+					check(t, label, cfg,
+						func(c Config) (*Result[uint64], error) { return RunParallel(c, factory, workers) })
 				}
 			}
 			if pool.idle() == 0 {
@@ -116,12 +113,8 @@ func TestEnginePoolFaultedEquivalence(t *testing.T) {
 	}
 	check("sequential", base, func(c Config) (*Result[uint64], error) { return Run(c, factory) })
 	for _, workers := range []int{2, 3, 8} {
-		for _, policy := range []ReshardPolicy{ReshardAdaptive, ReshardHalving, ReshardOff} {
-			cfg := base
-			cfg.Reshard = policy
-			check(fmt.Sprintf("parallel/workers=%d/%v", workers, policy), cfg,
-				func(c Config) (*Result[uint64], error) { return RunParallel(c, factory, workers) })
-		}
+		check(fmt.Sprintf("parallel/workers=%d", workers), base,
+			func(c Config) (*Result[uint64], error) { return RunParallel(c, factory, workers) })
 	}
 }
 
@@ -313,9 +306,9 @@ func BenchmarkPooledRun(b *testing.B) {
 	}
 	b.Run("sequential/cold", func(b *testing.B) { bench(b, Config{Graph: g}, 0) })
 	b.Run("sequential/warm", func(b *testing.B) { bench(b, Config{Graph: g, Pool: NewEnginePool()}, 0) })
-	b.Run("parallel2/cold", func(b *testing.B) { bench(b, Config{Graph: g, Reshard: ReshardOff}, 2) })
+	b.Run("parallel2/cold", func(b *testing.B) { bench(b, Config{Graph: g}, 2) })
 	b.Run("parallel2/warm", func(b *testing.B) {
-		bench(b, Config{Graph: g, Reshard: ReshardOff, Pool: NewEnginePool()}, 2)
+		bench(b, Config{Graph: g, Pool: NewEnginePool()}, 2)
 	})
 }
 

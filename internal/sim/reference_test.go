@@ -83,9 +83,9 @@ func runReference[T any](cfg Config, factory func(v int) NodeProgram[T]) (*Resul
 }
 
 // CheckReference runs one config on the reference engine and demands the
-// identical Result from Run and from RunParallel with 1–3 workers under the
-// clock-free re-shard policies, each both packed and unpacked (a program
-// that declares no PayloadBits runs unpacked either way). src returns a
+// identical Result from Run and from RunParallel with 1–3 workers, each both
+// packed and unpacked (a program that declares no PayloadBits runs unpacked
+// either way). src returns a
 // fresh randomness source per run. It is exported for the external test
 // package, whose tests can import the algorithm packages built on sim.
 func CheckReference[T comparable](t *testing.T, cfg Config, src func() randomness.Source, factory func(v int) NodeProgram[T]) {
@@ -109,12 +109,9 @@ func CheckReference[T comparable](t *testing.T, cfg Config, src func() randomnes
 		got, err := Run(c, factory)
 		check(fmt.Sprintf("sequential/unpacked=%v", unpacked), got, err)
 		for workers := 1; workers <= 3; workers++ {
-			for _, policy := range []ReshardPolicy{ReshardHalving, ReshardOff} {
-				c.Reshard = policy
-				c.Source = src()
-				got, err := RunParallel(c, factory, workers)
-				check(fmt.Sprintf("parallel/workers=%d/%v/unpacked=%v", workers, policy, unpacked), got, err)
-			}
+			c.Source = src()
+			got, err := RunParallel(c, factory, workers)
+			check(fmt.Sprintf("parallel/workers=%d/unpacked=%v", workers, unpacked), got, err)
 		}
 	}
 }

@@ -54,8 +54,7 @@ func ParseScheduler(name string) (Scheduler, error) {
 
 var defaultMu sync.RWMutex
 var defaultScheduler = Sequential
-var defaultWorkers = 0 // 0 = GOMAXPROCS for the parallel engine
-var defaultReshard = ReshardAdaptive
+var defaultWorkers = 0      // 0 = GOMAXPROCS for the parallel engine
 var defaultPool *EnginePool // nil = allocate fresh per run
 
 // SetDefaultScheduler sets the engine used when a Config leaves Scheduler
@@ -81,27 +80,6 @@ func DefaultScheduler() (Scheduler, int) {
 	return defaultScheduler, defaultWorkers
 }
 
-// SetDefaultReshard sets the re-shard policy RunParallel uses when a Config
-// leaves Reshard as ReshardAuto (the zero value) — the lever the
-// command-line front ends use for A/B runs across whole workloads. An
-// explicit Config.Reshard always wins; ReshardAuto resets to
-// ReshardAdaptive.
-func SetDefaultReshard(policy ReshardPolicy) {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if policy == ReshardAuto {
-		policy = ReshardAdaptive
-	}
-	defaultReshard = policy
-}
-
-// DefaultReshard reports the current package-wide default re-shard policy.
-func DefaultReshard() ReshardPolicy {
-	defaultMu.RLock()
-	defer defaultMu.RUnlock()
-	return defaultReshard
-}
-
 // SetDefaultPool sets the EnginePool runs draw their buffer slabs from when a
 // Config leaves Pool nil — the lever single-tenant front ends (the
 // experiments Runner, locsim) use to warm every simulation they start
@@ -124,16 +102,14 @@ func DefaultPool() *EnginePool {
 }
 
 // ExecOptions bundles the per-run execution knobs a front end threads through
-// an algorithm wrapper's config: which engine, how many workers, which
-// re-shard policy, whether to force the unpacked message planes, which engine
-// pool to draw buffers from, whether to record telemetry, and an optional
-// per-round progress hook. The zero value defers every choice to the
+// an algorithm wrapper's config: which engine, how many workers, whether to
+// force the unpacked message planes, which engine pool to draw buffers from,
+// whether to record telemetry, and an optional per-round progress hook. The zero value defers every choice to the
 // package-wide defaults, exactly as before; multi-tenant hosts set these
 // per run instead of mutating the global defaults under their feet.
 type ExecOptions struct {
 	Scheduler Scheduler
 	Workers   int
-	Reshard   ReshardPolicy
 	Unpacked  bool
 	Telemetry bool
 	Pool      *EnginePool
@@ -147,7 +123,6 @@ type ExecOptions struct {
 func (o ExecOptions) Apply(cfg *Config) {
 	cfg.Scheduler = o.Scheduler
 	cfg.Workers = o.Workers
-	cfg.Reshard = o.Reshard
 	if o.Unpacked {
 		cfg.Unpacked = true
 	}

@@ -6,17 +6,16 @@ import "sync/atomic"
 // Result.Telemetry when collection is enabled (SetTelemetry). It answers the
 // scheduling questions the round/message counters cannot: how was each
 // round's compute time distributed over the pool, how many messages did each
-// worker stage, which delivery strategy did each shard pick, and when (and at
-// what price) did the parallel coordinator re-cut its shards.
+// worker stage, and which delivery strategy did each shard pick.
 //
 // Collection follows the same pattern as the poisoned-Outbox debug check: a
 // package-level switch latched once at run start, with near-zero cost when
-// off (the only always-on cost is the parallel workers' per-phase clock
-// reads, which the adaptive re-shard policy needs regardless).
+// off (no engine reads the clock unless the run records telemetry).
 //
 // Wall-clock fields are measurements of this host's execution, not model
 // quantities: unlike every other Result field they are not identical across
-// schedulers or repeated runs.
+// schedulers or repeated runs. The per-lane staged counts and delivery modes
+// depend only on the Config, the engine and its worker count.
 type Telemetry struct {
 	// Scheduler is the engine that produced this record.
 	Scheduler Scheduler
@@ -26,10 +25,6 @@ type Telemetry struct {
 	// Rounds holds one entry per executed round, aligned with
 	// Result.ActivePerRound.
 	Rounds []RoundStats
-	// Reshards lists the parallel coordinator's shard re-cuts, in execution
-	// order (strictly increasing Round). Empty for the other engines and
-	// under ReshardOff.
-	Reshards []ReshardEvent
 	// Injected lists the adversary's fault injections (see adversary.go),
 	// aggregated per round and kind, non-decreasing in Round (strictly
 	// increasing per Kind). Unlike the wall-clock fields, identical across
@@ -37,11 +32,6 @@ type Telemetry struct {
 	// collects telemetry (the injected record is part of the run's
 	// reproducibility story), even when SetTelemetry is off.
 	Injected []InjectedEvent
-	// PoolWidthPerRound[r] is the number of workers that actually ran round
-	// r — the adaptive pool ledger parks excess workers through the
-	// shattering tail, so this can drop below (and climb back toward)
-	// Workers. Length equals len(Rounds); nil for the other engines.
-	PoolWidthPerRound []int
 }
 
 // RoundStats is one round's measurement across the telemetry lanes. All
@@ -52,7 +42,7 @@ type RoundStats struct {
 	WallNS int64
 	// ComputeNS[w] is the time lane w spent in the round's compute phase
 	// (calling Round methods and staging outboxes). The spread between
-	// lanes is the barrier imbalance the adaptive re-shard policy acts on.
+	// lanes is the pool's barrier imbalance.
 	ComputeNS []int64
 	// Staged[w] is the number of messages lane w staged this round.
 	Staged []int
@@ -91,22 +81,6 @@ func (m DeliveryMode) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// ReshardEvent records one shard re-cut of the parallel coordinator.
-type ReshardEvent struct {
-	// Round is the index of the round after which the re-cut ran; events
-	// are strictly increasing in Round.
-	Round int
-	// Live is the live worklist size the shards were re-balanced over.
-	Live int
-	// CostNS is the measured price of the re-cut itself.
-	CostNS int64
-	// WasteNS is the barrier-imbalance debt (summed idle worker time at
-	// the compute barrier) accumulated since the previous re-cut; it is
-	// what the adaptive policy weighed against the re-cut price. Zero
-	// under ReshardHalving, whose trigger ignores imbalance.
-	WasteNS int64
 }
 
 var telemetryEnabled atomic.Bool
@@ -150,20 +124,4 @@ func (t *Telemetry) recordInjected(round int, kind InjectKind, count int) {
 		return
 	}
 	t.Injected = append(t.Injected, InjectedEvent{Round: round, Kind: kind, Count: count})
-}
-
-// recordReshard appends one re-cut event.
-func (t *Telemetry) recordReshard(round, live int, costNS, wasteNS int64) {
-	if t == nil {
-		return
-	}
-	t.Reshards = append(t.Reshards, ReshardEvent{Round: round, Live: live, CostNS: costNS, WasteNS: wasteNS})
-}
-
-// recordWidth appends one round's effective pool width.
-func (t *Telemetry) recordWidth(width int) {
-	if t == nil {
-		return
-	}
-	t.PoolWidthPerRound = append(t.PoolWidthPerRound, width)
 }

@@ -154,10 +154,9 @@ type Subsystem = sim.Subsystem
 
 // The subsystems a SimulationKey partitions its randomness into.
 const (
-	StreamAlgorithm   = sim.StreamAlgorithm
-	StreamAdversary   = sim.StreamAdversary
-	StreamWorkload    = sim.StreamWorkload
-	StreamShardJitter = sim.StreamShardJitter
+	StreamAlgorithm = sim.StreamAlgorithm
+	StreamAdversary = sim.StreamAdversary
+	StreamWorkload  = sim.StreamWorkload
 )
 
 // NewSimulationKey wraps a master seed as a run key.
@@ -255,47 +254,14 @@ var (
 	DefaultScheduler = sim.DefaultScheduler
 )
 
-// ReshardPolicy selects when RunParallel re-cuts its shards over the live
-// worklist; purely a performance lever — results are identical under every
-// policy. See the Reshard* constants.
-type ReshardPolicy = sim.ReshardPolicy
-
-// The re-shard policies for SimConfig.Reshard and SetDefaultReshard.
-const (
-	// ReshardAuto (the zero value) defers to the package default set by
-	// SetDefaultReshard — adaptive out of the box.
-	ReshardAuto = sim.ReshardAuto
-	// ReshardAdaptive re-cuts when the observed barrier imbalance has
-	// cost more than a re-cut is measured to cost.
-	ReshardAdaptive = sim.ReshardAdaptive
-	// ReshardHalving is the fixed rule: re-cut at every worklist halving.
-	ReshardHalving = sim.ReshardHalving
-	// ReshardOff pins the initial shard cut for the whole run.
-	ReshardOff = sim.ReshardOff
-)
-
-var (
-	// ParseReshardPolicy parses a -reshard flag value ("adaptive",
-	// "halving", "off").
-	ParseReshardPolicy = sim.ParseReshardPolicy
-	// SetDefaultReshard sets the policy used when SimConfig.Reshard is
-	// left at its zero value.
-	SetDefaultReshard = sim.SetDefaultReshard
-	// DefaultReshard reports the current package-wide default policy.
-	DefaultReshard = sim.DefaultReshard
-)
-
 // Telemetry is the optional per-run scheduling measurement attached to
 // SimResult.Telemetry when collection is enabled: per-round per-worker
-// compute times, staged-message counts, delivery-mode choices, and the
-// parallel engine's re-shard events. See SetTelemetry.
+// compute times, staged-message counts and delivery-mode choices. See
+// SetTelemetry.
 type Telemetry = sim.Telemetry
 
 // RoundStats is one round's telemetry across the engine's lanes.
 type RoundStats = sim.RoundStats
-
-// ReshardEvent records one shard re-cut of the parallel coordinator.
-type ReshardEvent = sim.ReshardEvent
 
 // DeliveryMode names the delivery strategy a lane chose for one round.
 type DeliveryMode = sim.DeliveryMode

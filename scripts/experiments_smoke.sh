@@ -11,14 +11,18 @@
 #      the package's Go tests) is resumed from its checkpoint and must
 #      reproduce the uninterrupted run's records exactly (-diff compares
 #      stable fields, ignoring wall-clock metadata).
+#   4. Host independence: the whole quick sweep run on one processor
+#      (GOMAXPROCS=1), on the sequential engine and on a three-worker
+#      parallel pool, reproduces the default run's records exactly — no
+#      stable field may depend on the host's processor count.
 #
 # Usage: scripts/experiments_smoke.sh [outdir]
-# Env:   EXPERIMENTS_SMOKE_SUBSET  comma-separated IDs (default E3,E5,E11,E12,E13)
+# Env:   EXPERIMENTS_SMOKE_SUBSET  comma-separated IDs (default E3,E5,E11,E12)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-experiments-smoke-out}"
-SUBSET="${EXPERIMENTS_SMOKE_SUBSET:-E3,E5,E11,E12,E13}"
+SUBSET="${EXPERIMENTS_SMOKE_SUBSET:-E3,E5,E11,E12}"
 rm -rf "$OUT"
 mkdir -p "$OUT"
 
@@ -44,5 +48,12 @@ go run ./cmd/experiments -quick -experiment E12 -out "$OUT/e12full"
 go run ./cmd/experiments -quick -experiment E12 -out "$OUT/e12resume" -limit 7
 go run ./cmd/experiments -quick -experiment E12 -out "$OUT/e12resume"
 go run ./cmd/experiments -diff "$OUT/e12full/records.json" "$OUT/e12resume/records.json"
+
+echo "== host independence (whole quick sweep: default vs GOMAXPROCS=1)"
+go run ./cmd/experiments -quick -out "$OUT/host-default" >/dev/null
+GOMAXPROCS=1 go run ./cmd/experiments -quick -out "$OUT/host-1cpu" >/dev/null
+GOMAXPROCS=1 go run ./cmd/experiments -quick -scheduler parallel -workers 3 -out "$OUT/host-1cpu-par3" >/dev/null
+go run ./cmd/experiments -diff "$OUT/host-default/records.json" "$OUT/host-1cpu/records.json"
+go run ./cmd/experiments -diff "$OUT/host-default/records.json" "$OUT/host-1cpu-par3/records.json"
 
 echo "experiments smoke: OK (records in $OUT/full)"
