@@ -333,7 +333,7 @@ func staggeredSlabFactory(n int) func(int) NodeProgram[uint64] {
 	return func(v int) NodeProgram[uint64] { return &slab[v] }
 }
 
-// BenchmarkRun is the sequential baseline for the engine-scaling comparison
+// BenchmarkRun is the one-worker baseline for the engine-scaling comparison
 // at the sizes the ROADMAP targets.
 func BenchmarkRun(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
@@ -430,8 +430,8 @@ func (f *staggeredBench) Round(r int, inbox []Message) ([]Message, bool) {
 
 func (f *staggeredBench) Output() uint64 { return f.best }
 
-// BenchmarkRunStaggered measures the staggered-termination workload on the
-// sequential engine — the case the active-node worklist targets: late rounds
+// BenchmarkRunStaggered measures the staggered-termination workload on one
+// worker — the case the active-node worklist targets: late rounds
 // must cost O(active), not O(n).
 func BenchmarkRunStaggered(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
@@ -540,9 +540,9 @@ func BenchmarkLubyPacked(b *testing.B) {
 }
 
 // BenchmarkRunParallelLubyPacked runs the packed 1-bit Luby program on the
-// sharded worker pool: word-rounded plane windows, packed per-shard staging
-// and adaptive pool width. The Result is byte-identical to
-// BenchmarkLubyPacked's sequential rows for equal seeds; the ns/op delta is
+// sharded worker pool: word-rounded plane windows and packed per-shard
+// staging, on exactly the configured width. The Result is byte-identical to
+// BenchmarkLubyPacked's one-worker rows for equal seeds; the ns/op delta is
 // pure engine overhead or speedup.
 func BenchmarkRunParallelLubyPacked(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
@@ -587,7 +587,7 @@ func benchFileGraph(b *testing.B, n int) *Graph {
 
 // BenchmarkLubyPackedFile is BenchmarkLubyPacked with the graph served from
 // the mmap-backed on-disk CSR instead of RAM — same program, same seeds,
-// byte-identical Results. The ns/op delta against the same-run sequential
+// byte-identical Results. The ns/op delta against the same-run
 // BenchmarkLubyPacked row is the warm out-of-core overhead; BENCH_PR10.json
 // records it and scripts/bench_pr10.sh holds the n=2^20 row to <= 10%.
 func BenchmarkLubyPackedFile(b *testing.B) {

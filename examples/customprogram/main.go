@@ -2,7 +2,7 @@
 // the README recipe step by step — outboxes assembled in the engine-owned
 // NodeCtx.Outbox window (Broadcast), payloads carved from the per-round
 // arena (NodeCtx.Uints), fixed-shape messages decoded into a struct-held
-// scratch array (DecodeUintsInto) — then run on both schedulers with
+// scratch array (DecodeUintsInto) — then run on one worker and on four with
 // byte-identical results, with scheduling telemetry switched on to watch
 // the live fringe shrink and the delivery strategy adapt to it.
 package main
@@ -80,8 +80,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The model-level Result is byte-identical across schedulers...
-	fmt.Printf("rounds=%d messages=%d bits=%d on both schedulers: %v\n",
+	// The model-level Result is byte-identical across widths...
+	fmt.Printf("rounds=%d messages=%d bits=%d on 1 and 4 workers: %v\n",
 		seq.Rounds, seq.Messages, seq.BitsTotal,
 		seq.Rounds == par.Rounds && seq.Messages == par.Messages)
 

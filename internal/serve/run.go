@@ -42,6 +42,21 @@ func (k AdversaryKnobs) Zero() bool {
 	return k.Drop == 0 && k.Delay == 0 && k.Crash == 0 && k.Churn == 0 && k.Heal == 0 && k.Stall == 0
 }
 
+// adversary builds the run's adversary from the knobs — nil for an
+// all-defaults set. It is the one place the knobs become a
+// sim.AdversaryConfig, so request validation applies exactly sim's rules.
+func (k AdversaryKnobs) adversary(seed uint64) (*sim.Adversary, error) {
+	adv, err := sim.NewAdversary(sim.NewSimulationKey(seed), sim.AdversaryConfig{
+		DropProb: k.Drop, DelayProb: k.Delay, DelayMax: k.DelayMax,
+		CrashPerRound: k.Crash, ChurnPerRound: k.Churn, HealPerRound: k.Heal,
+		StallPerRound: k.Stall,
+	})
+	if err != nil || k.Zero() {
+		return nil, err
+	}
+	return adv, nil
+}
+
 // RunRequest is one submitted simulation: the same algorithm, graph-family,
 // seed, engine and adversary knobs the locsim CLI accepts, as JSON. Zero
 // values mean the CLI's defaults, so {"algo":"luby","n":512,"seed":1}
@@ -127,11 +142,8 @@ func (r *RunRequest) Validate() error {
 		// run with N still 0 clamps once the header fills N in.)
 		r.Workers = r.N
 	}
-	if k := r.Adversary; k.Drop < 0 || k.Drop > 1 || k.Delay < 0 || k.Delay > 1 ||
-		k.DelayMax < 0 || k.Crash < 0 || k.Churn < 0 || k.Heal < 0 || k.Stall < 0 {
-		return fmt.Errorf("adversary budgets out of range")
-	}
-	return nil
+	_, err := r.Adversary.adversary(r.Seed)
+	return err
 }
 
 // ValidateGraphSpec rejects family parameters the generators would panic on —
@@ -327,17 +339,9 @@ func Execute(req RunRequest, exec sim.ExecOptions) (*RunOutcome, error) {
 			return nil, err
 		}
 	}
-	var adv *sim.Adversary
-	if k := req.Adversary; !k.Zero() {
-		advCfg := sim.AdversaryConfig{
-			DropProb: k.Drop, DelayProb: k.Delay, DelayMax: k.DelayMax,
-			CrashPerRound: k.Crash, ChurnPerRound: k.Churn, HealPerRound: k.Heal,
-			StallPerRound: k.Stall,
-		}
-		adv, err = sim.NewAdversary(sim.NewSimulationKey(req.Seed), advCfg)
-		if err != nil {
-			return nil, err
-		}
+	adv, err := req.Adversary.adversary(req.Seed)
+	if err != nil {
+		return nil, err
 	}
 
 	// Faulted runs follow the CLI's one-sided-oracle reporting: an

@@ -36,6 +36,8 @@ func TestValidate(t *testing.T) {
 		{Algo: "luby", N: 64, P: 1.5},           // p out of range
 		{Algo: "luby", N: 64, Scheduler: "gpu"}, // bad scheduler
 		{Algo: "luby", N: 64, Adversary: AdversaryKnobs{Drop: -0.1}},
+		{Algo: "luby", N: 64, Adversary: AdversaryKnobs{Drop: 0.6, Delay: 0.6}}, // sum over 1
+		{Algo: "luby", N: 64, Adversary: AdversaryKnobs{Delay: 0.1, DelayMax: -1}},
 		{Algo: "luby", N: 64, Deg: -1},                    // negative deg
 		{Algo: "luby", N: 3, Graph: "cliques"},            // RingOfCliques(0, 4) would panic
 		{Algo: "luby", N: 4, Graph: "regular", Deg: 4},    // deg >= n

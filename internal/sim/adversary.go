@@ -10,7 +10,7 @@ import (
 // AdversaryConfig sets the per-round fault budgets of an Adversary. The zero
 // value is the null adversary: enabled but injecting nothing (useful as the
 // control arm — by stream isolation it reproduces the fault-free run bit for
-// bit, which adversary_test.go asserts across both schedulers).
+// bit, which adversary_test.go asserts at several worker counts).
 type AdversaryConfig struct {
 	// DropProb is the probability that any one sent message is silently
 	// lost in transit (the receiver sees nothing; the sender is not told).
@@ -20,8 +20,8 @@ type AdversaryConfig struct {
 	// newer: if the slot it targets holds a fresher message when it comes
 	// due, it is superseded and lost.
 	DelayProb float64
-	// DelayMax bounds the extra rounds a delayed message is held; values
-	// below 1 are treated as 1 when DelayProb > 0.
+	// DelayMax bounds the extra rounds a delayed message is held; 0 is
+	// treated as 1 when DelayProb > 0, and negative values are rejected.
 	DelayMax int
 	// CrashPerRound crash-stops that many uniformly chosen live nodes at
 	// each round boundary. A crashed node stops computing and sending
@@ -53,7 +53,7 @@ func (c AdversaryConfig) validate() error {
 	if c.DropProb+c.DelayProb > 1 {
 		return fmt.Errorf("sim: adversary DropProb+DelayProb %v exceeds 1", c.DropProb+c.DelayProb)
 	}
-	if c.CrashPerRound < 0 || c.ChurnPerRound < 0 || c.HealPerRound < 0 || c.StallPerRound < 0 {
+	if c.DelayMax < 0 || c.CrashPerRound < 0 || c.ChurnPerRound < 0 || c.HealPerRound < 0 || c.StallPerRound < 0 {
 		return fmt.Errorf("sim: negative adversary budget")
 	}
 	return nil
@@ -74,8 +74,8 @@ func (c AdversaryConfig) Zero() bool {
 //
 // Determinism contract: for a fixed Config (graph, IDs, source seed,
 // adversary), the faulted Result — outputs, rounds, ActivePerRound, message
-// and bit counters — and the injected-event record are identical across both
-// schedulers and every worker count. Message-level decisions are pure
+// and bit counters — and the injected-event record are identical for every
+// worker count. Message-level decisions are pure
 // hashes of (adversary seed, round, destination slot), which no engine
 // reorders; node- and edge-level decisions (crashes, churn, stalls) are made
 // single-threaded at round boundaries from one coordinator stream.
@@ -214,13 +214,12 @@ type advState struct {
 	held []heldMsg
 
 	// stalled[v] suspends node v for the upcoming round; refreshed at every
-	// boundary. stalledN = len(stalledList) is subtracted from the active
-	// trace (a stalled node's Round method is not invoked).
+	// boundary. A stalled node's Round method is not invoked, so it does not
+	// count as active.
 	stalled     []bool
 	stalledList []int32
 
-	// Per-round send-side counters. The sequential engine increments them
-	// directly; the parallel engine accumulates per worker and merges via
+	// Per-round send-side counters, accumulated per worker and merged via
 	// mergeRound before the boundary.
 	roundDrops  int
 	roundCuts   int
@@ -247,11 +246,9 @@ func (a *Adversary) newState(off []int64, adjf, rev []int32, done []bool) *advSt
 	}
 }
 
-func (s *advState) stalledCount() int { return len(s.stalledList) }
-
 // fate decides the in-transit outcome of the round-r message addressed to
 // destination slot (a flat half-edge index). It is a pure function of
-// (seed, round, slot) — the slot is engine-invariant, so every scheduler
+// (seed, round, slot) — the slot is engine-invariant, so every width
 // computes the same outcome regardless of staging order — and is safe to
 // call concurrently. The returned delay is the number of extra rounds a
 // fateDelay message is held (>= 1).
@@ -307,7 +304,7 @@ func (s *advState) record(r int, kind InjectKind, count int) {
 }
 
 // boundary is the adversary's single-threaded step between rounds, run by
-// every engine's coordinator right after round r's delivery with all workers
+// the engine's coordinator right after round r's delivery with all workers
 // parked. In fixed order it: records the round's send-side losses, injects
 // delayed messages that came due, churns edges, crash-stops nodes, and picks
 // the next round's stalls. live is the post-round live worklist (ascending);
@@ -342,9 +339,9 @@ func (s *advState) boundary(r int, live []int32, iv inboxView, onInject func(int
 			superseded := 0
 			for _, h := range due {
 				// A receiver that halted (or crashed) no longer observes its
-				// inbox, and the engines disagree on what its abandoned window
-				// still holds — so the decision must not read it: a late
-				// message to a halted node is always superseded.
+				// inbox, so the decision must not depend on what its abandoned
+				// window holds: a late message to a halted node is always
+				// superseded.
 				if s.done[s.adjf[s.rev[h.slot]]] {
 					superseded++
 					continue

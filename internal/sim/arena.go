@@ -14,8 +14,8 @@ import "encoding/binary"
 // NodeProgram: inbox payloads (and subslices of them) are valid only for the
 // duration of the Round call they arrive in.
 //
-// Each arena has a single owner goroutine (the sequential engine or one
-// RunParallel worker); readers of carved payloads
+// Each arena has a single owner goroutine (one pool worker); readers of
+// carved payloads
 // synchronize through the engines' existing delivery barriers, never through
 // the arena itself.
 type arena struct {

@@ -108,7 +108,7 @@ func TestNodeCtxArenaFallback(t *testing.T) {
 // round 1 sums what its neighbors sent — while also carving fresh payloads
 // in round 1, which would overwrite the Init carves if the engines rotated
 // the arena before round 0. Outputs are checked against the graph directly
-// and across both schedulers.
+// and across worker counts.
 type initCarver struct {
 	ctx     *NodeCtx
 	payload Message

@@ -1,6 +1,6 @@
 package sim
 
-// NewBenchCtx returns a NodeCtx wired the way the sequential engine wires
+// NewBenchCtx returns a NodeCtx wired the way a one-worker engine wires
 // one — an engine-owned Outbox scratch and a per-round payload arena — but
 // outside any engine, plus a rotate function that advances the arena exactly
 // as the engine does between rounds. It exists so a test can drive a single

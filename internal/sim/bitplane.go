@@ -3,13 +3,12 @@ package sim
 import "math/bits"
 
 // denseCutover is the shared density cut-off of every delivery-strategy
-// decision: a round (or, in the parallel engine, one shard's scatter window)
-// takes the dense whole-window path — plane swap or memclr, which the runtime
-// vectorizes — when denseCutover*staged >= window, and the sparse staged-slot
+// decision: one shard's scatter window takes the dense whole-window path — a
+// memclr, which the runtime vectorizes — when denseCutover*staged >= window, and the sparse staged-slot
 // walk otherwise. The window is measured in the units the dense path actually
 // sweeps: slots for the []Message planes, words for the packed bit planes
 // (where one memclr'd word retires 64 slots, so the dense path pays off 64×
-// earlier). Both engines and both plane kinds must share this constant: the
+// earlier). Both plane kinds must share this constant: the
 // cut-off is a pure performance lever with no effect on Results, and keeping
 // it in one place is what the TestDenseCutover* pins assert.
 const denseCutover = 8
@@ -27,9 +26,8 @@ func denseDelivery(staged, window int) bool { return denseCutover*staged >= wind
 // 0-bit is distinguishable from silence and stale value bits cannot leak into
 // a later OR-delivery.
 //
-// The pointer is what the engines share with NodeCtx: on a dense round the
-// sequential engine swaps the inner slices, never the struct, so a wired
-// *bitPlane stays valid for the whole run.
+// The pointer is what the engine shares with NodeCtx, and a wired *bitPlane
+// stays valid for the whole run.
 type bitPlane struct {
 	present []uint64
 	value   []uint64
@@ -56,11 +54,6 @@ func (b *bitPlane) set(i int32, v uint64) {
 // occupied reports whether slot i holds a message.
 func (b *bitPlane) occupied(i int32) bool {
 	return b.present[int(i)>>6]>>(uint(i)&63)&1 != 0
-}
-
-// bit returns slot i's payload bit (0 when the slot is empty).
-func (b *bitPlane) bit(i int32) uint64 {
-	return b.value[int(i)>>6] >> (uint(i) & 63) & 1
 }
 
 // clearSlot empties slot i (present and value).

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	mathbits "math/bits"
-	"time"
 
 	"randlocal/internal/graph"
 	"randlocal/internal/randomness"
@@ -62,7 +60,7 @@ type Config struct {
 	Adversary *Adversary
 	// Pool, when non-nil, sources the engine's buffer set (planes, arenas,
 	// worklists, per-worker staging) from the pool's warm slab for this
-	// graph shape and scheduler, and returns it when the run finishes.
+	// graph shape, and returns it when the run finishes.
 	// Purely an allocation lever — Results are byte-identical warm vs cold.
 	// nil defers to the package default (SetDefaultPool), which is unpooled
 	// out of the box.
@@ -133,19 +131,21 @@ type Result[T any] struct {
 	MaxMessageBits int
 	// Telemetry is the run's scheduling measurement record — per-round
 	// per-worker compute times, staged-message counts and delivery-mode
-	// choices — collected only when SetTelemetry is enabled, nil otherwise. Unlike every other field its wall-clock
-	// content is host- and run-specific, so it is excluded from the
-	// scheduler-equivalence guarantees.
+	// choices, plus the adversary's injected events. It is collected when
+	// SetTelemetry is enabled, when Config.Telemetry is set, or when the run
+	// has an adversary, and is nil otherwise. Unlike every other field its
+	// wall-clock content is host- and run-specific, so it is excluded from
+	// the scheduler-equivalence guarantees.
 	Telemetry *Telemetry
 }
 
-// engineState is the shared substrate of both schedulers. The message
-// plane is flat: every per-port quantity lives in a single contiguous array
-// indexed by the graph's CSR half-edge index i = off[v] + p ("port p of
-// node v"), so a round is one linear sweep over cache-resident buffers
-// instead of n small-slice walks, and a run allocates O(1) slices instead
-// of O(n). The round loop runs off the active worklist and delivery off
-// staged slot lists, so round cost tracks the live fringe, not n.
+// engineState is the engine's per-run substrate. The message plane is flat:
+// every per-port quantity lives in a single contiguous array indexed by the
+// graph's CSR half-edge index i = off[v] + p ("port p of node v"), so a round
+// is one linear sweep over cache-resident buffers, and a run allocates O(1)
+// slices instead of O(n). The round loop runs off the active worklist and
+// delivery off staged slot lists, so round cost tracks the live fringe, not
+// n.
 type engineState[T any] struct {
 	cfg   Config
 	g     *graph.Graph
@@ -154,52 +154,39 @@ type engineState[T any] struct {
 	adjf  []int32 // CSR flat neighbor array
 	rev   []int32 // CSR reverse half-edge table
 	progs []NodeProgram[T]
-	// active is the compact worklist of live nodes, in ascending index
-	// order; done is its membership bitmap (done[v] ⇔ v is not on the
-	// worklist). The round loop iterates active and compacts it in place as
-	// nodes halt, so a round costs O(active), not O(n).
+	// active is the worklist of live nodes, in ascending index order; done
+	// is its membership bitmap (done[v] ⇔ v is not on the worklist). Each
+	// worker owns the contiguous segment of its shard and compacts it in
+	// place as nodes halt, so a round costs O(active), not O(n).
 	active []int32
 	done   []bool
-	// inbox[i] is what node v received on port p this round; next[i] is
-	// what will arrive there next round. outbox is the engine-owned
-	// scratch exposed to programs as NodeCtx.Outbox, one slot per
-	// half-edge. Only the sequential round loop double-buffers, so next is
-	// allocated lazily by runSequential; RunParallel scatters straight into
-	// inbox.
+	// inbox[i] is what node v received on port p this round. outbox is the
+	// engine-owned scratch exposed to programs as NodeCtx.Outbox, one slot
+	// per half-edge.
 	inbox  []Message
-	next   []Message
 	outbox []Message
-	// staged lists the flat slots written into next this round, and
-	// inboxSlots the slots currently non-nil in inbox: delivery touches
-	// exactly those slots instead of sweeping all 2m, so it costs
-	// O(messages), not O(m). Used by the sequential engine; RunParallel
-	// keeps the same pair per worker.
-	staged     []int32
-	inboxSlots []int32
-	arena      *arena
-	ctxs       []NodeCtx
+	arena  *arena
+	ctxs   []NodeCtx
 	// packed marks a run whose planes are bitmaps: every program declared
-	// PayloadBits() <= 1 and the config did not opt out. inBits and nextBits
-	// then replace inbox/next, and outBitsPlane replaces outbox as the
-	// programs' write side (RunParallel rewires ctxs to per-worker planes).
-	// The staged/inboxSlots slot lists keep their exact unpacked meaning, so
-	// the accounting and the adversary see identical slots.
+	// PayloadBits() <= 1 and the config did not opt out. inBits then
+	// replaces inbox, and outBitsPlane replaces outbox as the programs' write
+	// side (worker 0's out plane; further workers get private ones). The
+	// workers' slot lists keep their exact unpacked meaning, so the
+	// accounting and the adversary see identical slots.
 	packed       bool
 	inBits       *bitPlane
-	nextBits     *bitPlane
 	outBitsPlane *bitPlane
 	// poison latches the poisoned-Outbox debug setting for this run; see
 	// debug.go.
 	poison bool
 	// tel is the run's telemetry record, nil unless SetTelemetry was
-	// enabled when the run started (latched by the engine entry points via
-	// initTelemetry) or the run has an adversary, which forces collection.
-	tel     *Telemetry
-	telInit bool
+	// enabled when the run started, the config sets Telemetry, or the run
+	// has an adversary (see initTelemetry).
+	tel *Telemetry
 	// adv is the per-run adversary state, nil for fault-free runs.
 	adv *advState
-	// slab/pool are set on pooled runs: the warm buffer set this run drew
-	// its planes and worklists from, returned (scrubbed) by release.
+	// slab is the buffer set this run draws its planes, worklists and
+	// worker staging from; pool, when non-nil, is where release parks it.
 	slab *engineSlab
 	pool *EnginePool
 
@@ -211,18 +198,18 @@ type engineState[T any] struct {
 	maxBits     int
 }
 
-// newEngineState builds the shared engine substrate. When every program
-// declares PayloadBits() <= 1, the config does not opt out, and the bandwidth
-// bound admits the canonical 8-bit wire message (MaxMessageBits 0 or >= 8 — a
+// newEngineState builds the engine substrate. When every program declares
+// PayloadBits() <= 1, the config does not opt out, and the bandwidth bound
+// admits the canonical 8-bit wire message (MaxMessageBits 0 or >= 8 — a
 // tighter bound would reject even the 1-byte encoding, and the unpacked path
 // must be the one to say so), the message planes are allocated as packed
 // bitmaps.
 //
-// sched names the engine that will drive the state; it selects the slab
-// shelf when the run is pooled (Config.Pool / SetDefaultPool), in which case
-// every buffer below comes warm from the slab instead of make. The engine
-// entry points must pair a successful call with exactly one st.release().
-func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T], sched Scheduler) (*engineState[T], error) {
+// Every buffer comes from a slab: a warm one from the run's EnginePool
+// (Config.Pool / SetDefaultPool), or a fresh one for unpooled runs. The
+// engine entry points must pair a successful call with exactly one
+// st.release().
+func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T]) (*engineState[T], error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("sim: config requires a graph")
 	}
@@ -255,7 +242,9 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T], sched
 	}
 	var slab *engineSlab
 	if pool != nil {
-		slab = pool.acquire(n, h, sched)
+		slab = pool.acquire(n, h)
+	} else {
+		slab = newSlab(n, h)
 	}
 	st := &engineState[T]{
 		cfg:     cfg,
@@ -270,22 +259,13 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T], sched
 		slab:    slab,
 		pool:    pool,
 	}
-	if slab != nil {
-		// The slab is parked clean (see engineSlab), so these come ready to
-		// use; contexts and worklist contents are rewritten below either way.
-		st.active = slab.active[:n]
-		st.done = slab.done
-		st.ctxs = slab.ctxs
-		st.arena = &slab.arena
-		st.staged = slab.staged
-		st.inboxSlots = slab.inboxSlots
-		st.activeTrace = slab.activeTrace
-	} else {
-		st.active = make([]int32, n)
-		st.done = make([]bool, n)
-		st.ctxs = make([]NodeCtx, n)
-		st.arena = &arena{}
-	}
+	// The slab is parked clean (see engineSlab), so these come ready to use;
+	// contexts and worklist contents are rewritten below.
+	st.active = slab.active[:n]
+	st.done = slab.done
+	st.ctxs = slab.ctxs
+	st.arena = &slab.arena
+	st.activeTrace = slab.activeTrace
 	// Programs are constructed before the planes are allocated so their
 	// declared payload widths can pick the plane representation; Init runs
 	// afterwards, against fully wired contexts.
@@ -301,19 +281,12 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T], sched
 		}
 	}
 	st.packed = packed
-	switch {
-	case packed && slab != nil:
+	if packed {
 		st.inBits = slab.plane(&slab.inBits)
 		st.outBitsPlane = slab.plane(&slab.outBits)
-	case packed:
-		st.inBits = newBitPlane(h)
-		st.outBitsPlane = newBitPlane(h)
-	case slab != nil:
+	} else {
 		st.inbox = slab.msgPlane(&slab.inbox)
 		st.outbox = slab.msgPlane(&slab.outbox)
-	default:
-		st.inbox = make([]Message, h)
-		st.outbox = make([]Message, h)
 	}
 	if cfg.Adversary != nil {
 		st.adv = cfg.Adversary.newState(off, adjf, rev, st.done)
@@ -329,11 +302,7 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T], sched
 	// each node's view is a subslice.
 	var nids []uint64
 	if !cfg.KT0 {
-		if slab != nil {
-			nids = slab.neighborIDs()
-		} else {
-			nids = make([]uint64, h)
-		}
+		nids = slab.neighborIDs()
 		if ids == nil {
 			for i, w := range adjf {
 				nids[i] = uint64(w)
@@ -396,186 +365,6 @@ func (st *engineState[T]) roundFor(v, r int) ([]Message, bool) {
 	return st.progs[v].Round(r, st.inbox[lo:hi:hi])
 }
 
-// step runs the compute phase for node v in round r and stages its outbox
-// into neighbors' next-round slots, recording each staged slot and tallying
-// the message as it goes. It returns a bandwidth error if v violates the
-// CONGEST bound.
-func (st *engineState[T]) step(v, r int) error {
-	if st.packed {
-		return st.stepPacked(v, r)
-	}
-	out, nodeDone := st.roundFor(v, r)
-	lo := st.off[v]
-	if deg := int(st.off[v+1] - lo); len(out) > deg {
-		return fmt.Errorf("sim: node %d produced %d outbox entries for degree %d", v, len(out), deg)
-	}
-	for p, msg := range out {
-		if msg == nil {
-			continue
-		}
-		if st.poison && isPoison(msg) {
-			return &OutboxPortError{Node: v, Round: r, Port: p}
-		}
-		b := msg.BitLen()
-		if st.cfg.MaxMessageBits > 0 && b > st.cfg.MaxMessageBits {
-			return &BandwidthError{Node: v, Round: r, Bits: b, Limit: st.cfg.MaxMessageBits}
-		}
-		i := st.rev[lo+int64(p)]
-		if st.adv != nil {
-			switch f, d := st.adv.fate(r, i); f {
-			case fateDrop:
-				st.adv.roundDrops++
-				continue
-			case fateCut:
-				st.adv.roundCuts++
-				continue
-			case fateDelay:
-				st.adv.roundDelays++
-				st.adv.held = append(st.adv.held, holdMsg(i, r, d, msg))
-				continue
-			}
-		}
-		st.next[i] = msg
-		st.staged = append(st.staged, i)
-		// Tally at stage time, while the header is hot: a staged message is
-		// delivered unconditionally next round (or the run aborts and the
-		// counters are never read), so this matches delivery-time tallying.
-		st.messages++
-		st.bits += int64(b)
-		if b > st.maxBits {
-			st.maxBits = b
-		}
-	}
-	if nodeDone {
-		st.done[v] = true
-		st.running--
-	}
-	return nil
-}
-
-// stepPacked is step for packed runs: the program has already written its
-// outgoing bits into its out-plane window (BroadcastBit and friends), so the
-// engine harvests that window word-at-a-time — per present bit it resolves
-// the destination slot through the reverse half-edge table, consults the
-// adversary, stages the bit into nextBits and tallies the canonical 8-bit
-// message — then clears the window for the node's next round. There is no
-// bandwidth or poison check: the representation cannot express a payload
-// over 1 bit or an unset port.
-func (st *engineState[T]) stepPacked(v, r int) error {
-	_, nodeDone := st.progs[v].Round(r, nil)
-	lo, hi := st.off[v], st.off[v+1]
-	out := st.outBitsPlane
-	whi := int((hi - 1) >> 6)
-	for w := int(lo >> 6); lo < hi && w <= whi; w++ {
-		pw := out.present[w]
-		if pw == 0 {
-			continue
-		}
-		base := int64(w) << 6
-		if base < lo {
-			pw &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if base+64 > hi {
-			pw &= ^uint64(0) >> (63 - uint(hi-1)&63)
-		}
-		vv := out.value[w]
-		for pw != 0 {
-			k := mathbits.TrailingZeros64(pw)
-			pw &= pw - 1
-			i := st.rev[base+int64(k)]
-			bit := vv >> uint(k) & 1
-			if st.adv != nil {
-				switch f, d := st.adv.fate(r, i); f {
-				case fateDrop:
-					st.adv.roundDrops++
-					continue
-				case fateCut:
-					st.adv.roundCuts++
-					continue
-				case fateDelay:
-					st.adv.roundDelays++
-					st.adv.held = append(st.adv.held, holdMsg(i, r, d, bitWire[bit]))
-					continue
-				}
-			}
-			st.nextBits.set(i, bit)
-			st.staged = append(st.staged, i)
-			st.messages++
-			st.bits += 8
-			if st.maxBits < 8 {
-				st.maxBits = 8
-			}
-		}
-	}
-	st.outBitsPlane.clearBitRange(lo, hi)
-	if nodeDone {
-		st.done[v] = true
-		st.running--
-	}
-	return nil
-}
-
-// finishRound makes the round's staged messages the next round's inboxes.
-// Each slot is staged at most once per round (one sender per reverse
-// half-edge) and accounting happened at stage time, so delivery is pure data
-// movement; which strategy runs is a locality decision. A dense round —
-// staged slots a sizable fraction of the plane — swaps the inbox and next
-// planes outright and memclrs the new next (which holds only last round's
-// now-dead inboxes). A sparse round walks the staged slot list (after
-// clearing last round's inbox slots individually), so a late round with a
-// tiny live fringe costs O(messages), not O(m).
-func (st *engineState[T]) finishRound() DeliveryMode {
-	if st.packed {
-		return st.finishRoundPacked()
-	}
-	mode := DeliverSparse
-	if denseDelivery(len(st.staged), len(st.next)) {
-		mode = DeliverDense
-		st.inbox, st.next = st.next, st.inbox
-		clear(st.next)
-	} else {
-		for _, i := range st.inboxSlots {
-			st.inbox[i] = nil
-		}
-		for _, i := range st.staged {
-			st.inbox[i] = st.next[i]
-			st.next[i] = nil
-		}
-	}
-	st.inboxSlots, st.staged = st.staged, st.inboxSlots[:0]
-	st.rounds++
-	return mode
-}
-
-// finishRoundPacked is finishRound over bit planes. The density decision uses
-// the same shared cut-off but counts the window in words — the unit the dense
-// path actually sweeps — so the vectorized swap pays off 64× earlier than on
-// Message planes. The dense path swaps the inner slices of the stable inBits/
-// nextBits structs (NodeCtx holds plane pointers, which must survive the
-// swap) and memclrs both lanes of the new next; the sparse path moves exactly
-// the staged bits. Either way the round reports DeliverPacked: the plane
-// representation, not the sub-strategy, is what a telemetry reader needs to
-// interpret the lane.
-func (st *engineState[T]) finishRoundPacked() DeliveryMode {
-	if denseDelivery(len(st.staged), st.nextBits.words()) {
-		st.inBits.present, st.nextBits.present = st.nextBits.present, st.inBits.present
-		st.inBits.value, st.nextBits.value = st.nextBits.value, st.inBits.value
-		clear(st.nextBits.present)
-		clear(st.nextBits.value)
-	} else {
-		for _, i := range st.inboxSlots {
-			st.inBits.clearSlot(i)
-		}
-		for _, i := range st.staged {
-			st.inBits.set(i, st.nextBits.bit(i))
-			st.nextBits.clearSlot(i)
-		}
-	}
-	st.inboxSlots, st.staged = st.staged, st.inboxSlots[:0]
-	st.rounds++
-	return DeliverPacked
-}
-
 // inboxView returns the adversary boundary's handle on whichever inbox plane
 // this run allocated.
 func (st *engineState[T]) inboxView() inboxView {
@@ -585,41 +374,14 @@ func (st *engineState[T]) inboxView() inboxView {
 	return inboxView{msgs: st.inbox}
 }
 
-// initTelemetry latches the run's telemetry record once (an adversary or
+// initTelemetry latches the run's telemetry record (an adversary or
 // Config.Telemetry forces collection — the adversary's injected-event record
 // is part of the run's reproducibility contract, and the per-run flag is the
 // serving layer's lever) and wires it to the adversary state.
 func (st *engineState[T]) initTelemetry(sched Scheduler, workers int) {
-	if st.telInit {
-		return
-	}
-	st.telInit = true
 	st.tel = newTelemetry(sched, workers, st.adv != nil || st.cfg.Telemetry)
 	if st.adv != nil {
 		st.adv.tel = st.tel
-	}
-}
-
-// adversaryBoundary runs the adversary's between-round step for the
-// sequential engine and folds its late-delivery tallies and crash-stops
-// into the engine state.
-func (st *engineState[T]) adversaryBoundary(r int) {
-	msgs, bits, maxBits, crashed := st.adv.boundary(r, st.active, st.inboxView(),
-		func(slot int32) { st.inboxSlots = append(st.inboxSlots, slot) },
-		func(v int32) { st.done[v] = true; st.running-- })
-	st.messages += msgs
-	st.bits += bits
-	if maxBits > st.maxBits {
-		st.maxBits = maxBits
-	}
-	if crashed > 0 {
-		live := st.active[:0]
-		for _, v := range st.active {
-			if !st.done[v] {
-				live = append(live, v)
-			}
-		}
-		st.active = live
 	}
 }
 
@@ -632,9 +394,9 @@ func (st *engineState[T]) result() *Result[T] {
 		outputs[v] = st.progs[v].Output()
 	}
 	trace := st.activeTrace
-	if st.slab != nil {
-		// The trace grew in slab scratch, which release hands to the next
-		// run; the Result must own its copy.
+	if st.pool != nil {
+		// The trace grew in pooled slab scratch, which release hands to the
+		// next run; the Result must own its copy.
 		trace = append([]int(nil), trace...)
 	}
 	return &Result[T]{
@@ -648,17 +410,14 @@ func (st *engineState[T]) result() *Result[T] {
 	}
 }
 
-// Run executes the network with the deterministic sequential scheduler:
-// within a round, nodes compute in index order, but — as the model requires
-// — every message sent in round r is delivered only at round r+1, so the
-// schedule is observationally identical to a fully parallel round.
+// Run executes the network on a one-worker pool, inline on the calling
+// goroutine: within a round, nodes compute in index order, but — as the model
+// requires — every message sent in round r is delivered only at round r+1, so
+// the schedule is observationally identical to a fully parallel round. It is
+// RunParallel with one worker, except that its telemetry is labeled
+// Sequential.
 func Run[T any](cfg Config, factory func(v int) NodeProgram[T]) (*Result[T], error) {
-	st, err := newEngineState(cfg, factory, Sequential)
-	if err != nil {
-		return nil, err
-	}
-	defer st.release()
-	return st.runSequential(st.maxRounds())
+	return runPool(cfg, factory, 1, Sequential)
 }
 
 // progress delivers one round-boundary update to Config.Progress, if wired.
@@ -682,82 +441,4 @@ func (st *engineState[T]) maxRounds() int {
 		return DefaultMaxRounds
 	}
 	return st.cfg.MaxRounds
-}
-
-// runSequential is the round loop shared by Run and the degenerate
-// single-worker case of RunParallel. It iterates the active worklist —
-// compacting it in place as nodes halt — so a late round with a small live
-// fringe costs O(active + messages) rather than O(n + m). Under telemetry it
-// is one lane: the whole worklist sweep is the round's compute phase.
-func (st *engineState[T]) runSequential(maxRounds int) (*Result[T], error) {
-	if st.packed {
-		if st.nextBits == nil {
-			if st.slab != nil {
-				st.nextBits = st.slab.plane(&st.slab.nextBits)
-			} else {
-				st.nextBits = newBitPlane(len(st.adjf))
-			}
-		}
-	} else if st.next == nil {
-		if st.slab != nil {
-			st.next = st.slab.msgPlane(&st.slab.next)
-		} else {
-			st.next = make([]Message, len(st.inbox))
-		}
-	}
-	st.initTelemetry(Sequential, 1)
-	for r := 0; len(st.active) > 0; r++ {
-		if r >= maxRounds {
-			return nil, &StuckError{MaxRounds: maxRounds, Running: st.running}
-		}
-		activeN := len(st.active)
-		if st.adv != nil {
-			// Stalled nodes stay live but are denied the round: their Round
-			// method is not invoked, so they do not count as active.
-			activeN -= st.adv.stalledCount()
-		}
-		st.activeTrace = append(st.activeTrace, activeN)
-		if r > 0 {
-			// No rotation before round 0: payloads carved during Init share
-			// the first buffer with round 0's and live just as long.
-			st.arena.rotate()
-		}
-		var roundStart time.Time
-		if st.tel != nil {
-			roundStart = time.Now()
-		}
-		live := st.active[:0]
-		for _, v := range st.active {
-			if st.adv != nil && st.adv.stalled[v] {
-				live = append(live, v)
-				continue
-			}
-			if err := st.step(int(v), r); err != nil {
-				return nil, err
-			}
-			if !st.done[v] {
-				live = append(live, v)
-			}
-		}
-		st.active = live
-		if st.tel != nil {
-			computeNS := time.Since(roundStart).Nanoseconds()
-			stagedN := len(st.staged)
-			if st.adv != nil {
-				// The staged lane counts what programs emitted, including
-				// what the adversary then dropped, cut or held.
-				stagedN += st.adv.roundDrops + st.adv.roundCuts + st.adv.roundDelays
-			}
-			mode := st.finishRound()
-			st.tel.recordRound(time.Since(roundStart).Nanoseconds(),
-				[]int64{computeNS}, []int{stagedN}, []DeliveryMode{mode})
-		} else {
-			st.finishRound()
-		}
-		if st.adv != nil {
-			st.adversaryBoundary(r)
-		}
-		st.progress()
-	}
-	return st.result(), nil
 }

@@ -33,9 +33,9 @@ func fileBacked(t *testing.T, g *graph.Graph) *graph.Graph {
 
 // TestFileBackedEquivalence is the engine half of the out-of-core guarantee:
 // swapping the in-RAM CSR for the mmap-backed one changes nothing observable.
-// Every scheduler, worker count and representation must
-// produce a byte-identical Result to the in-RAM sequential baseline — the
-// same bar the packed planes are held to.
+// One worker and an eight-worker pool, in both representations, must produce
+// a byte-identical Result to the in-RAM one-worker baseline — the same bar
+// the packed planes are held to.
 func TestFileBackedEquivalence(t *testing.T) {
 	defer SetTelemetry(TelemetryEnabled())
 	SetTelemetry(true)
@@ -58,7 +58,8 @@ func TestFileBackedEquivalence(t *testing.T) {
 			n := tg.g.N()
 			key := NewSimulationKey(uint64(n)*19 + 5)
 			ids := RandomIDs(n, n, key)
-			factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: graph.Diameter(tg.g) + 2} }
+			rounds := graph.Diameter(tg.g) + 2
+			factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
 			cfg := func(g *graph.Graph) Config {
 				return Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n), Source: key.FullSource()}
 			}
@@ -76,26 +77,23 @@ func TestFileBackedEquivalence(t *testing.T) {
 			requirePackedModes(t, "sequential", got)
 			requireStagedSum(t, "sequential", got)
 
-			for _, workers := range []int{1, 2, 3, 8} {
-				for _, unpack := range []bool{false, true} {
-					c := cfg(fg)
-					c.Unpacked = unpack
-					got, err := RunParallel(c, factory, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("parallel/workers=%d/unpacked=%v", workers, unpack)
-					assertResultsEqual(t, label, want, got)
+			for _, unpack := range []bool{false, true} {
+				c := cfg(fg)
+				c.Unpacked = unpack
+				got, err := RunParallel(c, factory, 8)
+				if err != nil {
+					t.Fatal(err)
 				}
+				assertResultsEqual(t, fmt.Sprintf("parallel/workers=8/unpacked=%v", unpack), want, got)
 			}
 		})
 	}
 }
 
 // TestFileBackedFaultEquivalence extends the proof to faulted executions: the
-// adversary's deterministic schedules hash graph-derived state, so the mapped
-// graph must reproduce the in-RAM run's injected-event record exactly — every
-// scheduler and worker count, Result and Telemetry.Injected alike.
+// adversary's deterministic schedules hash graph-derived state, so runs over
+// the mapped graph, at every width, must reproduce the reference engine's
+// in-RAM Result and injected-event record exactly.
 func TestFileBackedFaultEquivalence(t *testing.T) {
 	rng := prng.New(1117)
 	g := graph.GNPConnected(120, 0.05, rng)
@@ -103,7 +101,8 @@ func TestFileBackedFaultEquivalence(t *testing.T) {
 	n := g.N()
 	key := NewSimulationKey(uint64(n)*31 + 11)
 	ids := RandomIDs(n, n, key)
-	factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: graph.Diameter(g) + 2} }
+	rounds := graph.Diameter(g) + 2
+	factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
 	budgets := []struct {
 		name string
 		cfg  AdversaryConfig
@@ -123,27 +122,16 @@ func TestFileBackedFaultEquivalence(t *testing.T) {
 					Adversary: mustAdversary(t, key, b.cfg), Source: key.FullSource(),
 				}
 			}
-			want, err := Run(cfg(g), factory)
+			want, err := runReference(cfg(g), factory)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			got, err := Run(cfg(fg), factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsEqual(t, "sequential", want, got)
-			assertInjectedEqual(t, "sequential", want.Telemetry, got.Telemetry)
-
 			for _, workers := range []int{1, 2, 3, 8} {
-				c := cfg(fg)
-				got, err := RunParallel(c, factory, workers)
+				got, err := RunParallel(cfg(fg), factory, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("parallel/workers=%d", workers)
-				assertResultsEqual(t, label, want, got)
-				assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
+				assertMatchesReference(t, fmt.Sprintf("workers=%d", workers), want, got)
 			}
 		})
 	}

@@ -5,20 +5,20 @@
 // degree and (for non-uniform algorithms) the declared network size, and —
 // in the CONGEST model — messages are limited to O(log n) bits.
 //
-// Two engines execute the same node programs: Run is a deterministic
-// sequential scheduler used by tests and experiments, and RunParallel drives
-// contiguous node shards over a fixed worker pool for million-node
-// simulations. Both account rounds, message counts and message bits
-// identically and enforce the CONGEST bandwidth bound, so the paper's
-// round-complexity and bandwidth claims become machine-checked assertions;
-// Execute dispatches between them by Config.Scheduler.
+// One engine executes the node programs: a pool of workers over contiguous
+// node shards, which Run drives with one worker inline on the calling
+// goroutine and RunParallel with any width, for million-node simulations.
+// Every width accounts rounds, message counts and message bits identically
+// and enforces the CONGEST bandwidth bound, so the paper's round-complexity
+// and bandwidth claims become machine-checked assertions; Execute picks the
+// width by Config.Scheduler and Config.Workers.
 //
-// Both engines share one flat message plane: inboxes, staged messages
-// and the NodeCtx.Outbox scratch are single contiguous arrays indexed by
-// the graph's CSR half-edge index (see graph.Graph.CSR), so a round is a
-// linear sweep over cache-resident buffers and a run allocates O(1) slices
-// rather than O(n). On top of it, every engine drives its round loop off a
-// compact worklist of live nodes and delivers through staged slot lists, so
+// The engine keeps one flat message plane: inboxes, neighbor IDs and the
+// NodeCtx.Outbox scratch are single contiguous arrays indexed by the
+// graph's CSR half-edge index (see graph.Graph.CSR), so a round is a linear
+// sweep over cache-resident buffers and a run allocates O(1) slices rather
+// than O(n). On top of it, the engine drives its round loop off a compact
+// worklist of live nodes and delivers through staged slot lists, so
 // a late round with a small surviving fringe — the common tail of the
 // shattering-style algorithms under study — costs O(active + messages)
 // rather than O(n + m); and message payloads can be carved from per-round
@@ -74,9 +74,8 @@ type NodeCtx struct {
 	// exposes the public seed (and its deterministic expansions).
 	Shared *randomness.Shared
 	// arena is the per-round payload arena this node carves Uints/Alloc
-	// payloads from. The engines wire it before Init: the sequential engine
-	// shares one arena across all nodes and RunParallel uses one per worker
-	// shard — in either case it has a single writer. nil (a hand-built
+	// payloads from. The engine wires it before Init and then gives every
+	// worker shard its own — it always has a single writer. nil (a hand-built
 	// NodeCtx outside an engine) falls back to plain heap allocation.
 	arena *arena
 	// packed is set when the engine runs this node over packed bit planes

@@ -49,8 +49,10 @@ func (g *bitGossip) Round(r int, _ []Message) ([]Message, bool) {
 		g.heard += uint64(mathbits.OnesCount64(pres))
 		heardOne |= pres & val
 	}
-	if b, ok := g.ctx.InBit(0); ok {
-		g.heard += b << 8
+	if g.ctx.Degree > 0 {
+		if b, ok := g.ctx.InBit(0); ok {
+			g.heard += b << 8
+		}
 	}
 	if heardOne != 0 {
 		g.bit = 1
@@ -102,8 +104,9 @@ func requireStagedSum(t *testing.T, label string, res *Result[uint64]) {
 // TestPackedUnpackedEquivalence is the representation-independence proof of
 // the bit planes: on every graph family and randomness regime, the packed
 // run must produce a byte-identical Result to the unpacked run of the same
-// program — across both schedulers and worker counts.
-// Word-boundary-hostile sizes (odd rings, a star whose hub spans
+// program, and must really run packed — on one worker and on an eight-worker
+// pool whose shards straddle plane words (FuzzEngines covers one to three
+// workers). Word-boundary-hostile sizes (odd rings, a star whose hub spans
 // multiple words) are in the family on purpose.
 func TestPackedUnpackedEquivalence(t *testing.T) {
 	defer SetTelemetry(TelemetryEnabled())
@@ -122,7 +125,8 @@ func TestPackedUnpackedEquivalence(t *testing.T) {
 		n := tg.g.N()
 		key := NewSimulationKey(uint64(n)*17 + 3)
 		ids := RandomIDs(n, n, key)
-		factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: graph.Diameter(tg.g) + 2} }
+		rounds := graph.Diameter(tg.g) + 2
+		factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
 		for _, regime := range []string{"deterministic", "full"} {
 			t.Run(tg.name+"/"+regime, func(t *testing.T) {
 				base := Config{Graph: tg.g, IDs: ids, MaxMessageBits: CongestBits(n)}
@@ -153,20 +157,18 @@ func TestPackedUnpackedEquivalence(t *testing.T) {
 				requirePackedModes(t, "sequential/packed", got)
 				requireStagedSum(t, "sequential/packed", got)
 
-				for _, workers := range []int{1, 2, 3, 8} {
-					for _, unpack := range []bool{false, true} {
-						cfg := base
-						cfg.Unpacked = unpack
-						got, err := RunParallel(prep(cfg), factory, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("parallel/workers=%d/unpacked=%v", workers, unpack)
-						assertResultsEqual(t, label, want, got)
-						if !unpack {
-							requirePackedModes(t, label, got)
-							requireStagedSum(t, label, got)
-						}
+				for _, unpack := range []bool{false, true} {
+					cfg := base
+					cfg.Unpacked = unpack
+					got, err := RunParallel(prep(cfg), factory, 8)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("parallel/workers=8/unpacked=%v", unpack)
+					assertResultsEqual(t, label, want, got)
+					if !unpack {
+						requirePackedModes(t, label, got)
+						requireStagedSum(t, label, got)
 					}
 				}
 			})
@@ -174,19 +176,20 @@ func TestPackedUnpackedEquivalence(t *testing.T) {
 	}
 }
 
-// TestPackedFaultEquivalence extends the proof to faulted executions: with
-// the PR 6 adversary injecting deterministic drop/delay/crash/churn/stall
-// schedules, a packed run must match the unpacked run byte-for-byte on every
-// Result field and on the injected-event record — fates hash (round, slot)
-// and the canonical 1-bit wire encoding is 8 bits in both representations,
-// so nothing about the fault schedule may shift.
+// TestPackedFaultEquivalence holds faulted packed runs to the reference
+// engine: with the adversary injecting deterministic drop/delay/crash/
+// churn/stall schedules, packed and unpacked runs alike must reproduce the
+// reference's every Result field and its injected-event record — fates hash
+// (round, slot) and the canonical 1-bit wire encoding is 8 bits in both
+// representations, so nothing about the fault schedule may shift.
 func TestPackedFaultEquivalence(t *testing.T) {
 	rng := prng.New(907)
 	g := graph.GNPConnected(120, 0.05, rng)
 	n := g.N()
 	key := NewSimulationKey(uint64(n)*29 + 7)
 	ids := RandomIDs(n, n, key)
-	factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: graph.Diameter(g) + 2} }
+	rounds := graph.Diameter(g) + 2
+	factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
 	budgets := []struct {
 		name string
 		cfg  AdversaryConfig
@@ -200,37 +203,25 @@ func TestPackedFaultEquivalence(t *testing.T) {
 	}
 	for _, b := range budgets {
 		t.Run(b.name, func(t *testing.T) {
-			base := Config{
+			cfg := Config{
 				Graph: g, IDs: ids, MaxMessageBits: CongestBits(n),
-				Adversary: mustAdversary(t, key, b.cfg),
+				Adversary: mustAdversary(t, key, b.cfg), Source: key.FullSource(),
 			}
-			unpacked := base
-			unpacked.Unpacked = true
-			unpacked.Source = key.FullSource()
-			want, err := Run(unpacked, factory)
+			want, err := runReference(cfg, factory)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			cfg := base
-			cfg.Source = key.FullSource()
-			got, err := Run(cfg, factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsEqual(t, "sequential/packed", want, got)
-			assertInjectedEqual(t, "sequential/packed", want.Telemetry, got.Telemetry)
-
-			for _, workers := range []int{1, 2, 3, 8} {
-				cfg := base
-				cfg.Source = key.FullSource()
-				got, err := RunParallel(cfg, factory, workers)
-				if err != nil {
-					t.Fatal(err)
+			for _, workers := range []int{1, 8} {
+				for _, unpack := range []bool{false, true} {
+					c := cfg
+					c.Unpacked = unpack
+					c.Source = key.FullSource()
+					got, err := RunParallel(c, factory, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertMatchesReference(t, fmt.Sprintf("workers=%d/unpacked=%v", workers, unpack), want, got)
 				}
-				label := fmt.Sprintf("parallel/workers=%d", workers)
-				assertResultsEqual(t, label, want, got)
-				assertInjectedEqual(t, label, want.Telemetry, got.Telemetry)
 			}
 		})
 	}
@@ -289,8 +280,8 @@ type wideDeclarer struct {
 
 func (w *wideDeclarer) PayloadBits() int { return 64 }
 
-// TestDenseCutoverUnit pins the shared density cut-off the sequential
-// finishRound, the parallel scatter, and both packed sub-paths decide with:
+// TestDenseCutoverUnit pins the shared density cut-off the unpacked and
+// packed scatter phases decide with:
 // dense iff denseCutover·staged ≥ window, with the constant at 8.
 func TestDenseCutoverUnit(t *testing.T) {
 	if denseCutover != 8 {
@@ -338,10 +329,10 @@ func (p *modeProbe) Round(r int, _ []Message) ([]Message, bool) {
 
 func (p *modeProbe) Output() uint64 { return 0 }
 
-// TestDenseCutoverPaths drives the two unpacked decision sites — the
-// sequential engine's finishRound and the parallel workers' scatter —
-// through staged counts on either side of the 8× cut-off and asserts the
-// telemetry mode flips exactly there. Ring(64) with two workers gives each
+// TestDenseCutoverPaths drives the unpacked scatter — over the whole plane
+// on one worker, over per-shard windows on two — through staged counts on
+// either side of the 8× cut-off and asserts the telemetry mode flips
+// exactly there. Ring(64) with two workers gives each
 // lane a 64-slot inbox window, so 8 staged arrivals is the dense threshold.
 func TestDenseCutoverPaths(t *testing.T) {
 	defer SetTelemetry(TelemetryEnabled())
@@ -372,7 +363,7 @@ func TestDenseCutoverPaths(t *testing.T) {
 		all[v] = v
 	}
 
-	// Sequential window = 128 slots: 14 staged stays sparse, 16 flips dense.
+	// One-worker window = 128 slots: 14 staged stays sparse, 16 flips dense.
 	// Senders v send to v±1, so k ring-contiguous senders stage 2k slots.
 	for _, c := range []struct {
 		k    int

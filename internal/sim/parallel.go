@@ -4,12 +4,13 @@ import (
 	"fmt"
 	mathbits "math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 )
 
 // stagedMsg is one message in flight between the compute and scatter phases
-// of RunParallel: the flat half-edge index of the destination slot (the
+// of a round: the flat half-edge index of the destination slot (the
 // reverse half-edge of the sending port) and the payload.
 type stagedMsg struct {
 	idx int32
@@ -24,22 +25,24 @@ type stagedMsg struct {
 // two goroutines.
 type parallelWorker struct {
 	lo, hi int
-	// active is the shard's compact worklist of live nodes in ascending
-	// order, compacted in place as nodes halt; activeN snapshots its length
-	// at the top of each compute phase for the Result's ActivePerRound.
+	// active is the shard's segment of the engine worklist — its live nodes
+	// in ascending order, compacted in place as nodes halt; activeN counts
+	// the nodes that computed this round, for the Result's ActivePerRound.
 	active  []int32
 	activeN int
 	// arena is the shard's per-round payload arena (see arena.go); it is
 	// rotated at the top of each compute phase, which recycles the buffer
 	// whose payloads were read in the previous round.
 	arena *arena
-	// outbox[s] stages the messages this worker's nodes addressed to nodes
-	// of shard s during the compute phase; shard s applies them during the
-	// scatter phase. Reused (truncated, not freed) across rounds.
+	// outbox[s] is the lane staging the messages this worker's nodes
+	// addressed to nodes of shard s during the compute phase; shard s
+	// applies them during the scatter phase. Each lane is sized once per
+	// run (sizeLanes) and truncated, not freed, across rounds.
 	outbox [][]stagedMsg
 	// Packed-run counterparts (nil on unpacked runs). out is this worker's
-	// private full-length out plane — its nodes' NodeCtx.outBits — harvested
-	// and cleared inside the compute phase, so workers never write a shared
+	// full-length out plane — its nodes' NodeCtx.outBits, the engine's own
+	// for worker 0 and a private one for every other — harvested and
+	// cleared inside the compute phase, so workers never write a shared
 	// word. pout[s] stages the packed messages addressed to shard s's word
 	// range as slot|bit<<31 entries; wlo/whi is this shard's exclusive word
 	// window [wlo, whi) of the inbox plane (word-rounded shard bounds, see
@@ -59,7 +62,7 @@ type parallelWorker struct {
 	denseInbox bool
 	// Per-round partial counters, merged by the coordinator in worker order
 	// after the scatter barrier. Sums and max are order-independent, so the
-	// merged totals equal the sequential scheduler's exactly.
+	// merged totals do not depend on the worker count.
 	msgs    int64
 	bits    int64
 	maxBits int
@@ -77,7 +80,8 @@ type parallelWorker struct {
 	computeNS int64
 	// err is the shard's first error by node index. Shards are contiguous
 	// and worker i owns range i, so the first erroring worker in pool order
-	// holds the same error Run would have returned.
+	// holds the error of the lowest-indexed erroring node, whatever the
+	// width.
 	err error
 }
 
@@ -89,6 +93,26 @@ const (
 type phaseCmd struct {
 	phase int
 	round int
+}
+
+// run executes one phase command on this worker (self is its pool index).
+func (w *parallelWorker) run(st *engineStateCore, c phaseCmd, self int, pool []*parallelWorker) {
+	switch c.phase {
+	case phaseCompute:
+		if st.timed {
+			start := time.Now()
+			w.compute(st, c.round)
+			w.computeNS = time.Since(start).Nanoseconds()
+		} else {
+			w.compute(st, c.round)
+		}
+	case phaseScatter:
+		if st.packed {
+			w.scatterPacked(st, self, pool)
+		} else {
+			w.scatter(st, self, pool)
+		}
+	}
 }
 
 // compute runs the compute half of round r for every node on the shard's
@@ -176,11 +200,14 @@ func (w *parallelWorker) compute(st *engineStateCore, r int) {
 					continue
 				}
 			}
-			s := st.shardOf[st.adj[i]]
+			s := int32(0)
+			if st.shardOf != nil {
+				s = st.shardOf[st.adj[i]]
+			}
 			w.outbox[s] = append(w.outbox[s], stagedMsg{idx: st.rev[i], msg: msg})
 			// Tally at stage time, while the header is hot: the counters
-			// merge order-independently across workers, so totals match the
-			// sequential engine whether tallied by sender or by receiver.
+			// merge order-independently across workers, so totals do not
+			// depend on the worker count.
 			w.msgs++
 			w.bits += int64(b)
 			if b > w.maxBits {
@@ -200,13 +227,12 @@ func (w *parallelWorker) compute(st *engineStateCore, r int) {
 // scatter delivers every message addressed to this shard — gathered from all
 // workers' outboxes — straight into the shard's inbox window, after clearing
 // what the previous round delivered into it. Accounting happened at stage
-// time, so the phase is pure data movement, and — like the sequential
-// engine's finishRound — which strategy runs is an adaptive locality
-// decision made per shard per round: a dense round (messages a sizable
-// fraction of the window) skips slot bookkeeping and relies on a whole-
-// window memclr, which the runtime vectorizes, while a sparse round walks
-// exactly the touched slots, so a shattering tail costs O(messages touching
-// the shard), not O(half-edges of the shard).
+// time, so the phase is pure data movement, and which strategy runs is an
+// adaptive locality decision made per shard per round: a dense round
+// (messages a sizable fraction of the window) skips slot bookkeeping and
+// relies on a whole-window memclr, which the runtime vectorizes, while a
+// sparse round walks exactly the touched slots, so a shattering tail costs
+// O(messages touching the shard), not O(half-edges of the shard).
 func (w *parallelWorker) scatter(st *engineStateCore, self int, workers []*parallelWorker) {
 	if w.denseInbox {
 		clear(st.inbox[st.off[w.lo]:st.off[w.hi]])
@@ -220,7 +246,6 @@ func (w *parallelWorker) scatter(st *engineStateCore, self int, workers []*paral
 	for _, src := range workers {
 		total += len(src.outbox[self])
 	}
-	// Same shared density cut-off as the sequential engine's plane swap.
 	if w.denseInbox = denseDelivery(total, int(st.off[w.hi]-st.off[w.lo])); w.denseInbox {
 		for _, src := range workers {
 			for _, sm := range src.outbox[self] {
@@ -241,9 +266,9 @@ func (w *parallelWorker) scatter(st *engineStateCore, self int, workers []*paral
 // bit it resolves the destination slot, consults the adversary, routes the
 // bit to the shard owning the destination's *word* (st.wordShardOf — word
 // ownership, not node ownership, is what keeps the packed scatter race-free)
-// and tallies the canonical 8-bit message; then clears the window. Mirrors
-// engineState.stepPacked slot for slot, so the staged order — and with it
-// every counter and adversary fate — matches the sequential engine.
+// and tallies the canonical 8-bit message; then clears the window. There is
+// no bandwidth or poison check: the representation cannot express a payload
+// over 1 bit or an unset port.
 func (w *parallelWorker) stagePacked(st *engineStateCore, v, r int) {
 	lo, hi := st.off[v], st.off[v+1]
 	if lo == hi {
@@ -283,7 +308,10 @@ func (w *parallelWorker) stagePacked(st *engineStateCore, v, r int) {
 					continue
 				}
 			}
-			s := st.wordShardOf[i>>6]
+			s := int32(0)
+			if st.wordShardOf != nil {
+				s = st.wordShardOf[i>>6]
+			}
 			w.pout[s] = append(w.pout[s], uint32(i)|uint32(bit)<<31)
 			w.msgs++
 			w.bits += 8
@@ -360,109 +388,80 @@ type engineStateCore struct {
 	round func(v, r int) ([]Message, bool)
 }
 
-// RunParallel executes the network with a sharded worker-pool engine: nodes
-// are partitioned into `workers` contiguous shards of near-equal half-edge
-// count (graph.ShardBounds — equal node counts would let one hub-heavy shard
-// of a power-law graph dominate every barrier), and a fixed pool of
-// `workers` goroutines (default runtime.GOMAXPROCS(0) when workers <= 0,
-// clamped to the node count) drives each round in two barrier-separated
-// phases. In the compute phase every worker runs its shard's live worklist
-// against the current inboxes and stages outgoing messages into a
-// per-destination-shard outbox; in the scatter phase every worker delivers
-// the messages addressed to its shard into its window of the engine's flat
-// inbox array. Because shards are contiguous node ranges, each worker's
-// slice of the flat message plane is a contiguous half-edge window;
-// worklists and staged-slot delivery make a late round cost
-// O(active + messages) rather than O(n + m), and no per-node goroutines or
-// per-edge channels are allocated, so the engine scales to million-node
-// graphs.
+// RunParallel executes the network with the sharded worker-pool engine:
+// nodes are partitioned into `workers` contiguous shards of near-equal
+// half-edge count (graph.ShardBounds — equal node counts would let one
+// hub-heavy shard of a power-law graph dominate every barrier), and a fixed
+// pool of `workers` goroutines (default runtime.GOMAXPROCS(0) when
+// workers <= 0, clamped to the node count) drives each round in two
+// barrier-separated phases. In the compute phase every worker runs its
+// shard's live worklist against the current inboxes and stages outgoing
+// messages into a per-destination-shard lane; in the scatter phase every
+// worker delivers the messages addressed to its shard into its window of the
+// engine's flat inbox array. Worklists and staged-slot delivery make a late
+// round cost O(active + messages) rather than O(n + m), and no per-node
+// goroutines or per-edge channels are allocated, so the engine scales to
+// million-node graphs. A one-worker pool runs both phases inline on the
+// calling goroutine, with no goroutine, channel or barrier: that is Run.
 //
 // The cut and the pool width are fixed for the whole run: worker i owns
 // range i of the initial cut from the first round to the last, whatever the
 // host's processor count. Per round and per shard, the scatter phase chooses
 // between a staged-slot walk and a whole-window memclr by comparing message
-// count against window size (the same density cut-off as the sequential
-// engine's plane swap), so dense all-active rounds take the vectorized sweep
-// and sparse tail rounds touch only live slots. That choice depends only on
-// the Config and the worker count, so the telemetry's per-lane staged counts
-// and delivery modes are as reproducible as the Result.
+// count against window size (denseDelivery), so dense all-active rounds take
+// the vectorized sweep and sparse tail rounds touch only live slots. That
+// choice depends only on the Config and the worker count, so the telemetry's
+// per-lane staged counts and delivery modes are as reproducible as the
+// Result.
 //
 // Every mutable location has a single writer (the shard owner), phases are
 // separated by barriers, and counters merge over order-independent sums and
 // maxima, so for a given Config and seed the Result — outputs, rounds,
 // active trajectory, message count, bit total, and max message size — is
-// identical to Run's. The test suite asserts this equivalence on random GNP,
-// tree and power-law networks under every randomness regime.
+// identical for every worker count. The test suite holds every width to an
+// independent reference engine, fault-free and under the adversary.
 func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers int) (*Result[T], error) {
-	st, err := newEngineState(cfg, factory, Parallel)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return runPool(cfg, factory, workers, Parallel)
+}
+
+// runPool is the round loop behind Run and RunParallel; sched only labels
+// the telemetry.
+func runPool[T any](cfg Config, factory func(v int) NodeProgram[T], workers int, sched Scheduler) (*Result[T], error) {
+	st, err := newEngineState(cfg, factory)
 	if err != nil {
 		return nil, err
 	}
 	defer st.release()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	workers = min(workers, st.n)
+	if workers == 0 {
+		// The empty network halts before its first round.
+		st.initTelemetry(sched, 1)
+		return st.result(), nil
 	}
-	if workers > st.n {
-		workers = st.n
-	}
+	st.initTelemetry(sched, workers)
 	maxRounds := st.maxRounds()
-	if workers <= 1 {
-		// A one-worker pool is the sequential schedule; skip the barriers,
-		// but keep the telemetry labeled with the engine the caller asked
-		// for (one lane).
-		st.initTelemetry(Parallel, 1)
-		return st.runSequential(maxRounds)
-	}
-	st.initTelemetry(Parallel, workers)
 
 	// Contiguous shards balanced by half-edge count: worker i owns
-	// [bounds[i], bounds[i+1]). A pooled run draws the workers, ownership
-	// tables and scratch from the slab — the structure (arenas, worklist and
-	// staging capacity, private out planes) survives between runs;
-	// everything content-like is rewired below.
-	bounds := st.g.ShardBounds(workers)
-	var shardOf []int32
-	var pool []*parallelWorker
-	if st.slab != nil {
-		shardOf = st.slab.shardTable()
-		pool = st.slab.parWorkers(workers, st.packed)
-	} else {
-		shardOf = make([]int32, st.n)
-		pool = make([]*parallelWorker, workers)
-		for i := range pool {
-			pool[i] = &parallelWorker{arena: &arena{}}
-			if st.packed {
-				// Each worker gets a private out plane (its nodes write bits
-				// there during compute, no shared words) and per-shard packed
-				// staging lists; the []Message staging machinery stays nil.
-				pool[i].out = newBitPlane(len(st.adjf))
-				pool[i].pout = make([][]uint32, workers)
-			} else {
-				pool[i].outbox = make([][]stagedMsg, workers)
-			}
-		}
+	// [bounds[i], bounds[i+1]) and the matching segment of the engine
+	// worklist. The workers and ownership tables come from the slab — the
+	// structure (arenas, staging capacity, private out planes) survives
+	// between pooled runs; everything content-like is rewired below. Worker
+	// 0 runs on the engine arena and out plane the contexts were wired to at
+	// Init, so a one-worker run rewires no context.
+	bounds := []int{0, st.n}
+	if workers > 1 {
+		bounds = st.g.ShardBounds(workers)
 	}
-	for i, w := range pool {
-		lo, hi := bounds[i], bounds[i+1]
-		w.lo, w.hi = lo, hi
-		w.wlo, w.whi = 0, 0
-		w.active = w.active[:0]
-		for v := lo; v < hi; v++ {
-			shardOf[v] = int32(i)
-			w.active = append(w.active, int32(v))
-			st.ctxs[v].arena = w.arena
-			if st.packed {
-				st.ctxs[v].outBits = w.out
-			}
-		}
-	}
+	pool := st.slab.parWorkers(workers, st.packed)
 	core := &engineStateCore{
 		off:            st.off,
 		adj:            st.adjf,
 		rev:            st.rev,
 		done:           st.done,
 		inbox:          st.inbox,
-		shardOf:        shardOf,
 		maxMessageBits: cfg.MaxMessageBits,
 		poison:         st.poison,
 		timed:          st.tel != nil,
@@ -471,77 +470,85 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		packed:         st.packed,
 		inBits:         st.inBits,
 	}
-	// Worker s owns range s of the cut, so pool order is node-range order,
-	// and everything that must replay the sequential engine's node order —
-	// counter merges, held-message queues, the live gather feeding the
-	// adversary — walks the pool in order.
-	//
+	if workers > 1 {
+		core.shardOf = st.slab.shardTable()
+	}
+	for i, w := range pool {
+		w.lo, w.hi = bounds[i], bounds[i+1]
+		w.wlo, w.whi = 0, 0
+		w.active = st.active[w.lo:w.hi:w.hi]
+		if workers == 1 {
+			break
+		}
+		for v := w.lo; v < w.hi; v++ {
+			core.shardOf[v] = int32(i)
+			st.ctxs[v].arena = w.arena
+			if st.packed {
+				st.ctxs[v].outBits = w.out
+			}
+		}
+	}
 	// Word-rounded scatter windows: worker s holds the exclusive word range
 	// [wlo, whi) of the packed inbox plane (graph.ShardWordBounds), so
 	// adjacent shards whose slot ranges share a boundary word never write
 	// the same word concurrently.
 	if st.packed {
-		if st.slab != nil {
-			core.wordShardOf = st.slab.wordShardTable(st.inBits.words())
+		if workers == 1 {
+			pool[0].whi = st.inBits.words()
 		} else {
-			core.wordShardOf = make([]int32, st.inBits.words())
-		}
-		wb := st.g.ShardWordBounds(bounds)
-		for s, w := range pool {
-			w.wlo, w.whi = wb[s], wb[s+1]
-			for wd := w.wlo; wd < w.whi; wd++ {
-				core.wordShardOf[wd] = int32(s)
-			}
-		}
-	}
-
-	cmds := make([]chan phaseCmd, workers)
-	for i := range cmds {
-		cmds[i] = make(chan phaseCmd, 1)
-	}
-	var barrier, lifetime sync.WaitGroup
-	lifetime.Add(workers)
-	for i, w := range pool {
-		go func(i int, w *parallelWorker) {
-			defer lifetime.Done()
-			for c := range cmds[i] {
-				switch c.phase {
-				case phaseCompute:
-					if core.timed {
-						start := time.Now()
-						w.compute(core, c.round)
-						w.computeNS = time.Since(start).Nanoseconds()
-					} else {
-						w.compute(core, c.round)
-					}
-				case phaseScatter:
-					if core.packed {
-						w.scatterPacked(core, i, pool)
-					} else {
-						w.scatter(core, i, pool)
-					}
+			core.wordShardOf = st.slab.wordShardTable(st.inBits.words())
+			wb := st.g.ShardWordBounds(bounds)
+			for s, w := range pool {
+				w.wlo, w.whi = wb[s], wb[s+1]
+				for wd := w.wlo; wd < w.whi; wd++ {
+					core.wordShardOf[wd] = int32(s)
 				}
-				barrier.Done()
 			}
-		}(i, w)
-	}
-	// runPhase broadcasts one phase to the workers and blocks until every
-	// one finishes it; the WaitGroup plus the command-channel sends give the
-	// scatter phase a happens-before view of every worker's staged outboxes
-	// (and of every coordinator mutation since the last barrier).
-	runPhase := func(c phaseCmd) {
-		barrier.Add(workers)
-		for _, ch := range cmds {
-			ch <- c
 		}
-		barrier.Wait()
 	}
-	stop := func() {
+	sizeLanes(core, pool)
+
+	// Worker s owns range s of the cut, so pool order is node-range order,
+	// and everything that must replay node order — counter merges, held
+	// messages, the live gather feeding the adversary — walks the pool in
+	// order. runPhase runs one phase on every worker and returns when all
+	// have finished it.
+	runPhase := func(c phaseCmd) { pool[0].run(core, c, 0, pool) }
+	stop := func() {}
+	if workers > 1 {
+		cmds := make([]chan phaseCmd, workers)
 		for i := range cmds {
-			close(cmds[i])
+			cmds[i] = make(chan phaseCmd, 1)
 		}
-		lifetime.Wait()
+		var barrier, lifetime sync.WaitGroup
+		lifetime.Add(workers)
+		for i, w := range pool {
+			go func(i int, w *parallelWorker) {
+				defer lifetime.Done()
+				for c := range cmds[i] {
+					w.run(core, c, i, pool)
+					barrier.Done()
+				}
+			}(i, w)
+		}
+		// The WaitGroup plus the command-channel sends give the scatter
+		// phase a happens-before view of every worker's staged lanes (and of
+		// every coordinator mutation since the last barrier).
+		runPhase = func(c phaseCmd) {
+			barrier.Add(workers)
+			for _, ch := range cmds {
+				ch <- c
+			}
+			barrier.Wait()
+		}
+		stop = func() {
+			for i := range cmds {
+				close(cmds[i])
+			}
+			lifetime.Wait()
+		}
 	}
+	defer stop()
 
 	var computeScratch []int64
 	var stagedScratch []int
@@ -557,7 +564,6 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 
 	for r := 0; st.running > 0; r++ {
 		if r >= maxRounds {
-			stop()
 			return nil, &StuckError{MaxRounds: maxRounds, Running: st.running}
 		}
 		var roundStart time.Time
@@ -566,12 +572,10 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		}
 		runPhase(phaseCmd{phase: phaseCompute, round: r})
 		// The pool ascends by node range, so the first erroring worker holds
-		// the error of the lowest-indexed erroring node — the same error the
-		// sequential scheduler reports. Like Run, surface it before any of
-		// the round's deliveries are tallied.
+		// the error of the lowest-indexed erroring node. Surface it before
+		// any of the round's deliveries are tallied.
 		for _, w := range pool {
 			if w.err != nil {
-				stop()
 				return nil, w.err
 			}
 		}
@@ -609,10 +613,9 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			st.tel.recordRound(time.Since(roundStart).Nanoseconds(), computeScratch, stagedScratch, modeScratch)
 		}
 		if st.adv != nil {
-			// Round boundary: all workers are parked on their command
-			// channels, so the adversary's inbox writes, crash-stops and
-			// stall picks are single-threaded; the next phase commands
-			// publish them to the pool.
+			// Round boundary: all workers are parked, so the adversary's
+			// inbox writes, crash-stops and stall picks are single-threaded;
+			// the next phase commands publish them to the pool.
 			var live []int32
 			if st.adv.cfg.CrashPerRound > 0 || st.adv.cfg.StallPerRound > 0 {
 				advLive = advLive[:0]
@@ -623,11 +626,12 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 			}
 			msgs, bits, maxBits, crashed := st.adv.boundary(r, live, st.inboxView(),
 				func(slot int32) {
-					var owner *parallelWorker
-					if st.packed {
+					owner := pool[0]
+					switch {
+					case core.wordShardOf != nil:
 						owner = pool[core.wordShardOf[slot>>6]]
-					} else {
-						owner = pool[shardOf[st.adjf[st.rev[slot]]]]
+					case core.shardOf != nil:
+						owner = pool[core.shardOf[st.adjf[st.rev[slot]]]]
 					}
 					if !owner.denseInbox {
 						owner.inboxSlots = append(owner.inboxSlots, slot)
@@ -656,6 +660,42 @@ func RunParallel[T any](cfg Config, factory func(v int) NodeProgram[T], workers 
 		}
 		st.progress()
 	}
-	stop()
 	return st.result(), nil
+}
+
+// sizeLanes gives every staging lane the capacity of the half-edges it can
+// receive in one round, so no lane grows by append. A slot is staged at most
+// once per round (one sender per reverse half-edge), so one worker's single
+// lane needs h; with k workers one pass over the half-edges counts, per
+// sender shard, the slots routed to each destination shard — by receiving
+// node on Message planes, by owning word on packed ones, exactly as the
+// compute phase routes them.
+func sizeLanes(core *engineStateCore, pool []*parallelWorker) {
+	if len(pool) == 1 {
+		h := int(core.off[len(core.off)-1])
+		if core.packed {
+			pool[0].pout[0] = slices.Grow(pool[0].pout[0], h)
+		} else {
+			pool[0].outbox[0] = slices.Grow(pool[0].outbox[0], h)
+		}
+		return
+	}
+	counts := make([]int, len(pool))
+	for _, w := range pool {
+		clear(counts)
+		for i := core.off[w.lo]; i < core.off[w.hi]; i++ {
+			if core.packed {
+				counts[core.wordShardOf[core.rev[i]>>6]]++
+			} else {
+				counts[core.shardOf[core.adj[i]]]++
+			}
+		}
+		for s, c := range counts {
+			if core.packed {
+				w.pout[s] = slices.Grow(w.pout[s], c)
+			} else {
+				w.outbox[s] = slices.Grow(w.outbox[s], c)
+			}
+		}
+	}
 }

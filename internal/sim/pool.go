@@ -2,18 +2,18 @@ package sim
 
 import "sync"
 
-// EnginePool keeps the engines' warm buffer sets — message planes, bit
-// planes, worklists, contexts, arenas, and the parallel engine's per-worker
-// staging state — alive between runs, keyed by graph shape and scheduler.
-// It generalizes the slab-factory idiom of the per-round arenas from one
-// run's rounds to a whole workload's runs: the first simulation of a given
-// (n, half-edges, scheduler) shape pays the O(n + m) allocations, every
-// later one of the same shape reuses the slab and allocates O(1).
+// EnginePool keeps the engine's warm buffer sets — message planes, bit
+// planes, worklists, contexts, arenas, and the per-worker staging state —
+// alive between runs, keyed by graph shape. It generalizes the slab-factory
+// idiom of the per-round arenas from one run's rounds to a whole workload's
+// runs: the first simulation of a given (n, half-edges) shape pays the
+// O(n + m) allocations, every later one of the same shape reuses the slab
+// and allocates O(1).
 //
 // The pool never changes Results: a slab is handed back scrubbed (planes
 // cleared, worklists truncated, arenas rotated empty), and the warm-vs-cold
-// equivalence suite asserts byte-identical Results and Telemetry across both
-// schedulers, every worker count, and both plane representations.
+// equivalence suites assert byte-identical Results across worker counts and
+// both plane representations.
 //
 // Sharing: a pool is safe for concurrent use by independent runs (the
 // experiments trial pool, the locsimd daemon's job workers). Each run holds
@@ -32,14 +32,12 @@ type EnginePool struct {
 }
 
 // slabKey is the shape a slab serves: buffer sizes are functions of the node
-// and half-edge counts alone, and the scheduler decides which sections exist
-// (per-worker staging for Parallel), so two different graphs of equal shape
-// share slabs safely — every per-run content (contexts, neighbor IDs, shard
-// cuts) is rewritten by the engine setup.
+// and half-edge counts alone, so two different graphs of equal shape share
+// slabs safely — every per-run content (contexts, neighbor IDs, shard cuts)
+// is rewritten by the engine setup — and so do runs of any worker count.
 type slabKey struct {
-	n     int
-	h     int
-	sched Scheduler
+	n int
+	h int
 }
 
 // NewEnginePool returns an empty pool.
@@ -49,8 +47,8 @@ func NewEnginePool() *EnginePool {
 
 // acquire pops a parked slab of the given shape, or builds a fresh one. The
 // caller owns it exclusively until release.
-func (p *EnginePool) acquire(n, h int, sched Scheduler) *engineSlab {
-	key := slabKey{n: n, h: h, sched: sched}
+func (p *EnginePool) acquire(n, h int) *engineSlab {
+	key := slabKey{n: n, h: h}
 	p.mu.Lock()
 	stack := p.slabs[key]
 	if len(stack) > 0 {
@@ -60,8 +58,14 @@ func (p *EnginePool) acquire(n, h int, sched Scheduler) *engineSlab {
 		return s
 	}
 	p.mu.Unlock()
+	return newSlab(n, h)
+}
+
+// newSlab builds an empty slab for the shape; unpooled runs use one for a
+// single run and drop it.
+func newSlab(n, h int) *engineSlab {
 	return &engineSlab{
-		key:    key,
+		key:    slabKey{n: n, h: h},
 		active: make([]int32, n),
 		done:   make([]bool, n),
 		ctxs:   make([]NodeCtx, n),
@@ -92,11 +96,12 @@ func (p *EnginePool) idle() int {
 // engineSlab is one reusable buffer set. The eager fields (worklist,
 // halted bitmap, contexts) exist for every run of the shape; everything else
 // is materialized on first use — a packed run never allocates Message
-// planes, a sequential run never allocates worker staging — and then kept.
+// planes, a one-worker run never allocates private out planes or shard
+// tables — and then kept.
 //
 // Invariant: a parked slab is clean. Planes hold no messages, the halted
 // bitmap is all-false, worklists and slot lists have length zero, arenas are
-// empty (capacity retained). engineState.release enforces it; the engines'
+// empty (capacity retained). engineState.release enforces it; the engine's
 // setup code may therefore use slab buffers without re-clearing them.
 type engineSlab struct {
 	key    slabKey
@@ -105,18 +110,18 @@ type engineSlab struct {
 	ctxs   []NodeCtx
 
 	// Unpacked message planes and the neighbor-ID table (len h).
-	inbox, next, outbox []Message
-	nids                []uint64
-	// Packed bit planes.
-	inBits, nextBits, outBits *bitPlane
-	// Sequential staged-slot lists and the active trace (length 0 parked).
-	staged, inboxSlots []int32
-	activeTrace        []int
-	// arena is the sequential/coordinator payload arena.
+	inbox, outbox []Message
+	nids          []uint64
+	// Packed bit planes; outBits doubles as worker 0's out plane.
+	inBits, outBits *bitPlane
+	// activeTrace is the run's active trace (length 0 parked).
+	activeTrace []int
+	// arena is the engine arena: Init carves land here, and worker 0 keeps
+	// using it for its rounds.
 	arena arena
 
-	// Parallel-engine sections: persistent workers (usedWorkers marks how
-	// many the last run wired) and the node- and word-ownership tables.
+	// Persistent workers (usedWorkers marks how many the last run wired)
+	// and the node- and word-ownership tables of multi-worker runs.
 	workers     []*parallelWorker
 	usedWorkers int
 	shardOf     []int32
@@ -166,18 +171,25 @@ func (s *engineSlab) wordShardTable(words int) []int32 {
 }
 
 // parWorkers hands out `workers` reset parallelWorker structs, growing the
-// persistent set as needed. Each worker keeps its arena, worklist capacity,
-// staging lists and (packed) private out plane warm across runs; the caller
-// re-wires lo/hi, worklist contents and context ownership per run.
+// persistent set as needed. Worker 0 runs on the engine arena and (packed)
+// the engine's out plane; every other worker keeps its own arena and private
+// out plane warm across runs. The caller re-wires shard bounds, worklists,
+// staging capacity and context ownership per run.
 func (s *engineSlab) parWorkers(workers int, packed bool) []*parallelWorker {
 	for len(s.workers) < workers {
-		s.workers = append(s.workers, &parallelWorker{arena: &arena{}})
+		w := &parallelWorker{arena: &s.arena}
+		if len(s.workers) > 0 {
+			w.arena = &arena{}
+		}
+		s.workers = append(s.workers, w)
 	}
 	s.usedWorkers = workers
 	out := s.workers[:workers]
-	for _, w := range out {
+	for i, w := range out {
 		if packed {
-			if w.out == nil {
+			if i == 0 {
+				w.out = s.outBits
+			} else if w.out == nil {
 				w.out = newBitPlane(s.key.h)
 			}
 			w.pout = resizeStaging(w.pout, workers)
@@ -203,32 +215,22 @@ func resizeStaging[T any](lists [][]T, workers int) [][]T {
 	return lists
 }
 
-// scrub restores the parked-clean invariant after a run. The engines hand
-// back the possibly-swapped plane headers through engineState.release, which
-// calls this exactly once per acquire — including on error returns.
+// scrub restores the parked-clean invariant after a run. engineState.release
+// calls it exactly once per pooled acquire — including on error returns.
 func (s *engineSlab) scrub() {
 	clear(s.done)
-	if s.inbox != nil {
-		clear(s.inbox)
-	}
-	if s.next != nil {
-		clear(s.next)
-	}
-	if s.outbox != nil {
-		clear(s.outbox)
-	}
-	for _, b := range []*bitPlane{s.inBits, s.nextBits, s.outBits} {
+	clear(s.inbox)
+	clear(s.outbox)
+	for _, b := range []*bitPlane{s.inBits, s.outBits} {
 		if b != nil {
 			clear(b.present)
 			clear(b.value)
 		}
 	}
-	s.staged = s.staged[:0]
-	s.inboxSlots = s.inboxSlots[:0]
 	s.activeTrace = s.activeTrace[:0]
 	s.arena.reset()
 	for _, w := range s.workers[:s.usedWorkers] {
-		w.active = w.active[:0]
+		w.active = nil
 		w.inboxSlots = w.inboxSlots[:0]
 		w.held = nil
 		w.denseInbox = false
@@ -239,7 +241,7 @@ func (s *engineSlab) scrub() {
 		for i := range w.pout {
 			w.pout[i] = w.pout[i][:0]
 		}
-		if w.out != nil {
+		if w.out != nil && w.out != s.outBits {
 			clear(w.out.present)
 			clear(w.out.value)
 		}
@@ -255,28 +257,16 @@ func (a *arena) reset() {
 	a.bufs[1] = a.bufs[1][:0]
 }
 
-// release scrubs the run's slab and parks it. Safe to call on a run that
-// never acquired one (unpooled runs), and idempotent per run.
+// release scrubs the run's slab and parks it in its pool. Unpooled runs
+// simply drop their slab; idempotent per run.
 func (st *engineState[T]) release() {
-	if st.slab == nil {
+	if st.pool == nil {
 		return
 	}
 	s, p := st.slab, st.pool
 	st.slab, st.pool = nil, nil
-	// Write back the headers the run may have grown or swapped: the
-	// sequential engine swaps inbox/next wholesale on dense rounds, and the
-	// staged/slot lists trade places every round.
-	if !st.packed {
-		if st.inbox != nil {
-			s.inbox = st.inbox
-		}
-		if st.next != nil {
-			s.next = st.next
-		}
-	}
-	s.staged, s.inboxSlots = st.staged, st.inboxSlots
+	// Write back the header the run may have grown.
 	s.activeTrace = st.activeTrace
-	s.active = st.active[:cap(st.active)]
 	s.scrub()
 	p.park(s)
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // TestEnginePoolWarmColdEquivalence is the correctness proof of the engine
-// pool: on every scheduler, worker count and plane representation, a run
-// drawing its buffers from a warm slab — one a previous run of the same shape
-// already dirtied — must produce a Result byte-identical to the cold
-// (unpooled) run. The pooled run executes twice so the second pass really
-// reuses a parked slab rather than building a fresh one.
+// pool: on one worker and on eight, in both plane representations, a run
+// drawing its buffers from a warm slab — one a previous run of the same
+// shape, at either width, already dirtied — must produce a Result
+// byte-identical to the cold (unpooled) run. The pooled run executes twice
+// so the second pass really reuses a parked slab rather than building a
+// fresh one. FuzzEngines covers warm runs at one to three workers.
 func TestEnginePoolWarmColdEquivalence(t *testing.T) {
 	defer SetTelemetry(TelemetryEnabled())
 	SetTelemetry(true)
@@ -30,7 +31,8 @@ func TestEnginePoolWarmColdEquivalence(t *testing.T) {
 		n := tg.g.N()
 		key := NewSimulationKey(uint64(n)*31 + 11)
 		ids := RandomIDs(n, n, key)
-		factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: graph.Diameter(tg.g) + 2} }
+		rounds := graph.Diameter(tg.g) + 2
+		factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
 		t.Run(tg.name, func(t *testing.T) {
 			pool := NewEnginePool()
 			check := func(t *testing.T, label string, cfg Config, run func(Config) (*Result[uint64], error)) {
@@ -58,14 +60,11 @@ func TestEnginePoolWarmColdEquivalence(t *testing.T) {
 				check(t, fmt.Sprintf("sequential/unpacked=%v", unpack), cfg,
 					func(c Config) (*Result[uint64], error) { return Run(c, factory) })
 			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				for _, unpack := range []bool{false, true} {
-					cfg := base
-					cfg.Unpacked = unpack
-					label := fmt.Sprintf("parallel/workers=%d/unpacked=%v", workers, unpack)
-					check(t, label, cfg,
-						func(c Config) (*Result[uint64], error) { return RunParallel(c, factory, workers) })
-				}
+			for _, unpack := range []bool{false, true} {
+				cfg := base
+				cfg.Unpacked = unpack
+				check(t, fmt.Sprintf("parallel/workers=8/unpacked=%v", unpack), cfg,
+					func(c Config) (*Result[uint64], error) { return RunParallel(c, factory, 8) })
 			}
 			if pool.idle() == 0 {
 				t.Error("pool retained no slabs after pooled runs")
@@ -75,54 +74,48 @@ func TestEnginePoolWarmColdEquivalence(t *testing.T) {
 }
 
 // TestEnginePoolFaultedEquivalence extends the warm-vs-cold proof to faulted
-// executions: the adversary's injected-event record — part of the run's
-// reproducibility contract — must also match exactly, so a dirty slab can
-// never shift a fault schedule.
+// executions: cold and warm runs alike, on one worker and on eight sharing
+// one pool, must reproduce the reference engine's Result and injected-event
+// record, so a dirty slab can never shift a fault schedule.
 func TestEnginePoolFaultedEquivalence(t *testing.T) {
 	rng := prng.New(919)
 	g := graph.GNPConnected(120, 0.05, rng)
 	n := g.N()
 	key := NewSimulationKey(uint64(n)*37 + 13)
 	ids := RandomIDs(n, n, key)
-	factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: graph.Diameter(g) + 2} }
+	rounds := graph.Diameter(g) + 2
+	factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
 	adv := mustAdversary(t, key, AdversaryConfig{
 		DropProb: 0.05, DelayProb: 0.05, DelayMax: 2,
 		CrashPerRound: 1, ChurnPerRound: 2, HealPerRound: 1, StallPerRound: 2,
 	})
-	base := Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n), Adversary: adv}
-	pool := NewEnginePool()
-	check := func(label string, cfg Config, run func(Config) (*Result[uint64], error)) {
-		t.Helper()
-		cfg.Source = key.FullSource()
-		want, err := run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 1; pass <= 2; pass++ {
-			warm := cfg
-			warm.Pool = pool
-			warm.Source = key.FullSource()
-			got, err := run(warm)
-			if err != nil {
-				t.Fatalf("%s pooled pass %d: %v", label, pass, err)
-			}
-			plabel := fmt.Sprintf("%s/pooled-pass-%d", label, pass)
-			assertResultsEqual(t, plabel, want, got)
-			assertInjectedEqual(t, plabel, want.Telemetry, got.Telemetry)
-		}
+	cfg := Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n), Adversary: adv, Source: key.FullSource()}
+	want, err := runReference(cfg, factory)
+	if err != nil {
+		t.Fatal(err)
 	}
-	check("sequential", base, func(c Config) (*Result[uint64], error) { return Run(c, factory) })
-	for _, workers := range []int{2, 3, 8} {
-		check(fmt.Sprintf("parallel/workers=%d", workers), base,
-			func(c Config) (*Result[uint64], error) { return RunParallel(c, factory, workers) })
+	pool := NewEnginePool()
+	for _, workers := range []int{1, 8} {
+		for pass := 0; pass <= 2; pass++ {
+			c := cfg
+			c.Source = key.FullSource()
+			if pass > 0 {
+				c.Pool = pool
+			}
+			got, err := RunParallel(c, factory, workers)
+			if err != nil {
+				t.Fatalf("workers=%d pass %d: %v", workers, pass, err)
+			}
+			assertMatchesReference(t, fmt.Sprintf("workers=%d/pooled-pass-%d", workers, pass), want, got)
+		}
 	}
 }
 
 // TestEnginePoolShapeMismatch pins the pool's keying discipline: runs of
-// different graph shapes (or schedulers) must never share a slab — a stale
-// plane sized for another graph would corrupt delivery — and two same-shape
-// graphs with different structure may share one, because everything
-// content-like is rewritten per run.
+// different graph shapes must never share a slab — a stale plane sized for
+// another graph would corrupt delivery — while two same-shape graphs with
+// different structure, or runs of different worker counts, may share one,
+// because everything content-like is rewritten per run.
 func TestEnginePoolShapeMismatch(t *testing.T) {
 	pool := NewEnginePool()
 	ring := graph.Ring(40) // 40 nodes, 80 half-edges
@@ -149,12 +142,13 @@ func TestEnginePoolShapeMismatch(t *testing.T) {
 	if got := pool.idle(); got != 2 {
 		t.Fatalf("after same-shape rerun: %d idle slabs, want 2", got)
 	}
-	// Same shape on another scheduler: scheduler is part of the key.
+	// Same shape at another worker count: one engine, one key — the
+	// two-worker run reuses the ring slab rather than warming a third.
 	if _, err := RunParallel(Config{Graph: ring, Pool: pool}, floodFactory(4), 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := pool.idle(); got != 3 {
-		t.Fatalf("after other-scheduler run: %d idle slabs, want 3", got)
+	if got := pool.idle(); got != 2 {
+		t.Fatalf("after two-worker run: %d idle slabs, want 2", got)
 	}
 
 	// Equal shape, different run: a longer program on the slab the short
@@ -176,11 +170,11 @@ func TestEnginePoolShapeMismatch(t *testing.T) {
 func TestEnginePoolPerKeyCap(t *testing.T) {
 	pool := NewEnginePool()
 	g := graph.Ring(16)
-	key := slabKey{n: 16, h: 32, sched: Sequential}
+	key := slabKey{n: 16, h: 32}
 	// Hold more slabs live than the cap, then release them all.
 	var slabs []*engineSlab
 	for i := 0; i < pool.perKey+3; i++ {
-		slabs = append(slabs, pool.acquire(key.n, key.h, key.sched))
+		slabs = append(slabs, pool.acquire(key.n, key.h))
 	}
 	for _, s := range slabs {
 		s.scrub()
@@ -242,48 +236,116 @@ func TestDefaultPool(t *testing.T) {
 
 // TestEnginePoolSteadyStateAllocs is the allocation pin of the pool: once a
 // slab is warm, a whole pooled run allocates O(1) — the engine-state struct,
-// the program table and the Result — independent of n and m. The probe
+// the program table, the Result, and on a two-worker pool its goroutines and
+// shard cut — independent of n and m, on one worker and on two. The probe
 // program set lives in a preallocated slab itself, so what the pin measures
 // is the engine, not the caller.
 func TestEnginePoolSteadyStateAllocs(t *testing.T) {
 	was := TelemetryEnabled()
 	SetTelemetry(false)
 	defer SetTelemetry(was)
-	g := graph.Ring(512)
-	n := g.N()
-	probes := make([]modeProbe, n)
-	factory := func(v int) NodeProgram[uint64] {
-		probes[v] = modeProbe{rounds: 4, send: v%3 == 0}
-		return &probes[v]
+	// maxWarm is the per-run constant: engineState, progs slice, outputs
+	// slice, the Result and its ActivePerRound copy — plus, on two workers,
+	// the goroutines, channels and shard cut. coldRatio is how many times
+	// more a cold run must allocate.
+	engines := []struct {
+		name      string
+		run       func(Config, func(int) NodeProgram[uint64]) (*Result[uint64], error)
+		maxWarm   float64
+		coldRatio float64
+	}{
+		{"sequential", Run[uint64], 16, 4},
+		{"parallel2", func(c Config, f func(int) NodeProgram[uint64]) (*Result[uint64], error) {
+			return RunParallel(c, f, 2)
+		}, 24, 2},
 	}
-	pool := NewEnginePool()
-	cfg := Config{Graph: g, Pool: pool}
-	run := func() {
-		if _, err := Run(cfg, factory); err != nil {
-			t.Fatal(err)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			warm := map[int]float64{}
+			for _, n := range []int{512, 1 << 14} {
+				g := graph.Ring(n)
+				probes := make([]modeProbe, n)
+				factory := func(v int) NodeProgram[uint64] {
+					probes[v] = modeProbe{rounds: 4, send: v%3 == 0}
+					return &probes[v]
+				}
+				cfg := Config{Graph: g, Pool: NewEnginePool()}
+				run := func() {
+					if _, err := eng.run(cfg, factory); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run() // warm the slab
+				allocs := testing.AllocsPerRun(20, run)
+				if allocs > eng.maxWarm {
+					t.Errorf("n=%d: steady-state pooled run: %.1f allocs/run, want <= %.0f", n, allocs, eng.maxWarm)
+				}
+				warm[n] = allocs
+				cold := testing.AllocsPerRun(5, func() {
+					if _, err := eng.run(Config{Graph: g}, factory); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if cold < eng.coldRatio*allocs {
+					t.Errorf("n=%d: cold run allocates %.1f vs warm %.1f — pool not actually saving allocations", n, cold, allocs)
+				}
+			}
+			if warm[1<<14] > warm[512]+2 {
+				t.Errorf("warm allocations grow with n: %.1f at n=512, %.1f at n=%d", warm[512], warm[1<<14], 1<<14)
+			}
+		})
+	}
+}
+
+// constFlood broadcasts one shared constant payload every round until a
+// fixed round, so its rounds allocate nothing and a run's allocation count
+// is the engine's alone.
+type constFlood struct {
+	rounds int
+	ctx    *NodeCtx
+}
+
+func (c *constFlood) Init(ctx *NodeCtx) { c.ctx = ctx }
+
+func (c *constFlood) Round(r int, _ []Message) ([]Message, bool) {
+	if r >= c.rounds {
+		return nil, true
+	}
+	return c.ctx.Broadcast(bitWire[1]), false
+}
+
+func (c *constFlood) Output() uint64 { return 0 }
+
+// TestColdRunAllocsFlat pins that a cold (unpooled) one-worker run sizes its
+// buffers once: every round of an all-active flood is dense, and the
+// staging lane is sized up front to the half-edge count, so no per-message
+// list grows by append and the run's allocation count does not depend on n.
+func TestColdRunAllocsFlat(t *testing.T) {
+	was := TelemetryEnabled()
+	SetTelemetry(false)
+	defer SetTelemetry(was)
+	allocs := map[int]float64{}
+	for _, n := range []int{1 << 10, 1 << 14} {
+		g := graph.GNPConnected(n, 6.0/float64(n), prng.New(uint64(n)))
+		probes := make([]constFlood, n)
+		factory := func(v int) NodeProgram[uint64] {
+			probes[v] = constFlood{rounds: 6}
+			return &probes[v]
 		}
+		allocs[n] = testing.AllocsPerRun(5, func() {
+			if _, err := Run(Config{Graph: g}, factory); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	run() // warm the slab
-	allocs := testing.AllocsPerRun(20, run)
-	// The per-run constant: engineState, progs slice, outputs slice, the
-	// Result and its ActivePerRound copy — nothing proportional to the
-	// 512-node, 1024-half-edge shape.
-	if allocs > 16 {
-		t.Errorf("steady-state pooled run: %.1f allocs/run, want <= 16", allocs)
-	}
-	cold := testing.AllocsPerRun(5, func() {
-		if _, err := Run(Config{Graph: g}, factory); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if cold < 4*allocs {
-		t.Errorf("cold run allocates %.1f vs warm %.1f — pool not actually saving allocations", cold, allocs)
+	if d := allocs[1<<14] - allocs[1<<10]; d > 2 || d < -2 {
+		t.Errorf("cold one-worker flood: %.1f allocs at n=2^10, %.1f at n=2^14 — buffers grow with the run", allocs[1<<10], allocs[1<<14])
 	}
 }
 
 // BenchmarkPooledRun measures the pool's win on the per-run setup cost: the
 // same small-graph workload cold (every run allocates its planes) and warm
-// (every run reuses one slab), on the sequential and parallel engines. Small
+// (every run reuses one slab), on one worker and on two. Small
 // graphs and short programs maximize the relative weight of setup, which is
 // exactly the serving-layer profile the pool exists for.
 func BenchmarkPooledRun(b *testing.B) {

@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// Scheduler selects which engine executes a simulation. Both produce
-// identical Results for the same Config and seed — including the per-round
-// active-node trajectory — they differ only in how the synchronous schedule
-// is realized on the host machine: one worklist sweep, or a
-// half-edge-balanced worker pool.
+// Scheduler selects the width of the engine that executes a simulation:
+// one worker inline on the calling goroutine, or a half-edge-balanced pool
+// of Config.Workers. Every width produces identical Results for the same
+// Config and seed — including the per-round active-node trajectory — and
+// differs only in how the synchronous schedule is realized on the host.
 type Scheduler int
 
 const (
@@ -17,9 +17,9 @@ const (
 	// out of the box that is Sequential. It is the zero value, so a Config
 	// that never mentions schedulers keeps its historical behavior.
 	Auto Scheduler = iota
-	// Sequential is the deterministic single-core scheduler of Run.
+	// Sequential is a one-worker pool, run inline: the engine of Run.
 	Sequential
-	// Parallel is the sharded worker-pool engine of RunParallel.
+	// Parallel is a pool of Config.Workers workers: RunParallel.
 	Parallel
 )
 
@@ -137,7 +137,7 @@ func (o ExecOptions) Apply(cfg *Config) {
 // resolving Auto through the package default. Every algorithm wrapper in
 // this repository executes through it, so one SetDefaultScheduler call (or
 // one Config.Scheduler field) switches the whole stack between the
-// sequential and parallel engines.
+// one-worker and multi-worker engine.
 func Execute[T any](cfg Config, factory func(v int) NodeProgram[T]) (*Result[T], error) {
 	sched, workers := cfg.Scheduler, cfg.Workers
 	ds, dw := DefaultScheduler()

@@ -20,7 +20,7 @@ type Telemetry struct {
 	// Scheduler is the engine that produced this record.
 	Scheduler Scheduler
 	// Workers is the number of telemetry lanes per round: the pool width
-	// for the parallel engine, 1 for the sequential engine.
+	// (1 for Run).
 	Workers int
 	// Rounds holds one entry per executed round, aligned with
 	// Result.ActivePerRound.

@@ -119,9 +119,9 @@ func TestTelemetryInvariants(t *testing.T) {
 	})
 }
 
-// TestTelemetryDeliveryModes pins the mode choice on the sequential engine:
-// an all-active flood on a dense-enough graph swaps planes (dense), while a
-// long sparse tail walks staged slots (sparse).
+// TestTelemetryDeliveryModes pins the mode choice on one worker: an
+// all-active flood on a dense-enough graph sweeps the whole plane (dense),
+// while a long sparse tail walks staged slots (sparse).
 func TestTelemetryDeliveryModes(t *testing.T) {
 	if DeliverSparse.String() != "sparse" || DeliverDense.String() != "dense" || DeliverPacked.String() != "packed" {
 		t.Error("DeliveryMode.String names drifted")

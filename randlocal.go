@@ -213,7 +213,8 @@ type SimResult[T any] = sim.Result[T]
 // NodeProgram is a deterministic per-node state machine.
 type NodeProgram[T any] = sim.NodeProgram[T]
 
-// Run executes node programs with the deterministic sequential scheduler.
+// Run executes node programs on a one-worker pool, inline on the calling
+// goroutine (RunParallel with one worker).
 func Run[T any](cfg SimConfig, factory func(v int) NodeProgram[T]) (*SimResult[T], error) {
 	return sim.Run(cfg, factory)
 }
