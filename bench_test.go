@@ -246,7 +246,7 @@ func BenchmarkE10MPX(b *testing.B) {
 	g := GNPConnected(512, 4.0/512, NewRNG(10))
 	var diam, cut int
 	for i := 0; i < b.N; i++ {
-		res, err := MPXPartition(g, NewFullRandomness(uint64(i)), nil)
+		res, err := MPXPartition(g, NewFullRandomness(uint64(i)), nil, ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

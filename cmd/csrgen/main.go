@@ -61,7 +61,7 @@ func run(args []string) error {
 	if *graphKind == "gnp" {
 		prob := *p
 		if prob == 0 {
-			prob = 4.0 / float64(*n) // the BuildGraph default
+			prob = min(1, 4.0/float64(*n)) // the BuildGraph default
 		}
 		graph.GNPConnectedStream(*n, prob, prng.New(*seed), b.AddEdge)
 	} else {

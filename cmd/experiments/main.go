@@ -82,7 +82,7 @@ func run(args []string) error {
 		return err
 	}
 	runner := &experiments.Runner{
-		Opt:    experiments.Options{Quick: *quick, Seed: *seed, Scheduler: sched, Workers: *workers},
+		Opt:    experiments.Options{Quick: *quick, Seed: *seed, Exec: sim.ExecOptions{Scheduler: sched, Workers: *workers}},
 		OutDir: *outDir,
 		Jobs:   *jobs,
 		Limit:  *limit,

@@ -74,11 +74,8 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	sim.SetDefaultScheduler(sched, *workers)
-	sim.SetTelemetry(*telemetry)
-	if *telemetry {
-		defer sim.SetTelemetry(false)
-	}
+	// Every simulation this run starts executes on these options.
+	exec := sim.ExecOptions{Scheduler: sched, Workers: *workers, Telemetry: *telemetry}
 
 	// The adversary draws from the key's isolated adversary stream, so the
 	// same -seed with and without fault flags replays the same algorithm
@@ -126,13 +123,12 @@ func run(args []string) error {
 		// The engine clamps a pool wider than the node count (a shard needs
 		// at least one node); say so rather than silently running narrower.
 		fmt.Printf("note: -workers %d exceeds n=%d; running %d workers\n", *workers, g.N(), g.N())
-		sim.SetDefaultScheduler(sched, g.N())
 	}
 
 	switch *algo {
 	case "en":
 		src := randomness.NewFull(*seed)
-		d, res, err := decomp.ElkinNeiman(g, src, nil, decomp.ENConfig{Adversary: adv})
+		d, res, err := decomp.ElkinNeiman(g, src, nil, decomp.ENConfig{Adversary: adv, Exec: exec})
 		if err != nil {
 			if adv == nil || res == nil {
 				return err
@@ -188,7 +184,7 @@ func run(args []string) error {
 			fmt.Sprintf("seedBitsUsed=%d phases=%d analyticRounds=%d",
 				res.SeedBitsUsed, res.Phases, res.AnalyticRounds))
 	case "shattering":
-		res, err := decomp.Shattering(g, randomness.NewFull(*seed), decomp.ShatteringConfig{ENPhases: 2})
+		res, err := decomp.Shattering(g, randomness.NewFull(*seed), decomp.ShatteringConfig{ENPhases: 2, Exec: exec})
 		if err != nil {
 			return err
 		}
@@ -203,7 +199,7 @@ func run(args []string) error {
 		d := decomp.DeterministicSequential(g)
 		return reportDecomp(g, d, "Deterministic sequential (zero randomness)", "SLOCAL locality O(log n)")
 	case "mpx":
-		res, err := decomp.MPXPartition(g, randomness.NewFull(*seed), nil)
+		res, err := decomp.MPXPartition(g, randomness.NewFull(*seed), nil, exec)
 		if err != nil {
 			return err
 		}
@@ -222,7 +218,7 @@ func run(args []string) error {
 		return nil
 	case "luby":
 		src := randomness.NewFull(*seed)
-		in, res, err := mis.Luby(g, src, nil, mis.LubyConfig{Adversary: adv})
+		in, res, err := mis.Luby(g, src, nil, mis.LubyConfig{Adversary: adv, Exec: exec})
 		if err != nil {
 			if adv == nil || res == nil {
 				return err
@@ -250,7 +246,7 @@ func run(args []string) error {
 		return nil
 	case "lubybit":
 		src := randomness.NewFull(*seed)
-		in, res, err := mis.LubyBit(g, src, nil, mis.LubyBitConfig{Adversary: adv})
+		in, res, err := mis.LubyBit(g, src, nil, mis.LubyBitConfig{Adversary: adv, Exec: exec})
 		if err != nil {
 			if adv == nil || res == nil {
 				return err
@@ -279,7 +275,7 @@ func run(args []string) error {
 		return nil
 	case "coloring":
 		src := randomness.NewFull(*seed)
-		colors, res, err := coloring.Randomized(g, src, nil, coloring.Config{Adversary: adv})
+		colors, res, err := coloring.Randomized(g, src, nil, coloring.Config{Adversary: adv, Exec: exec})
 		if err != nil {
 			if adv == nil || res == nil {
 				return err

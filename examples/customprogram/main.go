@@ -64,12 +64,9 @@ func main() {
 	g := randlocal.GNPConnected(4096, 4.0/4096, randlocal.NewRNG(12))
 	fmt.Printf("network: %v\n\n", g)
 
-	// Telemetry is collected per run when enabled — same switch pattern as
-	// the poisoned-Outbox debug check, near-zero cost when off.
-	randlocal.SetTelemetry(true)
-	defer randlocal.SetTelemetry(false)
-
-	cfg := randlocal.SimConfig{Graph: g, MaxMessageBits: randlocal.CongestBits(g.N())}
+	// Telemetry is collected for runs whose config asks for it, at
+	// near-zero cost when off.
+	cfg := randlocal.SimConfig{Graph: g, MaxMessageBits: randlocal.CongestBits(g.N()), Telemetry: true}
 	factory := func(int) randlocal.NodeProgram[uint64] { return &rumor{} }
 
 	seq, err := randlocal.Run(cfg, factory)

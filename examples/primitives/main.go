@@ -21,14 +21,14 @@ func main() {
 
 	// Leader election: flood the minimum identifier.
 	ids := randlocal.RandomIDs(g.N(), 5, key)
-	leaders, res, err := randlocal.ElectLeader(g, ids, 0)
+	leaders, res, err := randlocal.ElectLeader(g, ids, 0, randlocal.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("leader election: everyone agrees on %d after %d rounds\n", leaders[0], res.Rounds)
 
 	// BFS tree + convergecast: the root learns the component size.
-	outs, bres, err := randlocal.BFSTree(g, ids[0], ids)
+	outs, bres, err := randlocal.BFSTree(g, ids[0], ids, randlocal.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func main() {
 		bres.Rounds, outs[0].SubtreeSize)
 
 	// MPX random-shift partition: one flooding pass, low-diameter clusters.
-	mpx, err := randlocal.MPXPartition(g, randlocal.NewFullRandomness(2), nil)
+	mpx, err := randlocal.MPXPartition(g, randlocal.NewFullRandomness(2), nil, randlocal.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

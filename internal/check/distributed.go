@@ -68,14 +68,19 @@ type Options struct {
 	// because every per-node "no" is computed from locally held inputs.
 	// The experiments' E12 family measures exactly this asymmetry.
 	Adversary *sim.Adversary
+	// Exec carries the per-run execution knobs (scheduler, workers, engine
+	// pool, telemetry, progress hook) of the checker's execution.
+	Exec sim.ExecOptions
 }
 
 func (o Options) config(g *graph.Graph) sim.Config {
-	return sim.Config{
+	cfg := sim.Config{
 		Graph:          g,
 		MaxMessageBits: sim.CongestBits(g.N()),
 		Adversary:      o.Adversary,
 	}
+	o.Exec.Apply(&cfg)
+	return cfg
 }
 
 // MISDistributed runs the 1-round distributed MIS checker and reports

@@ -30,8 +30,8 @@ type Config struct {
 	// attaching one never changes the candidate coins the nodes draw.
 	Adversary *sim.Adversary
 	// Exec carries the per-run execution knobs (scheduler, workers, engine
-	// pool, telemetry, progress hook); the zero value defers to the
-	// package-wide defaults. Multi-tenant hosts set it per run.
+	// pool, telemetry, progress hook); the zero value runs on one worker
+	// with fresh buffers.
 	Exec sim.ExecOptions
 }
 

@@ -83,13 +83,16 @@ func (p *mpxProgram) Output() int { return p.out }
 // MPXPartition runs one random-shift partition pass in the CONGEST model.
 // Every node is assigned to exactly one cluster; clusters have strong
 // diameter O(log n) w.h.p. and the expected cut fraction is O(log n)/cap.
-func MPXPartition(g *graph.Graph, src randomness.Source, ids []uint64) (*MPXResult, error) {
-	res, err := sim.Execute(sim.Config{
+// exec carries the run's execution knobs.
+func MPXPartition(g *graph.Graph, src randomness.Source, ids []uint64, exec sim.ExecOptions) (*MPXResult, error) {
+	cfg := sim.Config{
 		Graph:          g,
 		IDs:            ids,
 		Source:         src,
 		MaxMessageBits: sim.CongestBits(g.N()),
-	}, func(int) sim.NodeProgram[int] {
+	}
+	exec.Apply(&cfg)
+	res, err := sim.Execute(cfg, func(int) sim.NodeProgram[int] {
 		return &mpxProgram{}
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"randlocal/internal/graph"
 	"randlocal/internal/prng"
 	"randlocal/internal/randomness"
+	"randlocal/internal/sim"
 )
 
 func TestMPXPartitionValid(t *testing.T) {
@@ -21,7 +22,7 @@ func TestMPXPartitionValid(t *testing.T) {
 		{"single", graph.NewBuilder(1).Graph()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := MPXPartition(tc.g, randomness.NewFull(uint64(len(tc.name))), nil)
+			res, err := MPXPartition(tc.g, randomness.NewFull(uint64(len(tc.name))), nil, sim.ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +48,7 @@ func TestMPXCutFraction(t *testing.T) {
 	// The random-shift argument cuts each edge with probability O(1/cap);
 	// on a large ring the cut fraction should be well below 1/2.
 	g := graph.Ring(2048)
-	res, err := MPXPartition(g, randomness.NewFull(3), nil)
+	res, err := MPXPartition(g, randomness.NewFull(3), nil, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestMPXCutFraction(t *testing.T) {
 
 func TestMPXDeterministicGivenSeed(t *testing.T) {
 	g := graph.Grid(10, 10)
-	a, err := MPXPartition(g, randomness.NewFull(9), nil)
+	a, err := MPXPartition(g, randomness.NewFull(9), nil, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MPXPartition(g, randomness.NewFull(9), nil)
+	b, err := MPXPartition(g, randomness.NewFull(9), nil, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestMPXVsENAblation(t *testing.T) {
 	// EN's gap rule but each pass is a single flood. Sanity-compare round
 	// costs on the same graph.
 	g := graph.GNPConnected(512, 4.0/512, prng.New(21))
-	mpx, err := MPXPartition(g, randomness.NewFull(2), nil)
+	mpx, err := MPXPartition(g, randomness.NewFull(2), nil, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"randlocal/internal/graph"
 	"randlocal/internal/randomness"
 	"randlocal/internal/rulingset"
+	"randlocal/internal/sim"
 )
 
 // ShatteringConfig parameterizes the Theorem 4.2 construction.
@@ -18,6 +19,9 @@ type ShatteringConfig struct {
 	// SeparationK, when positive, asserts the Theorem's K bound: the
 	// construction fails if the (2t+1)-separated leftover set exceeds it.
 	SeparationK int
+	// Exec carries the per-run execution knobs of the first-phase
+	// Elkin–Neiman simulation.
+	Exec sim.ExecOptions
 }
 
 // ShatteringResult carries the Theorem 4.2 decomposition and the quantities
@@ -59,7 +63,7 @@ func Shattering(g *graph.Graph, src randomness.Source, cfg ShatteringConfig) (*S
 	if n == 0 {
 		return &ShatteringResult{Decomposition: &Decomposition{}}, nil
 	}
-	enCfg := ENConfig{MaxPhases: cfg.ENPhases}
+	enCfg := ENConfig{MaxPhases: cfg.ENPhases, Exec: cfg.Exec}
 
 	// Phase 1: randomized decomposition; tolerate unclustered leftovers.
 	d, simRes, err := ElkinNeiman(g, src, nil, enCfg)

@@ -52,7 +52,7 @@ var E10 = &Experiment{
 			g := graph.GNPConnected(spec.N, 4.0/float64(spec.N), prng.New(spec.sharedSeed(opt.Seed, "graph")))
 			switch spec.Unit {
 			case "mpx":
-				res, err := decomp.MPXPartition(g, randomness.NewFull(seed), nil)
+				res, err := decomp.MPXPartition(g, randomness.NewFull(seed), nil, opt.Exec)
 				if err != nil {
 					return rec.fail(err.Error())
 				}
@@ -61,7 +61,7 @@ var E10 = &Experiment{
 				rec.set("cutEdges", float64(res.CutEdges))
 				rec.set("edges", float64(g.M()))
 			case "en-carving":
-				d, enRes, err := decomp.ElkinNeiman(g, randomness.NewFull(seed), nil, decomp.ENConfig{})
+				d, enRes, err := decomp.ElkinNeiman(g, randomness.NewFull(seed), nil, decomp.ENConfig{Exec: opt.Exec})
 				if err != nil {
 					return rec.fail(err.Error())
 				}

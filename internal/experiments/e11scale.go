@@ -117,7 +117,7 @@ var E11 = &Experiment{
 		defer cleanup()
 		switch {
 		case strings.HasPrefix(spec.Unit, "EN/"):
-			d, res, err := decomp.ElkinNeiman(g, randomness.NewFull(seed+1), nil, decomp.ENConfig{RadiusCap: e11RadiusCap})
+			d, res, err := decomp.ElkinNeiman(g, randomness.NewFull(seed+1), nil, decomp.ENConfig{RadiusCap: e11RadiusCap, Exec: opt.Exec})
 			if err != nil {
 				return rec.fail(err.Error())
 			}
@@ -133,7 +133,7 @@ var E11 = &Experiment{
 			rec.set("maxMsgBits", float64(res.MaxMessageBits))
 			rec.Curve = res.ActivePerRound
 		case strings.HasPrefix(spec.Unit, "Luby/"):
-			in, res, err := mis.Luby(g, randomness.NewFull(seed+1), nil, mis.LubyConfig{})
+			in, res, err := mis.Luby(g, randomness.NewFull(seed+1), nil, mis.LubyConfig{Exec: opt.Exec})
 			if err != nil {
 				return rec.fail(err.Error())
 			}

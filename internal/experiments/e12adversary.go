@@ -133,7 +133,7 @@ func e12RunAlgo(opt Options, spec RunSpec) *RunRecord {
 	}
 	switch algo {
 	case "Luby":
-		in, r, err := mis.Luby(g, src, nil, mis.LubyConfig{Adversary: adv})
+		in, r, err := mis.Luby(g, src, nil, mis.LubyConfig{Adversary: adv, Exec: opt.Exec})
 		if r == nil {
 			return rec.fail(err.Error())
 		}
@@ -144,7 +144,7 @@ func e12RunAlgo(opt Options, spec RunSpec) *RunRecord {
 		// Every completed-but-invalid output must be caught by the
 		// fault-free distributed checker (Definition 2.2 as an oracle).
 		if err == nil && !valid {
-			all, _, cerr := check.MISDistributed(g, in)
+			all, _, cerr := check.MISDistributedOpts(g, in, check.Options{Exec: opt.Exec})
 			if cerr != nil {
 				return rec.fail(cerr.Error())
 			}
@@ -154,7 +154,7 @@ func e12RunAlgo(opt Options, spec RunSpec) *RunRecord {
 			rec.set("caught", 1)
 		}
 	case "EN":
-		d, r, err := decomp.ElkinNeiman(g, src, nil, decomp.ENConfig{RadiusCap: e11RadiusCap, Adversary: adv})
+		d, r, err := decomp.ElkinNeiman(g, src, nil, decomp.ENConfig{RadiusCap: e11RadiusCap, Adversary: adv, Exec: opt.Exec})
 		if r == nil {
 			return rec.fail(err.Error())
 		}
@@ -162,7 +162,7 @@ func e12RunAlgo(opt Options, spec RunSpec) *RunRecord {
 		rec.set("completed", boolVal(err == nil))
 		rec.set("valid", boolVal(err == nil && d.Validate(g, 0, 0) == nil))
 	case "Coloring":
-		colors, r, err := coloring.Randomized(g, src, nil, coloring.Config{Adversary: adv})
+		colors, r, err := coloring.Randomized(g, src, nil, coloring.Config{Adversary: adv, Exec: opt.Exec})
 		if r == nil {
 			return rec.fail(err.Error())
 		}
@@ -171,7 +171,7 @@ func e12RunAlgo(opt Options, spec RunSpec) *RunRecord {
 		valid := err == nil && check.Coloring(g, colors, 0) == nil
 		rec.set("valid", boolVal(valid))
 		if err == nil && !valid {
-			all, _, cerr := check.ColoringDistributed(g, colors, 0)
+			all, _, cerr := check.ColoringDistributedOpts(g, colors, 0, check.Options{Exec: opt.Exec})
 			if cerr != nil {
 				return rec.fail(cerr.Error())
 			}
@@ -222,7 +222,7 @@ func e12RunOracle(opt Options, spec RunSpec) *RunRecord {
 	g := e12Graph(opt, spec, spec.N)
 	n := g.N()
 	key := spec.SimKey(opt.Seed)
-	checkOpt := check.Options{Adversary: e12Adversary(key, e12OracleBudget)}
+	checkOpt := check.Options{Adversary: e12Adversary(key, e12OracleBudget), Exec: opt.Exec}
 
 	// Deterministic valid solutions on the shared instance.
 	inMIS := make([]bool, n)

@@ -76,7 +76,7 @@ var E1 = &Experiment{
 		default:
 			return rec.fail("unknown unit " + spec.Unit)
 		}
-		d, res, err := decomp.ElkinNeiman(g, randomness.NewFull(seed+1), nil, decomp.ENConfig{})
+		d, res, err := decomp.ElkinNeiman(g, randomness.NewFull(seed+1), nil, decomp.ENConfig{Exec: opt.Exec})
 		if err != nil {
 			return rec.fail(err.Error())
 		}
@@ -390,7 +390,7 @@ var E4 = &Experiment{
 				lg++
 			}
 			cap := 2*lg + 4
-			cfg := decomp.ENConfig{}
+			cfg := decomp.ENConfig{Exec: opt.Exec}
 			cfg.Radius = func(v, phase int) int {
 				for j := 0; j < cap; j++ {
 					if fam.Bit(uint64(v)*4096+uint64(phase)*64+uint64(j)) == 0 {

@@ -55,7 +55,7 @@ var E6 = &Experiment{
 		rec := newRecord(spec)
 		seed := spec.Seed(opt.Seed)
 		g := graph.GNPConnected(spec.N, 3.0/float64(spec.N), prng.New(seed))
-		res, err := decomp.Shattering(g, randomness.NewFull(seed+1), decomp.ShatteringConfig{ENPhases: e6Phases(spec.Unit)})
+		res, err := decomp.Shattering(g, randomness.NewFull(seed+1), decomp.ShatteringConfig{ENPhases: e6Phases(spec.Unit), Exec: opt.Exec})
 		if err != nil {
 			return rec.fail(err.Error())
 		}
@@ -146,6 +146,7 @@ var E7 = &Experiment{
 		// the round-for-error trade is measured on a fixed instance.
 		g := graph.GNPConnected(spec.N, 4.0/float64(spec.N), prng.New(spec.sharedSeed(opt.Seed, "graph")))
 		cfg := derand.InflatedENConfig(declared)
+		cfg.Exec = opt.Exec
 		d, sres, err := decomp.ElkinNeiman(g, randomness.NewFull(seed), nil, cfg)
 		if err != nil || d.Validate(g, 0, 0) != nil {
 			rec.set("success", 0)
@@ -217,7 +218,7 @@ var E8 = &Experiment{
 		switch spec.Unit {
 		case "MIS":
 			src := randomness.NewFull(seed)
-			in, lres, err := mis.Luby(g, src, nil, mis.LubyConfig{})
+			in, lres, err := mis.Luby(g, src, nil, mis.LubyConfig{Exec: opt.Exec})
 			if err != nil {
 				return rec.fail("luby: " + err.Error())
 			}
@@ -235,7 +236,7 @@ var E8 = &Experiment{
 			rec.set("detRounds", float64(dres.AnalyticRounds))
 		case "coloring":
 			src := randomness.NewFull(seed)
-			colors, cres, err := coloring.Randomized(g, src, nil, coloring.Config{})
+			colors, cres, err := coloring.Randomized(g, src, nil, coloring.Config{Exec: opt.Exec})
 			if err != nil {
 				return rec.fail("randomized coloring: " + err.Error())
 			}
@@ -322,7 +323,7 @@ var E9 = &Experiment{
 			// so the ledger compares budgets on one instance.
 			g := graph.GNPConnected(n, 4.0/float64(n), prng.New(spec.sharedSeed(opt.Seed, "graph")))
 			src := randomness.NewFull(seed)
-			in, _, err := mis.Luby(g, src, nil, mis.LubyConfig{})
+			in, _, err := mis.Luby(g, src, nil, mis.LubyConfig{Exec: opt.Exec})
 			if err != nil || check.MIS(g, in) != nil {
 				rec.fail("invalid MIS")
 			}
@@ -332,7 +333,7 @@ var E9 = &Experiment{
 		case "Elkin–Neiman":
 			g := graph.GNPConnected(n, 4.0/float64(n), prng.New(spec.sharedSeed(opt.Seed, "graph")))
 			src := randomness.NewFull(seed)
-			d, _, err := decomp.ElkinNeiman(g, src, nil, decomp.ENConfig{})
+			d, _, err := decomp.ElkinNeiman(g, src, nil, decomp.ENConfig{Exec: opt.Exec})
 			if err != nil || d.Validate(g, 0, 0) != nil {
 				rec.fail("invalid decomposition")
 			}

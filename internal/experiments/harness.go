@@ -31,26 +31,13 @@ type Options struct {
 	// Seed is the master seed; every spec derives its own stream from it
 	// (RunSpec.Seed), so records are independent of execution order.
 	Seed uint64
-	// Scheduler selects the simulation engine every experiment's inner
-	// simulations run on (sim.Auto keeps the sequential default); both
-	// engines produce identical records for the same seed.
-	Scheduler sim.Scheduler
-	// Workers is the pool size for the parallel engine; 0 means
-	// runtime.GOMAXPROCS(0).
-	Workers int
-	// Pool, when non-nil, is the warm engine-buffer pool every simulation
-	// of the sweep draws from (sim.EnginePool): multi-trial sweeps stop
-	// re-allocating planes and worklists per trial. Purely a performance
-	// lever — records are byte-identical pooled or not.
-	Pool *sim.EnginePool
-}
-
-// applyScheduler installs the options' engine choice and engine pool as the
-// package-wide defaults so the algorithm wrappers the experiments call pick
-// them up.
-func (o Options) applyScheduler() {
-	sim.SetDefaultScheduler(o.Scheduler, o.Workers)
-	sim.SetDefaultPool(o.Pool)
+	// Exec is handed to every simulation the experiments start: the engine
+	// (both produce identical records for the same seed), its worker count,
+	// an optional warm engine pool (multi-trial sweeps then stop
+	// re-allocating planes and worklists per trial; records are
+	// byte-identical pooled or not), and optional telemetry and progress
+	// hook.
+	Exec sim.ExecOptions
 }
 
 // Experiment is one measurement: a sweep of specs, a per-spec runner, and a
@@ -189,7 +176,7 @@ func (rep *Report) WriteMarkdown(out io.Writer) error {
 		mode = "quick (CI-sized)"
 	}
 	fmt.Fprintf(w, "- generated by: `go run ./cmd/experiments -seed %d` (%s)\n", rep.Opt.Seed, mode)
-	fmt.Fprintf(w, "- scheduler: %s\n", rep.Opt.Scheduler)
+	fmt.Fprintf(w, "- scheduler: %s\n", rep.Opt.Exec.Scheduler)
 	fmt.Fprintf(w, "- records: machine-readable copies of every measurement are emitted as\n")
 	fmt.Fprintf(w, "  `records.json` / `records.csv` in the `-out` directory (checked in as\n")
 	fmt.Fprintf(w, "  `EXPERIMENTS.json` for this run); sweeps checkpoint per\n")

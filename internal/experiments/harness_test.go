@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"randlocal/internal/sim"
 )
 
 func TestAllExperimentsQuick(t *testing.T) {
@@ -116,5 +119,32 @@ func TestSpecSeedsIndependent(t *testing.T) {
 	}
 	if a.instanceSeed(1) == c.instanceSeed(1) {
 		t.Error("different units share an instance seed")
+	}
+}
+
+// TestExecReachesEverySimulation is the plumbing check of Options.Exec: with
+// a progress hook counting round boundaries, every experiment that starts a
+// simulation (Elkin–Neiman, Luby, coloring, MPX or a distributed checker)
+// must fire it, so none of them runs on options other than the sweep's.
+func TestExecReachesEverySimulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow")
+	}
+	simulating := map[string]bool{
+		"E1": true, "E4": true, "E6": true, "E7": true, "E8": true,
+		"E9": true, "E10": true, "E11": true, "E12": true,
+	}
+	for _, exp := range Registry() {
+		var calls atomic.Int64
+		exec := sim.ExecOptions{Progress: func(sim.Progress) { calls.Add(1) }}
+		runner := &Runner{Opt: Options{Quick: true, Seed: 1, Exec: exec}}
+		if _, err := runner.Run([]*Experiment{exp}); err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); simulating[exp.ID] && got == 0 {
+			t.Errorf("%s starts simulations but never reached the sweep's progress hook", exp.ID)
+		} else if !simulating[exp.ID] && got != 0 {
+			t.Errorf("%s fired the progress hook %d times but is not listed as simulating", exp.ID, got)
+		}
 	}
 }

@@ -48,7 +48,7 @@ type Runner struct {
 	// Jobs is the worker-pool width for independent trials; <= 0 means
 	// GOMAXPROCS. Trials are independent by construction (each spec owns
 	// its seed), but note each trial may itself start simulations on the
-	// engine Opt.Scheduler selects.
+	// engine Opt.Exec selects.
 	Jobs int
 	// Limit, when positive, stops the run after that many *new* records —
 	// the controlled-interruption hook the CI smoke job uses to exercise
@@ -116,7 +116,6 @@ func (rep *Report) Complete() bool {
 // any I/O error; trial-level failures never abort the sweep — they land in
 // their records' OK/Err fields and surface in the tables.
 func (r *Runner) Run(exps []*Experiment) (*Report, error) {
-	r.Opt.applyScheduler()
 	rep := &Report{Opt: r.Opt, Experiments: exps, records: map[string]*RunRecord{}}
 
 	// Expand the sweep and index spec ownership.

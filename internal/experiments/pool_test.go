@@ -81,7 +81,7 @@ func poolBenchExperiment(n, trials int) *Experiment {
 		Run: func(opt Options, spec RunSpec) *RunRecord {
 			rec := newRecord(spec)
 			g := graph.GNPConnected(spec.N, 4.0/float64(spec.N), prng.New(spec.instanceSeed(opt.Seed)))
-			in, res, err := mis.Luby(g, randomness.NewFull(spec.Seed(opt.Seed)), nil, mis.LubyConfig{})
+			in, res, err := mis.Luby(g, randomness.NewFull(spec.Seed(opt.Seed)), nil, mis.LubyConfig{Exec: opt.Exec})
 			if err != nil {
 				return rec.fail(err.Error())
 			}
@@ -96,16 +96,15 @@ func poolBenchExperiment(n, trials int) *Experiment {
 	}
 }
 
-// TestRunnerPooledRecordsIdentical proves Options.Pool is purely a
+// TestRunnerPooledRecordsIdentical proves Options.Exec.Pool is purely a
 // performance lever: the same sweep with and without a warm engine pool
 // produces identical measurements in every record.
 func TestRunnerPooledRecordsIdentical(t *testing.T) {
-	defer sim.SetDefaultPool(nil)
 	const n, trials = 220, 4
 	exp := poolBenchExperiment(n, trials)
 	run := func(pool *sim.EnginePool) *Report {
 		t.Helper()
-		r := &Runner{Opt: Options{Seed: 2026, Pool: pool}, Jobs: 2}
+		r := &Runner{Opt: Options{Seed: 2026, Exec: sim.ExecOptions{Pool: pool}}, Jobs: 2}
 		rep, err := r.Run([]*Experiment{exp})
 		if err != nil {
 			t.Fatal(err)
@@ -130,12 +129,11 @@ func TestRunnerPooledRecordsIdentical(t *testing.T) {
 // BenchmarkRunnerPooled measures the Runner win the engine pool buys on a
 // multi-trial sweep: same specs, same records, cold vs warm buffers.
 func BenchmarkRunnerPooled(b *testing.B) {
-	defer sim.SetDefaultPool(nil)
 	exp := poolBenchExperiment(4096, 8)
 	bench := func(b *testing.B, pool *sim.EnginePool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r := &Runner{Opt: Options{Seed: 2026, Pool: pool}, Jobs: 2}
+			r := &Runner{Opt: Options{Seed: 2026, Exec: sim.ExecOptions{Pool: pool}}, Jobs: 2}
 			if _, err := r.Run([]*Experiment{exp}); err != nil {
 				b.Fatal(err)
 			}

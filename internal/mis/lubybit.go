@@ -25,8 +25,8 @@ type LubyBitConfig struct {
 	// to sim.Config.Unpacked). Results are identical either way.
 	Unpacked bool
 	// Exec carries the per-run execution knobs (scheduler, workers, engine
-	// pool, telemetry, progress hook); the zero value defers to the
-	// package-wide defaults. Multi-tenant hosts set it per run.
+	// pool, telemetry, progress hook); the zero value runs on one worker
+	// with fresh buffers.
 	Exec sim.ExecOptions
 }
 

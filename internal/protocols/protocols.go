@@ -245,16 +245,20 @@ func (b *bfsTree) Round(r int, inbox []sim.Message) ([]sim.Message, bool) {
 
 func (b *bfsTree) Output() BFSOutput { return b.out }
 
+// congestConfig is the CONGEST-bounded run of g under ids with the caller's
+// execution knobs applied.
+func congestConfig(g *graph.Graph, ids []uint64, exec sim.ExecOptions) sim.Config {
+	cfg := sim.Config{Graph: g, IDs: ids, MaxMessageBits: sim.CongestBits(g.N())}
+	exec.Apply(&cfg)
+	return cfg
+}
+
 // BFSTree runs the three-phase BFS-tree + convergecast protocol from the
 // node with the given identifier and returns the per-node outputs. The
 // root's SubtreeSize equals the size of its connected component — a fact
-// the tests assert.
-func BFSTree(g *graph.Graph, rootID uint64, ids []uint64) ([]BFSOutput, *sim.Result[BFSOutput], error) {
-	res, err := sim.Execute(sim.Config{
-		Graph:          g,
-		IDs:            ids,
-		MaxMessageBits: sim.CongestBits(g.N()),
-	}, func(int) sim.NodeProgram[BFSOutput] {
+// the tests assert. exec carries the run's execution knobs.
+func BFSTree(g *graph.Graph, rootID uint64, ids []uint64, exec sim.ExecOptions) ([]BFSOutput, *sim.Result[BFSOutput], error) {
+	res, err := sim.Execute(congestConfig(g, ids, exec), func(int) sim.NodeProgram[BFSOutput] {
 		return &bfsTree{RootID: rootID}
 	})
 	if err != nil {
@@ -267,11 +271,9 @@ func BFSTree(g *graph.Graph, rootID uint64, ids []uint64) ([]BFSOutput, *sim.Res
 // number of rounds (0 = n, always sufficient) and reports each node's
 // resulting bit. Every program declares a 1-bit payload width, so the
 // sequential and parallel engines execute the flood over packed bit planes.
-func FloodMinBit(g *graph.Graph, bits []uint64, rounds int) ([]uint64, *sim.Result[uint64], error) {
-	res, err := sim.Execute(sim.Config{
-		Graph:          g,
-		MaxMessageBits: sim.CongestBits(g.N()),
-	}, func(v int) sim.NodeProgram[uint64] {
+// exec carries the run's execution knobs.
+func FloodMinBit(g *graph.Graph, bits []uint64, rounds int, exec sim.ExecOptions) ([]uint64, *sim.Result[uint64], error) {
+	res, err := sim.Execute(congestConfig(g, nil, exec), func(v int) sim.NodeProgram[uint64] {
 		return NewFloodMinBit(bits[v], rounds)
 	})
 	if err != nil {
@@ -281,13 +283,10 @@ func FloodMinBit(g *graph.Graph, bits []uint64, rounds int) ([]uint64, *sim.Resu
 }
 
 // ElectLeader floods minimum identifiers for the given number of rounds
-// (0 = n, always sufficient) and reports each node's elected leader.
-func ElectLeader(g *graph.Graph, ids []uint64, rounds int) ([]uint64, *sim.Result[uint64], error) {
-	res, err := sim.Execute(sim.Config{
-		Graph:          g,
-		IDs:            ids,
-		MaxMessageBits: sim.CongestBits(g.N()),
-	}, func(int) sim.NodeProgram[uint64] {
+// (0 = n, always sufficient) and reports each node's elected leader. exec
+// carries the run's execution knobs.
+func ElectLeader(g *graph.Graph, ids []uint64, rounds int, exec sim.ExecOptions) ([]uint64, *sim.Result[uint64], error) {
+	res, err := sim.Execute(congestConfig(g, ids, exec), func(int) sim.NodeProgram[uint64] {
 		return NewFloodMin(rounds)
 	})
 	if err != nil {

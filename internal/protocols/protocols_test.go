@@ -18,7 +18,7 @@ func TestElectLeader(t *testing.T) {
 			minID = id
 		}
 	}
-	leaders, res, err := ElectLeader(g, ids, 0)
+	leaders, res, err := ElectLeader(g, ids, 0, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestElectLeader(t *testing.T) {
 
 func TestElectLeaderPerComponent(t *testing.T) {
 	g := graph.Disjoint(graph.Ring(6), graph.Path(5))
-	leaders, _, err := ElectLeader(g, nil, 0)
+	leaders, _, err := ElectLeader(g, nil, 0, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBFSTreeOnFamilies(t *testing.T) {
 	}
 	for name, g := range families {
 		t.Run(name, func(t *testing.T) {
-			outs, res, err := BFSTree(g, 0, nil)
+			outs, res, err := BFSTree(g, 0, nil, sim.ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestBFSTreeOnFamilies(t *testing.T) {
 
 func TestBFSTreeSubtreeSizesAreConsistent(t *testing.T) {
 	g := graph.BalancedTree(2, 3) // 15 nodes
-	outs, _, err := BFSTree(g, 0, nil)
+	outs, _, err := BFSTree(g, 0, nil, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBFSTreeSubtreeSizesAreConsistent(t *testing.T) {
 
 func TestBFSTreeDisconnected(t *testing.T) {
 	g := graph.Disjoint(graph.Path(4), graph.Ring(4))
-	outs, _, err := BFSTree(g, 0, nil)
+	outs, _, err := BFSTree(g, 0, nil, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestBFSTreeParallelEngineAgrees(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := graph.Path(4)
-	outs, _, err := BFSTree(g, 0, nil)
+	outs, _, err := BFSTree(g, 0, nil, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFloodMinBit(t *testing.T) {
 		bits[v] = 1
 	}
 	bits[4] = 0
-	out, res, err := FloodMinBit(g, bits, 0)
+	out, res, err := FloodMinBit(g, bits, 0, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestFloodMinBit(t *testing.T) {
 		pb[v] = 1
 	}
 	pb[0] = 0
-	out, _, err = FloodMinBit(p, pb, 3)
+	out, _, err = FloodMinBit(p, pb, 3, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFloodMinBitMatchesFloodMin(t *testing.T) {
 		bits[v] = rng.Uint64() & 1
 		ids[v] = bits[v]<<32 | uint64(v)
 	}
-	gotBits, _, err := FloodMinBit(g, bits, 0)
+	gotBits, _, err := FloodMinBit(g, bits, 0, sim.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

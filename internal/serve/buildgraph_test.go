@@ -8,6 +8,30 @@ import (
 	"randlocal/internal/prng"
 )
 
+// rejectedSpecs are family parameters ValidateGraphSpec must refuse, each
+// with a substring of its error. FuzzRunRequest seeds from them too.
+var rejectedSpecs = []struct {
+	name string
+	kind string
+	n    int
+	p    float64
+	deg  int
+	want string // substring of the error
+}{
+	{"unknown-family", "torus", 64, 0, 0, "unknown graph family"},
+	{"zero-n", "gnp", 0, 0, 0, "n must be positive"},
+	{"negative-n", "ring", -1, 0, 0, "n must be positive"},
+	{"p-too-big", "gnp", 64, 1.5, 0, "outside [0, 1]"},
+	{"p-negative", "gnp", 64, -0.5, 0, "outside [0, 1]"},
+	{"negative-deg", "regular", 64, 0, -2, "deg must be nonnegative"},
+	{"cliques-too-small", "cliques", 3, 0, 0, "needs n >= 4"},
+	{"regular-deg-ge-n", "regular", 4, 0, 4, "needs deg < n"},
+	{"regular-odd-product", "regular", 5, 0, 3, "n*deg even"},
+	{"regular-default-odd", "regular", 5, 0, 0, "n*deg even"},
+	{"regular-too-dense", "regular", 16, 0, 15, "deg <= n/2"},
+	{"regular-default-too-dense", "regular", 4, 0, 0, "deg <= n/2"},
+}
+
 // TestBuildGraphFamilies is the family coverage table: every RunRequest
 // graph family builds a valid graph with its advertised shape, every
 // validation error path rejects with a recognizable message, and BuildGraph
@@ -25,6 +49,11 @@ func TestBuildGraphFamilies(t *testing.T) {
 		{"gnp-default-p", "gnp", 300, 0, 0, func(t *testing.T, g *graph.Graph) {
 			if _, k := graph.Components(g); k != 1 {
 				t.Errorf("gnp graph not connected: %d components", k)
+			}
+		}},
+		{"gnp-default-p-tiny", "gnp", 3, 0, 0, func(t *testing.T, g *graph.Graph) {
+			if g.M() != 3 { // 4/n clamps to p = 1
+				t.Errorf("gnp n=3 with default p: m=%d, want the triangle", g.M())
 			}
 		}},
 		{"gnp-explicit-p", "gnp", 200, 0.05, 0, func(t *testing.T, g *graph.Graph) {
@@ -93,26 +122,7 @@ func TestBuildGraphFamilies(t *testing.T) {
 		t.Error("BuildGraph accepted an unknown family")
 	}
 
-	reject := []struct {
-		name string
-		kind string
-		n    int
-		p    float64
-		deg  int
-		want string // substring of the error
-	}{
-		{"unknown-family", "torus", 64, 0, 0, "unknown graph family"},
-		{"zero-n", "gnp", 0, 0, 0, "n must be positive"},
-		{"negative-n", "ring", -1, 0, 0, "n must be positive"},
-		{"p-too-big", "gnp", 64, 1.5, 0, "outside [0, 1]"},
-		{"p-negative", "gnp", 64, -0.5, 0, "outside [0, 1]"},
-		{"negative-deg", "regular", 64, 0, -2, "deg must be nonnegative"},
-		{"cliques-too-small", "cliques", 3, 0, 0, "needs n >= 4"},
-		{"regular-deg-ge-n", "regular", 4, 0, 4, "needs deg < n"},
-		{"regular-odd-product", "regular", 5, 0, 3, "n*deg even"},
-		{"regular-default-odd", "regular", 5, 0, 0, "n*deg even"},
-	}
-	for _, tc := range reject {
+	for _, tc := range rejectedSpecs {
 		t.Run("reject-"+tc.name, func(t *testing.T) {
 			err := ValidateGraphSpec(tc.kind, tc.n, tc.p, tc.deg)
 			if err == nil {

@@ -68,7 +68,7 @@ type RunRequest struct {
 	Algo string `json:"algo"`
 	// Graph is the family: gnp | ring | grid | tree | cliques | regular
 	// ("" = gnp). N, P and Deg parameterize it as in the CLI: P 0 means
-	// 4/n for gnp, Deg 0 means 3 for regular, grid rounds to a square.
+	// min(1, 4/n) for gnp, Deg 0 means 3 for regular, grid rounds to a square.
 	Graph string  `json:"graph,omitempty"`
 	N     int     `json:"n"`
 	P     float64 `json:"p,omitempty"`
@@ -179,6 +179,11 @@ func ValidateGraphSpec(kind string, n int, p float64, deg int) error {
 		if n*deg%2 != 0 {
 			return fmt.Errorf("graph regular needs n*deg even, got n=%d deg=%d", n, deg)
 		}
+		if 2*deg > n {
+			// The generator's edge-swap repair stops converging on denser
+			// graphs (it panics after its guard, e.g. at n=16, deg=15).
+			return fmt.Errorf("graph regular needs deg <= n/2, got deg=%d n=%d", deg, n)
+		}
 	}
 	return nil
 }
@@ -191,7 +196,8 @@ func BuildGraph(kind string, n int, p float64, deg int, seed uint64) (*graph.Gra
 	switch kind {
 	case "gnp":
 		if p == 0 {
-			p = 4.0 / float64(n)
+			// Expected degree about 4; below 4 nodes that is the clique.
+			p = min(1, 4.0/float64(n))
 		}
 		return graph.GNPConnected(n, p, rng), nil
 	case "ring":
@@ -291,9 +297,9 @@ func outcomeOf[T any](res *sim.Result[T]) *RunOutcome {
 
 // Execute runs one validated request to its outcome. exec carries the host's
 // per-run execution wiring — the engine pool, the forced telemetry, the
-// progress hook — merged with the request's own scheduler knobs; passing the
-// zero ExecOptions runs with package defaults, which is what the
-// CLI-equivalence guarantee is stated against.
+// progress hook — merged with the request's own scheduler knobs; the zero
+// ExecOptions runs unpooled without telemetry or hook, as the locsim CLI
+// does, which is what the CLI-equivalence guarantee is stated against.
 func Execute(req RunRequest, exec sim.ExecOptions) (*RunOutcome, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -301,9 +307,6 @@ func Execute(req RunRequest, exec sim.ExecOptions) (*RunOutcome, error) {
 	sched, err := sim.ParseScheduler(req.Scheduler)
 	if err != nil {
 		return nil, err
-	}
-	if sched == sim.Auto {
-		sched = sim.Sequential
 	}
 	exec.Scheduler = sched
 	exec.Workers = req.Workers

@@ -19,15 +19,10 @@ import (
 	"randlocal/internal/sim"
 )
 
-func TestValidate(t *testing.T) {
-	ok := RunRequest{Algo: "luby", N: 64, Seed: 1}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid request rejected: %v", err)
-	}
-	if ok.Graph != "gnp" {
-		t.Fatalf("Validate did not default the graph family: %q", ok.Graph)
-	}
-	bad := []RunRequest{
+// invalidRequests must fail Validate; feasibleRequests are shapes of the
+// guarded families that must pass. FuzzRunRequest seeds from both.
+var (
+	invalidRequests = []RunRequest{
 		{N: 64},                                 // missing algo
 		{Algo: "nope", N: 64},                   // unknown algo
 		{Algo: "luby", N: 0},                    // n
@@ -45,18 +40,31 @@ func TestValidate(t *testing.T) {
 		{Algo: "luby", N: 5, Graph: "regular", Deg: 3},    // n*deg odd
 		{Algo: "luby", N: 5, Graph: "regular"},            // default deg 3, n*deg odd
 		{Algo: "luby", N: 64, Graph: "regular", Deg: -2},  // negative deg
+		{Algo: "luby", N: 16, Graph: "regular", Deg: 15},  // deg > n/2: the repair panics
 	}
-	for i, req := range bad {
+	feasibleRequests = []RunRequest{
+		{Algo: "luby", N: 4, Seed: 1, Graph: "cliques"},
+		{Algo: "luby", N: 64, Seed: 1, Graph: "regular"},
+		{Algo: "luby", N: 64, Seed: 1, Graph: "regular", Deg: 4},
+		{Algo: "luby", N: 16, Seed: 1, Graph: "regular", Deg: 8},
+	}
+)
+
+func TestValidate(t *testing.T) {
+	ok := RunRequest{Algo: "luby", N: 64, Seed: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid request rejected: %v", err)
+	}
+	if ok.Graph != "gnp" {
+		t.Fatalf("Validate did not default the graph family: %q", ok.Graph)
+	}
+	for i, req := range invalidRequests {
 		if err := req.Validate(); err == nil {
 			t.Errorf("bad request %d accepted: %+v", i, req)
 		}
 	}
 	// Feasible shapes of the guarded families still pass.
-	for i, req := range []RunRequest{
-		{Algo: "luby", N: 4, Seed: 1, Graph: "cliques"},
-		{Algo: "luby", N: 64, Seed: 1, Graph: "regular"},
-		{Algo: "luby", N: 64, Seed: 1, Graph: "regular", Deg: 4},
-	} {
+	for i, req := range feasibleRequests {
 		if err := req.Validate(); err != nil {
 			t.Errorf("feasible request %d rejected: %v", i, err)
 		}

@@ -22,9 +22,7 @@ type Options struct {
 	Jobs    int
 	Backlog int
 	// Pool is the warm engine-buffer pool runs draw from; nil allocates
-	// fresh buffers per run. The server passes it per run (sim.ExecOptions)
-	// rather than touching the package-wide default, so co-resident
-	// workloads are unaffected.
+	// fresh buffers per run. The server passes it per run (sim.ExecOptions).
 	Pool *sim.EnginePool
 	// GraphDir is the directory of prebuilt CSR graph files (cmd/csrgen)
 	// that graphFile requests may name, relative paths only — the daemon's

@@ -290,20 +290,17 @@ func TestAdversaryTelemetryReconciliation(t *testing.T) {
 	}
 }
 
-// TestAdversaryForcesTelemetryOffSwitch double-checks the latch logic: with
-// SetTelemetry off, a fault-free run carries nil telemetry and an adversary
-// run still carries a record.
+// TestAdversaryForcesTelemetry double-checks the collection rule: with
+// Config.Telemetry off, a fault-free run carries nil telemetry and an
+// adversary run still carries a record.
 func TestAdversaryForcesTelemetry(t *testing.T) {
-	if TelemetryEnabled() {
-		t.Fatal("test expects the global telemetry switch to be off")
-	}
 	g := graph.Ring(20)
 	clean, err := Run(Config{Graph: g}, floodFactory(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clean.Telemetry != nil {
-		t.Error("fault-free run collected telemetry with the switch off")
+		t.Error("fault-free run collected telemetry without Config.Telemetry")
 	}
 	adv := mustAdversary(t, NewSimulationKey(1), AdversaryConfig{DropProb: 0.3})
 	faulted, err := Run(Config{Graph: g, Adversary: adv}, floodFactory(4))

@@ -27,6 +27,12 @@ var debugOutboxCheck atomic.Bool
 // SetDebugOutboxCheck enables or disables the poisoned-Outbox check for
 // subsequent runs on every scheduler. Safe for concurrent use; each run
 // latches the setting at start.
+//
+// It is the one package-wide switch sim keeps, because it is a safety check
+// rather than a run setting: it never changes a correct program's Result.
+// Being global is the point: the TestMain of sim, check, coloring, decomp,
+// mis and protocols switches it on, so every wrapper a test reaches runs
+// checked without a flag threaded through its config.
 func SetDebugOutboxCheck(on bool) { debugOutboxCheck.Store(on) }
 
 // DebugOutboxCheckEnabled reports the current setting.

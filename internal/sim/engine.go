@@ -37,12 +37,11 @@ type Config struct {
 	// The default (false) is the usual KT1 convention, which changes round
 	// complexities by at most one round.
 	KT0 bool
-	// Scheduler selects the engine Execute dispatches to; Auto (the zero
-	// value) defers to the package default set by SetDefaultScheduler.
-	// Calling Run or RunParallel directly ignores it.
+	// Scheduler selects the engine Execute dispatches to; the zero value
+	// is Sequential. Calling Run or RunParallel directly ignores it.
 	Scheduler Scheduler
-	// Workers is the pool size for the Parallel scheduler; 0 means the
-	// package default, falling back to runtime.GOMAXPROCS(0).
+	// Workers is the pool size for the Parallel scheduler; 0 means
+	// runtime.GOMAXPROCS(0). Either way the pool is clamped to n.
 	Workers int
 	// Unpacked opts the run out of packed bit planes: even when every node
 	// program declares PayloadBits() <= 1 (see PayloadBitsDeclarer), the
@@ -62,12 +61,10 @@ type Config struct {
 	// worklists, per-worker staging) from the pool's warm slab for this
 	// graph shape, and returns it when the run finishes.
 	// Purely an allocation lever — Results are byte-identical warm vs cold.
-	// nil defers to the package default (SetDefaultPool), which is unpooled
-	// out of the box.
+	// nil allocates a fresh buffer set for this run alone.
 	Pool *EnginePool
-	// Telemetry forces telemetry collection for this run regardless of the
-	// package-wide SetTelemetry switch — the per-run lever the serving
-	// layer uses, where runs of many tenants share one process.
+	// Telemetry collects the run's scheduling record into
+	// Result.Telemetry. A run with an Adversary collects it regardless.
 	Telemetry bool
 	// Progress, when non-nil, is invoked by the coordinating goroutine at
 	// every round boundary with the run's cumulative accounting — the live
@@ -132,10 +129,10 @@ type Result[T any] struct {
 	// Telemetry is the run's scheduling measurement record — per-round
 	// per-worker compute times, staged-message counts and delivery-mode
 	// choices, plus the adversary's injected events. It is collected when
-	// SetTelemetry is enabled, when Config.Telemetry is set, or when the run
-	// has an adversary, and is nil otherwise. Unlike every other field its
-	// wall-clock content is host- and run-specific, so it is excluded from
-	// the scheduler-equivalence guarantees.
+	// Config.Telemetry is set or the run has an adversary, and is nil
+	// otherwise. Unlike every other field its wall-clock content is host-
+	// and run-specific, so it is excluded from the scheduler-equivalence
+	// guarantees.
 	Telemetry *Telemetry
 }
 
@@ -179,9 +176,8 @@ type engineState[T any] struct {
 	// poison latches the poisoned-Outbox debug setting for this run; see
 	// debug.go.
 	poison bool
-	// tel is the run's telemetry record, nil unless SetTelemetry was
-	// enabled when the run started, the config sets Telemetry, or the run
-	// has an adversary (see initTelemetry).
+	// tel is the run's telemetry record, nil unless the config sets
+	// Telemetry or the run has an adversary (see initTelemetry).
 	tel *Telemetry
 	// adv is the per-run adversary state, nil for fault-free runs.
 	adv *advState
@@ -206,7 +202,7 @@ type engineState[T any] struct {
 // bitmaps.
 //
 // Every buffer comes from a slab: a warm one from the run's EnginePool
-// (Config.Pool / SetDefaultPool), or a fresh one for unpooled runs. The
+// (Config.Pool), or a fresh one for unpooled runs. The
 // engine entry points must pair a successful call with exactly one
 // st.release().
 func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T]) (*engineState[T], error) {
@@ -237,9 +233,6 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T]) (*eng
 	off, adjf, rev := cfg.Graph.CSR()
 	h := len(adjf) // 2m half-edges
 	pool := cfg.Pool
-	if pool == nil {
-		pool = DefaultPool()
-	}
 	var slab *engineSlab
 	if pool != nil {
 		slab = pool.acquire(n, h)
@@ -374,10 +367,10 @@ func (st *engineState[T]) inboxView() inboxView {
 	return inboxView{msgs: st.inbox}
 }
 
-// initTelemetry latches the run's telemetry record (an adversary or
-// Config.Telemetry forces collection — the adversary's injected-event record
-// is part of the run's reproducibility contract, and the per-run flag is the
-// serving layer's lever) and wires it to the adversary state.
+// initTelemetry creates the run's telemetry record when Config.Telemetry
+// asks for it or the run has an adversary (whose injected-event record is
+// part of the run's reproducibility contract), and wires it to the
+// adversary state.
 func (st *engineState[T]) initTelemetry(sched Scheduler, workers int) {
 	st.tel = newTelemetry(sched, workers, st.adv != nil || st.cfg.Telemetry)
 	if st.adv != nil {

@@ -37,8 +37,6 @@ func fileBacked(t *testing.T, g *graph.Graph) *graph.Graph {
 // a byte-identical Result to the in-RAM one-worker baseline — the same bar
 // the packed planes are held to.
 func TestFileBackedEquivalence(t *testing.T) {
-	defer SetTelemetry(TelemetryEnabled())
-	SetTelemetry(true)
 	rng := prng.New(3041)
 	graphs := []struct {
 		name string
@@ -61,7 +59,7 @@ func TestFileBackedEquivalence(t *testing.T) {
 			rounds := graph.Diameter(tg.g) + 2
 			factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
 			cfg := func(g *graph.Graph) Config {
-				return Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n), Source: key.FullSource()}
+				return Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n), Source: key.FullSource(), Telemetry: true}
 			}
 
 			want, err := Run(cfg(tg.g), factory)

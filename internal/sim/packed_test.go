@@ -109,8 +109,6 @@ func requireStagedSum(t *testing.T, label string, res *Result[uint64]) {
 // workers). Word-boundary-hostile sizes (odd rings, a star whose hub spans
 // multiple words) are in the family on purpose.
 func TestPackedUnpackedEquivalence(t *testing.T) {
-	defer SetTelemetry(TelemetryEnabled())
-	SetTelemetry(true)
 	rng := prng.New(2027)
 	graphs := []struct {
 		name string
@@ -129,7 +127,7 @@ func TestPackedUnpackedEquivalence(t *testing.T) {
 		factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
 		for _, regime := range []string{"deterministic", "full"} {
 			t.Run(tg.name+"/"+regime, func(t *testing.T) {
-				base := Config{Graph: tg.g, IDs: ids, MaxMessageBits: CongestBits(n)}
+				base := Config{Graph: tg.g, IDs: ids, MaxMessageBits: CongestBits(n), Telemetry: true}
 				prep := func(cfg Config) Config {
 					if regime == "full" {
 						cfg.Source = key.FullSource()
@@ -233,10 +231,8 @@ func TestPackedFaultEquivalence(t *testing.T) {
 // wire encoding (which must surface as the unpacked path's BandwidthError,
 // not be silently absorbed by a bitmap).
 func TestPackedGating(t *testing.T) {
-	defer SetTelemetry(TelemetryEnabled())
-	SetTelemetry(true)
 	g := graph.Ring(40)
-	base := Config{Graph: g, MaxMessageBits: CongestBits(g.N())}
+	base := Config{Graph: g, MaxMessageBits: CongestBits(g.N()), Telemetry: true}
 
 	res, err := Run(base, func(int) NodeProgram[uint64] { return &randFlood{rounds: 3} })
 	if err != nil {
@@ -335,8 +331,6 @@ func (p *modeProbe) Output() uint64 { return 0 }
 // exactly there. Ring(64) with two workers gives each
 // lane a 64-slot inbox window, so 8 staged arrivals is the dense threshold.
 func TestDenseCutoverPaths(t *testing.T) {
-	defer SetTelemetry(TelemetryEnabled())
-	SetTelemetry(true)
 	g := graph.Ring(64)
 	run := func(t *testing.T, senders []int, parallel bool) *Result[uint64] {
 		t.Helper()
@@ -344,7 +338,7 @@ func TestDenseCutoverPaths(t *testing.T) {
 		for _, v := range senders {
 			isSender[v] = true
 		}
-		cfg := Config{Graph: g, MaxMessageBits: CongestBits(g.N())}
+		cfg := Config{Graph: g, MaxMessageBits: CongestBits(g.N()), Telemetry: true}
 		factory := func(v int) NodeProgram[uint64] { return &modeProbe{rounds: 3, send: isSender[v]} }
 		var res *Result[uint64]
 		var err error

@@ -376,27 +376,21 @@ func TestExecuteDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Scheduler{Auto, Sequential, Parallel} {
-		got, err := Execute(Config{Graph: g, Scheduler: sched, Workers: 3}, floodFactory(6))
+	for _, sched := range []Scheduler{Sequential, Parallel} {
+		got, err := Execute(Config{Graph: g, Scheduler: sched, Workers: 3, Telemetry: true}, floodFactory(6))
 		if err != nil {
 			t.Fatalf("%v: %v", sched, err)
 		}
 		assertResultsEqual(t, "execute/"+sched.String(), want, got)
+		if got.Telemetry.Scheduler != sched {
+			t.Errorf("Execute with %v ran %v", sched, got.Telemetry.Scheduler)
+		}
 	}
-
-	// Auto follows the package default.
-	SetDefaultScheduler(Parallel, 2)
-	defer SetDefaultScheduler(Sequential, 0)
-	got, err := Execute(Config{Graph: g}, floodFactory(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, "execute/default-parallel", want, got)
 }
 
 func TestParseScheduler(t *testing.T) {
 	for name, want := range map[string]Scheduler{
-		"": Auto, "auto": Auto,
+		"": Sequential, "auto": Sequential,
 		"sequential": Sequential, "seq": Sequential,
 		"parallel": Parallel, "par": Parallel,
 	} {
@@ -412,5 +406,8 @@ func TestParseScheduler(t *testing.T) {
 	}
 	if Parallel.String() != "parallel" {
 		t.Errorf("String() = %q", Parallel.String())
+	}
+	if (Config{}).Scheduler != Sequential {
+		t.Error("the zero Config does not name the sequential scheduler")
 	}
 }

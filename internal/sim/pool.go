@@ -1,6 +1,9 @@
 package sim
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // EnginePool keeps the engine's warm buffer sets — message planes, bit
 // planes, worklists, contexts, arenas, and the per-worker staging state —
@@ -18,18 +21,25 @@ import "sync"
 // Sharing: a pool is safe for concurrent use by independent runs (the
 // experiments trial pool, the locsimd daemon's job workers). Each run holds
 // its slab exclusively from acquire to release; concurrent same-shape runs
-// simply warm several slabs, retained up to a small per-key cap.
+// simply warm several slabs.
 //
-// A run opts in through Config.Pool, or globally via SetDefaultPool; the
-// default remains unpooled (allocate fresh, exactly the historical
-// behavior).
+// Retention: at most maxIdleSlabs slabs stay parked, whatever their shapes;
+// parking one more evicts the least recently parked slab to the GC. A
+// long-lived host that sees a new graph shape per request (every distinct
+// gnp seed is one) therefore holds a bounded set of buffers, while a
+// workload that cycles through fewer shapes than the cap stays fully warm.
+//
+// A run opts in through Config.Pool; a nil pool allocates fresh buffers for
+// that run alone.
 type EnginePool struct {
-	mu    sync.Mutex
-	slabs map[slabKey][]*engineSlab
-	// perKey caps the idle slabs retained per key; further releases are
-	// dropped for the GC. Acquire never blocks on the cap.
-	perKey int
+	mu sync.Mutex
+	// parked holds the idle slabs, least recently parked first. Acquire
+	// never blocks on the cap.
+	parked []*engineSlab
 }
+
+// maxIdleSlabs caps the slabs a pool keeps parked across all shapes.
+const maxIdleSlabs = 64
 
 // slabKey is the shape a slab serves: buffer sizes are functions of the node
 // and half-edge counts alone, so two different graphs of equal shape share
@@ -42,20 +52,20 @@ type slabKey struct {
 
 // NewEnginePool returns an empty pool.
 func NewEnginePool() *EnginePool {
-	return &EnginePool{slabs: map[slabKey][]*engineSlab{}, perKey: 8}
+	return &EnginePool{}
 }
 
-// acquire pops a parked slab of the given shape, or builds a fresh one. The
-// caller owns it exclusively until release.
+// acquire takes the most recently parked slab of the given shape, or builds
+// a fresh one. The caller owns it exclusively until release.
 func (p *EnginePool) acquire(n, h int) *engineSlab {
 	key := slabKey{n: n, h: h}
 	p.mu.Lock()
-	stack := p.slabs[key]
-	if len(stack) > 0 {
-		s := stack[len(stack)-1]
-		p.slabs[key] = stack[:len(stack)-1]
-		p.mu.Unlock()
-		return s
+	for i := len(p.parked) - 1; i >= 0; i-- {
+		if s := p.parked[i]; s.key == key {
+			p.parked = slices.Delete(p.parked, i, i+1)
+			p.mu.Unlock()
+			return s
+		}
 	}
 	p.mu.Unlock()
 	return newSlab(n, h)
@@ -72,25 +82,23 @@ func newSlab(n, h int) *engineSlab {
 	}
 }
 
-// park returns a scrubbed slab to its stack (the slab must already be clean;
-// engineState.release scrubs before parking).
+// park returns a scrubbed slab to the pool (the slab must already be clean;
+// engineState.release scrubs before parking), evicting the least recently
+// parked slab when the pool is full.
 func (p *EnginePool) park(s *engineSlab) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if stack := p.slabs[s.key]; len(stack) < p.perKey {
-		p.slabs[s.key] = append(stack, s)
+	if len(p.parked) == maxIdleSlabs {
+		p.parked = slices.Delete(p.parked, 0, 1)
 	}
+	p.parked = append(p.parked, s)
 }
 
 // idle reports the number of parked slabs (tests).
 func (p *EnginePool) idle() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, stack := range p.slabs {
-		n += len(stack)
-	}
-	return n
+	return len(p.parked)
 }
 
 // engineSlab is one reusable buffer set. The eager fields (worklist,

@@ -16,8 +16,6 @@ import (
 // so the second pass really reuses a parked slab rather than building a
 // fresh one. FuzzEngines covers warm runs at one to three workers.
 func TestEnginePoolWarmColdEquivalence(t *testing.T) {
-	defer SetTelemetry(TelemetryEnabled())
-	SetTelemetry(true)
 	rng := prng.New(8081)
 	graphs := []struct {
 		name string
@@ -53,7 +51,7 @@ func TestEnginePoolWarmColdEquivalence(t *testing.T) {
 					assertResultsEqual(t, fmt.Sprintf("%s/pooled-pass-%d", label, pass), want, got)
 				}
 			}
-			base := Config{Graph: tg.g, IDs: ids, MaxMessageBits: CongestBits(n)}
+			base := Config{Graph: tg.g, IDs: ids, MaxMessageBits: CongestBits(n), Telemetry: true}
 			for _, unpack := range []bool{false, true} {
 				cfg := base
 				cfg.Unpacked = unpack
@@ -164,73 +162,66 @@ func TestEnginePoolShapeMismatch(t *testing.T) {
 	assertResultsEqual(t, "same-shape reuse", want, got)
 }
 
-// TestEnginePoolPerKeyCap pins the retention bound: releases beyond the
-// per-key cap drop the slab for the GC instead of growing the pool without
-// limit.
-func TestEnginePoolPerKeyCap(t *testing.T) {
+// TestEnginePoolIdleCap pins the retention bound: a pool keeps at most
+// maxIdleSlabs parked slabs across all shapes, evicting the least recently
+// parked one, so a host that sees a new graph shape per request holds a
+// bounded set of buffers — while a shape parked within the cap is still
+// reused rather than rebuilt.
+func TestEnginePoolIdleCap(t *testing.T) {
 	pool := NewEnginePool()
-	g := graph.Ring(16)
 	key := slabKey{n: 16, h: 32}
-	// Hold more slabs live than the cap, then release them all.
+	// Hold more same-shape slabs live than the cap, then release them all.
 	var slabs []*engineSlab
-	for i := 0; i < pool.perKey+3; i++ {
+	for i := 0; i < maxIdleSlabs+3; i++ {
 		slabs = append(slabs, pool.acquire(key.n, key.h))
 	}
 	for _, s := range slabs {
 		s.scrub()
 		pool.park(s)
 	}
-	if got := pool.idle(); got != pool.perKey {
-		t.Fatalf("idle = %d, want the per-key cap %d", got, pool.perKey)
+	if got := pool.idle(); got != maxIdleSlabs {
+		t.Fatalf("same shape: idle = %d, want the cap %d", got, maxIdleSlabs)
 	}
-	// And the capped pool still serves correct runs.
-	want, err := Run(Config{Graph: g}, floodFactory(3))
+
+	// 100 runs of 100 distinct shapes (paths of 3..102 nodes).
+	pool = NewEnginePool()
+	paths := make([]*graph.Graph, 100)
+	for i := range paths {
+		paths[i] = graph.Path(i + 3)
+		if _, err := Run(Config{Graph: paths[i], Pool: pool}, floodFactory(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pool.idle(); got != maxIdleSlabs {
+		t.Fatalf("distinct shapes: idle = %d, want the cap %d", got, maxIdleSlabs)
+	}
+	// A shape parked inside the cap is a warm hit: the run takes its slab
+	// and parks it again, evicting nothing.
+	repeat := paths[len(paths)-maxIdleSlabs]
+	hit := pool.parked[0]
+	if hit.key.n != repeat.N() {
+		t.Fatalf("oldest parked slab serves n=%d, want n=%d", hit.key.n, repeat.N())
+	}
+	want, err := Run(Config{Graph: repeat}, floodFactory(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{Graph: g, Pool: pool}, floodFactory(3))
+	got, err := Run(Config{Graph: repeat, Pool: pool}, floodFactory(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertResultsEqual(t, "capped pool", want, got)
-}
-
-// TestDefaultPool pins the package-default plumbing: a Config that never
-// mentions pools draws from SetDefaultPool's pool, an explicit Config.Pool
-// wins over it, and nil restores the historical allocate-fresh behavior.
-func TestDefaultPool(t *testing.T) {
-	defer SetDefaultPool(nil)
-	g := graph.Ring(24)
-	want, err := Run(Config{Graph: g}, floodFactory(4))
-	if err != nil {
+	if pool.idle() != maxIdleSlabs || pool.parked[maxIdleSlabs-1] != hit {
+		t.Fatal("repeated shape inside the cap was not served by its parked slab")
+	}
+	// An evicted shape is a miss: its run builds a fresh slab and parking it
+	// evicts the now least recently parked one.
+	oldest := pool.parked[0]
+	if _, err := Run(Config{Graph: paths[0], Pool: pool}, floodFactory(2)); err != nil {
 		t.Fatal(err)
 	}
-
-	shared := NewEnginePool()
-	SetDefaultPool(shared)
-	got, err := Run(Config{Graph: g}, floodFactory(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, "default pool", want, got)
-	if shared.idle() != 1 {
-		t.Fatalf("default pool retained %d slabs, want 1", shared.idle())
-	}
-
-	own := NewEnginePool()
-	if _, err := Run(Config{Graph: g, Pool: own}, floodFactory(4)); err != nil {
-		t.Fatal(err)
-	}
-	if own.idle() != 1 || shared.idle() != 1 {
-		t.Fatalf("explicit pool did not win: own=%d shared=%d", own.idle(), shared.idle())
-	}
-
-	SetDefaultPool(nil)
-	if _, err := Run(Config{Graph: g}, floodFactory(4)); err != nil {
-		t.Fatal(err)
-	}
-	if own.idle() != 1 || shared.idle() != 1 {
-		t.Fatalf("nil default still pooled: own=%d shared=%d", own.idle(), shared.idle())
+	if pool.idle() != maxIdleSlabs || pool.parked[0] == oldest {
+		t.Fatal("parking past the cap did not evict the least recently parked slab")
 	}
 }
 
@@ -241,9 +232,6 @@ func TestDefaultPool(t *testing.T) {
 // program set lives in a preallocated slab itself, so what the pin measures
 // is the engine, not the caller.
 func TestEnginePoolSteadyStateAllocs(t *testing.T) {
-	was := TelemetryEnabled()
-	SetTelemetry(false)
-	defer SetTelemetry(was)
 	// maxWarm is the per-run constant: engineState, progs slice, outputs
 	// slice, the Result and its ActivePerRound copy — plus, on two workers,
 	// the goroutines, channels and shard cut. coldRatio is how many times
@@ -321,9 +309,6 @@ func (c *constFlood) Output() uint64 { return 0 }
 // staging lane is sized up front to the half-edge count, so no per-message
 // list grows by append and the run's allocation count does not depend on n.
 func TestColdRunAllocsFlat(t *testing.T) {
-	was := TelemetryEnabled()
-	SetTelemetry(false)
-	defer SetTelemetry(was)
 	allocs := map[int]float64{}
 	for _, n := range []int{1 << 10, 1 << 14} {
 		g := graph.GNPConnected(n, 6.0/float64(n), prng.New(uint64(n)))
@@ -414,20 +399,16 @@ func TestProgressHook(t *testing.T) {
 	}
 }
 
-// TestConfigTelemetryForce pins the per-run telemetry lever the serving layer
-// uses: Config.Telemetry collects a full record even when the package-wide
-// switch is off, without flipping any global state.
+// TestConfigTelemetryForce pins the per-run telemetry lever: Config.Telemetry
+// collects a full record for its run alone.
 func TestConfigTelemetryForce(t *testing.T) {
-	was := TelemetryEnabled()
-	SetTelemetry(false)
-	defer SetTelemetry(was)
 	g := graph.Ring(32)
 	res, err := Run(Config{Graph: g}, floodFactory(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Telemetry != nil {
-		t.Fatal("telemetry collected with switch off and no per-run force")
+		t.Fatal("telemetry collected without Config.Telemetry")
 	}
 	res, err = Run(Config{Graph: g, Telemetry: true}, floodFactory(3))
 	if err != nil {

@@ -1,16 +1,14 @@
 package sim
 
-import "sync/atomic"
-
 // Telemetry is the optional per-run measurement record the engines attach to
-// Result.Telemetry when collection is enabled (SetTelemetry). It answers the
+// Result.Telemetry when Config.Telemetry asks for it or the run has an
+// adversary. It answers the
 // scheduling questions the round/message counters cannot: how was each
 // round's compute time distributed over the pool, how many messages did each
 // worker stage, and which delivery strategy did each shard pick.
 //
-// Collection follows the same pattern as the poisoned-Outbox debug check: a
-// package-level switch latched once at run start, with near-zero cost when
-// off (no engine reads the clock unless the run records telemetry).
+// Collection is decided once at run start and costs next to nothing when
+// off: no engine reads the clock unless the run records telemetry.
 //
 // Wall-clock fields are measurements of this host's execution, not model
 // quantities: unlike every other Result field they are not identical across
@@ -30,7 +28,7 @@ type Telemetry struct {
 	// increasing per Kind). Unlike the wall-clock fields, identical across
 	// schedulers for the same Config. A run with a Config.Adversary always
 	// collects telemetry (the injected record is part of the run's
-	// reproducibility story), even when SetTelemetry is off.
+	// reproducibility story), even when Config.Telemetry is off.
 	Injected []InjectedEvent
 }
 
@@ -83,22 +81,11 @@ func (m DeliveryMode) String() string {
 	}
 }
 
-var telemetryEnabled atomic.Bool
-
-// SetTelemetry enables or disables telemetry collection for subsequent runs
-// on every scheduler. Safe for concurrent use; each run latches the setting
-// at start, and an enabled run returns its record as Result.Telemetry.
-func SetTelemetry(on bool) { telemetryEnabled.Store(on) }
-
-// TelemetryEnabled reports the current setting.
-func TelemetryEnabled() bool { return telemetryEnabled.Load() }
-
-// newTelemetry returns a fresh record when collection is enabled (or forced
-// — runs with an adversary always collect), else nil. Engines call it once
-// at run start; a nil receiver disables every record method, so the hot
-// loops guard with a single pointer test.
-func newTelemetry(sched Scheduler, workers int, force bool) *Telemetry {
-	if !force && !telemetryEnabled.Load() {
+// newTelemetry returns a fresh record when the run collects telemetry, else
+// nil. Engines call it once at run start; a nil receiver disables every
+// record method, so the hot loops guard with a single pointer test.
+func newTelemetry(sched Scheduler, workers int, on bool) *Telemetry {
+	if !on {
 		return nil
 	}
 	return &Telemetry{Scheduler: sched, Workers: workers}

@@ -8,16 +8,6 @@ import (
 	"randlocal/internal/prng"
 )
 
-// withTelemetry runs f with telemetry collection enabled, restoring the
-// previous setting afterwards.
-func withTelemetry(t *testing.T, f func()) {
-	t.Helper()
-	prev := TelemetryEnabled()
-	SetTelemetry(true)
-	defer SetTelemetry(prev)
-	f()
-}
-
 // checkTelemetryInvariants asserts the structural invariants every
 // scheduler's record must satisfy: one entry per round aligned with
 // ActivePerRound, consistent lane counts, non-negative compute times no
@@ -71,9 +61,6 @@ func checkTelemetryInvariants(t *testing.T, label string, res *Result[uint64]) {
 }
 
 func TestTelemetryDisabledByDefault(t *testing.T) {
-	if TelemetryEnabled() {
-		t.Fatal("telemetry enabled at package init")
-	}
 	g := graph.Ring(32)
 	res, err := Run(Config{Graph: g}, floodFactory(3))
 	if err != nil {
@@ -92,31 +79,29 @@ func TestTelemetryInvariants(t *testing.T) {
 	g := graph.GNPConnected(300, 0.03, rng)
 	n := g.N()
 	ids := RandomIDs(n, 4, NewSimulationKey(17))
-	cfg := Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n)}
+	cfg := Config{Graph: g, IDs: ids, MaxMessageBits: CongestBits(n), Telemetry: true}
 	factory := func(int) NodeProgram[uint64] { return &staggeredHalt{} }
-	withTelemetry(t, func() {
-		res, err := Run(cfg, factory)
+	res, err := Run(cfg, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTelemetryInvariants(t, "sequential", res)
+	if res.Telemetry.Scheduler != Sequential || res.Telemetry.Workers != 1 {
+		t.Errorf("sequential telemetry header = %v/%d", res.Telemetry.Scheduler, res.Telemetry.Workers)
+	}
+
+	for _, workers := range []int{2, 4} {
+		res, err = RunParallel(cfg, factory, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkTelemetryInvariants(t, "sequential", res)
-		if res.Telemetry.Scheduler != Sequential || res.Telemetry.Workers != 1 {
-			t.Errorf("sequential telemetry header = %v/%d", res.Telemetry.Scheduler, res.Telemetry.Workers)
+		label := fmt.Sprintf("parallel/workers=%d", workers)
+		checkTelemetryInvariants(t, label, res)
+		tel := res.Telemetry
+		if tel.Scheduler != Parallel || tel.Workers != workers {
+			t.Errorf("%s: telemetry header = %v/%d", label, tel.Scheduler, tel.Workers)
 		}
-
-		for _, workers := range []int{2, 4} {
-			res, err = RunParallel(cfg, factory, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("parallel/workers=%d", workers)
-			checkTelemetryInvariants(t, label, res)
-			tel := res.Telemetry
-			if tel.Scheduler != Parallel || tel.Workers != workers {
-				t.Errorf("%s: telemetry header = %v/%d", label, tel.Scheduler, tel.Workers)
-			}
-		}
-	})
+	}
 }
 
 // TestTelemetryDeliveryModes pins the mode choice on one worker: an
@@ -126,36 +111,34 @@ func TestTelemetryDeliveryModes(t *testing.T) {
 	if DeliverSparse.String() != "sparse" || DeliverDense.String() != "dense" || DeliverPacked.String() != "packed" {
 		t.Error("DeliveryMode.String names drifted")
 	}
-	withTelemetry(t, func() {
-		// Complete graph, everyone floods: every round but the silent last
-		// one stages the full plane, so they must take the dense path.
-		res, err := Run(Config{Graph: graph.Complete(24)}, floodFactory(3))
-		if err != nil {
-			t.Fatal(err)
+	// Complete graph, everyone floods: every round but the silent last one
+	// stages the full plane, so they must take the dense path.
+	res, err := Run(Config{Graph: graph.Complete(24), Telemetry: true}, floodFactory(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := res.Telemetry
+	for r := 0; r < len(tel.Rounds)-1; r++ {
+		if tel.Rounds[r].Mode[0] != DeliverDense {
+			t.Errorf("complete-graph round %d mode = %v, want dense", r, tel.Rounds[r].Mode[0])
 		}
-		tel := res.Telemetry
-		for r := 0; r < len(tel.Rounds)-1; r++ {
-			if tel.Rounds[r].Mode[0] != DeliverDense {
-				t.Errorf("complete-graph round %d mode = %v, want dense", r, tel.Rounds[r].Mode[0])
-			}
+	}
+	// Star where only the hub talks, on one port: one staged slot of 2(n−1)
+	// per round — every round must stay sparse.
+	res, err = Run(Config{Graph: graph.Star(64), Telemetry: true}, func(v int) NodeProgram[uint64] {
+		if v == 0 {
+			return &singlePortTalker{rounds: 6}
 		}
-		// Star where only the hub talks, on one port: one staged slot of
-		// 2(n−1) per round — every round must stay sparse.
-		res, err = Run(Config{Graph: graph.Star(64)}, func(v int) NodeProgram[uint64] {
-			if v == 0 {
-				return &singlePortTalker{rounds: 6}
-			}
-			return &haltNow{}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, rs := range res.Telemetry.Rounds {
-			if rs.Mode[0] != DeliverSparse {
-				t.Errorf("star round %d mode = %v, want sparse", r, rs.Mode[0])
-			}
-		}
+		return &haltNow{}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, rs := range res.Telemetry.Rounds {
+		if rs.Mode[0] != DeliverSparse {
+			t.Errorf("star round %d mode = %v, want sparse", r, rs.Mode[0])
+		}
+	}
 }
 
 // singlePortTalker sends one message on port 0 every round (nodes without

@@ -227,8 +227,8 @@ func RunParallel[T any](cfg SimConfig, factory func(v int) NodeProgram[T], worke
 	return sim.RunParallel(cfg, factory, workers)
 }
 
-// Execute dispatches to Run or RunParallel by cfg.Scheduler,
-// resolving SchedulerAuto through the package default.
+// Execute dispatches to Run or RunParallel (with cfg.Workers) by
+// cfg.Scheduler; the zero value is SchedulerSequential.
 func Execute[T any](cfg SimConfig, factory func(v int) NodeProgram[T]) (*SimResult[T], error) {
 	return sim.Execute(cfg, factory)
 }
@@ -236,29 +236,27 @@ func Execute[T any](cfg SimConfig, factory func(v int) NodeProgram[T]) (*SimResu
 // Scheduler names one of the two engines; see the Scheduler* constants.
 type Scheduler = sim.Scheduler
 
-// The engine choices for SimConfig.Scheduler and SetDefaultScheduler.
+// The engine choices for SimConfig.Scheduler and ExecOptions.Scheduler.
 const (
-	SchedulerAuto       = sim.Auto
 	SchedulerSequential = sim.Sequential
 	SchedulerParallel   = sim.Parallel
 )
 
-var (
-	// ParseScheduler parses a -scheduler flag value ("sequential",
-	// "parallel", plus short aliases).
-	ParseScheduler = sim.ParseScheduler
-	// SetDefaultScheduler steers every simulation whose config leaves
-	// Scheduler as Auto — including those started inside the algorithm
-	// wrappers (Luby, ElkinNeiman, the distributed checkers, ...).
-	SetDefaultScheduler = sim.SetDefaultScheduler
-	// DefaultScheduler reports the current package-wide default.
-	DefaultScheduler = sim.DefaultScheduler
-)
+// ParseScheduler parses a -scheduler flag value ("sequential",
+// "parallel", plus short aliases).
+var ParseScheduler = sim.ParseScheduler
+
+// ExecOptions are the per-run execution knobs — scheduler, workers,
+// unpacked planes, telemetry, progress hook — that every algorithm wrapper
+// takes (the Exec field of its config, or a trailing argument) and applies
+// to the simulation it starts. There are no package-wide defaults: the zero
+// value runs on one worker.
+type ExecOptions = sim.ExecOptions
 
 // Telemetry is the optional per-run scheduling measurement attached to
-// SimResult.Telemetry when collection is enabled: per-round per-worker
-// compute times, staged-message counts and delivery-mode choices. See
-// SetTelemetry.
+// SimResult.Telemetry when SimConfig.Telemetry (ExecOptions.Telemetry) asks
+// for it or the run has an adversary: per-round per-worker compute times,
+// staged-message counts and delivery-mode choices.
 type Telemetry = sim.Telemetry
 
 // RoundStats is one round's telemetry across the engine's lanes.
@@ -282,15 +280,6 @@ const (
 // a run out for A/B comparison, with a byte-identical SimResult either way.
 type PayloadBitsDeclarer = sim.PayloadBitsDeclarer
 
-var (
-	// SetTelemetry enables or disables telemetry collection for
-	// subsequent runs on every scheduler (latched per run, near-zero cost
-	// when off — the same pattern as SetDebugOutboxCheck).
-	SetTelemetry = sim.SetTelemetry
-	// TelemetryEnabled reports the current setting.
-	TelemetryEnabled = sim.TelemetryEnabled
-)
-
 // CongestBits is the standard CONGEST bandwidth bound used by experiments.
 var CongestBits = sim.CongestBits
 
@@ -313,7 +302,9 @@ var (
 // every port fails the run with a descriptive error instead of silently
 // re-sending a stale message. Off by default (the sentinel fill costs one
 // write per half-edge per round); this repository's test suites switch it
-// on.
+// on. It is the only package-wide switch: a safety check that never changes
+// a correct program's result, where everything that steers a run is an
+// ExecOptions / SimConfig field.
 var SetDebugOutboxCheck = sim.SetDebugOutboxCheck
 
 // ID assignment helpers.
@@ -521,7 +512,7 @@ var (
 	// The Opts variants run the same checker programs on a configured
 	// network — attach a CheckOptions.Adversary to exercise a checker as a
 	// one-sided oracle over a faulty network (false-rejects possible, false
-	// accepts never).
+	// accepts never), and set CheckOptions.Exec to pick its engine.
 	CheckMISDistributedOpts       = check.MISDistributedOpts
 	CheckColoringDistributedOpts  = check.ColoringDistributedOpts
 	CheckDecompositionDistribOpts = check.DecompositionDistributedOpts

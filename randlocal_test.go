@@ -214,11 +214,11 @@ func TestFacadeSLOCAL(t *testing.T) {
 
 func TestFacadeParallelScheduler(t *testing.T) {
 	// An end-to-end Luby run must produce the identical MIS and accounting
-	// on both engines: the wrappers dispatch through Execute, so the
-	// package-wide default switches every internal simulation at once.
+	// on both engines: the wrapper dispatches through Execute on the
+	// ExecOptions of its config.
 	g := PowerLaw(400, 3, NewRNG(17))
-	run := func() ([]bool, *SimResult[LubyOutput]) {
-		in, res, err := Luby(g, NewFullRandomness(23), nil, LubyConfig{})
+	run := func(exec ExecOptions) ([]bool, *SimResult[LubyOutput]) {
+		in, res, err := Luby(g, NewFullRandomness(23), nil, LubyConfig{Exec: exec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,11 +227,9 @@ func TestFacadeParallelScheduler(t *testing.T) {
 		}
 		return in, res
 	}
-	wantIn, wantRes := run()
-	defer SetDefaultScheduler(SchedulerSequential, 0)
+	wantIn, wantRes := run(ExecOptions{})
 	for _, sched := range []Scheduler{SchedulerParallel} {
-		SetDefaultScheduler(sched, 0)
-		gotIn, gotRes := run()
+		gotIn, gotRes := run(ExecOptions{Scheduler: sched})
 		for v := range wantIn {
 			if gotIn[v] != wantIn[v] {
 				t.Fatalf("%v: MIS differs at node %d", sched, v)
