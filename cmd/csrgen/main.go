@@ -6,8 +6,9 @@
 // solve the same instance.
 //
 // gnp — the one family whose edge count dwarfs n — streams natively
-// (graph.GNPConnectedStream + the csrfile counting-sort builder), so peak
-// RAM stays O(n) however many edges the sample has. The O(n)-edge families
+// (graph.GNPConnectedStream into csrfile.Builder, which scatters the edge
+// stream into the file's rows and sorts each row in place), so peak RAM
+// stays O(n) however many edges the sample has. The O(n)-edge families
 // (ring, grid, tree, cliques, regular) generate in RAM and stream out.
 //
 // Usage:

@@ -13,13 +13,13 @@ import (
 )
 
 // BenchmarkStreamBuild measures the out-of-core construction path end to end:
-// GNPConnectedStream feeding the counting-sort builder, through Finalize. One
-// iteration is one complete build of the n=2^20 instance (~3.1M edges). The
+// GNPConnectedStream feeding the streaming builder, through Finalize. One
+// iteration is one complete build of the n=2^20 instance (~2.1M edges). The
 // heapB/node metric is the allocation proof behind the O(n)-peak-RAM claim:
-// it reports the bytes allocated per node across the whole build (dominated
-// by the builder's single []int64 degree histogram plus fixed-size I/O
-// buffers) and stays flat however many edges the sample has — the ~50MB
-// half-edge stream only ever exists on disk. BENCH_PR10.json records the row.
+// it reports the bytes allocated per node across the whole build (the
+// generator's union-find, the builder's two []int64 per-node arrays and
+// fixed-size I/O buffers) and stays flat however many edges the sample has —
+// the ~17MB edge stream only ever exists on disk. BENCH_PR10.json records the row.
 func BenchmarkStreamBuild(b *testing.B) {
 	const n = 1 << 20
 	p := 4.0 / float64(n)

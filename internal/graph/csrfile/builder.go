@@ -5,24 +5,26 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Builder streams an edge list into a CSR graph file without ever holding
-// the edges in RAM. AddEdge appends both directed half-edges of every edge
-// to a temporary file; Finalize counting-sorts that stream into (u, v)
-// lexicographic order with two sequential-read/scattered-write passes over
-// file mappings, then dedups, derives the reverse-port table and checksums
-// the result — the exact pipeline graph.Builder runs in RAM, so the same
-// edge multiset produces a byte-identical file regardless of which builder
-// (or what AddEdge order) emitted it.
+// the edges in RAM. AddEdge appends one 8-byte record per edge to a
+// temporary file. Finalize makes one sequential pass over that stream,
+// scattering each edge straight into both endpoints' rows of the output
+// file's adjacency array, then sorts and dedups every row in place, derives
+// the reverse-port table and checksums the result. The rows come out sorted
+// and duplicate-free exactly as graph.Builder's counting sort leaves them,
+// so the same edge multiset produces a byte-identical file regardless of
+// which builder (or what AddEdge order) emitted it.
 //
-// Peak heap is O(n): three int64 arrays of per-node counters plus fixed
-// buffers. The O(m) traffic lives in the page cache, where the OS can evict
-// it. (On builds without mmap the scatter passes degrade to O(m) RAM
+// Peak heap is O(n): two int64 arrays of per-node counters, one scratch row
+// as long as the largest degree counted with duplicates, and fixed buffers.
+// The O(m) traffic lives in the page cache, where the OS can evict it. (On
+// builds without mmap the edge stream and the output file are O(m) RAM
 // buffers; see mmap_fallback.go.)
 //
 // Errors are sticky: the first failure (I/O, out-of-range endpoint, or the
@@ -32,12 +34,11 @@ import (
 type Builder struct {
 	n    int
 	path string
-	dir  string
 
-	tmp  *os.File // the packed uint64 edge stream, reused as the pass-2 target
+	tmp  *os.File // the edge stream: one packed uint64 u<<32|v per AddEdge
 	bw   *bufio.Writer
-	deg  []int64  // per-node half-edge counts, duplicates included
-	buf  [16]byte // AddEdge scratch; a field so it never escapes per call
+	deg  []int64 // per-node half-edge counts, duplicates included
+	buf  [8]byte // AddEdge scratch; a field so it never escapes per call
 	half int64
 	err  error
 	done bool
@@ -53,15 +54,13 @@ func NewBuilder(path string, n int) (*Builder, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("csrfile: node count %d exceeds the int32 CSR index range", n)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".edges-*.tmp")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".edges-*.tmp")
 	if err != nil {
 		return nil, err
 	}
 	return &Builder{
 		n:    n,
 		path: path,
-		dir:  dir,
 		tmp:  tmp,
 		bw:   bufio.NewWriterSize(tmp, 1<<20),
 		deg:  make([]int64, n),
@@ -96,8 +95,7 @@ func (b *Builder) AddEdge(u, v int) {
 			u, v, maxHalfEdges))
 		return
 	}
-	binary.LittleEndian.PutUint64(b.buf[0:], uint64(u)<<32|uint64(uint32(v)))
-	binary.LittleEndian.PutUint64(b.buf[8:], uint64(v)<<32|uint64(uint32(u)))
+	binary.LittleEndian.PutUint64(b.buf[:], uint64(u)<<32|uint64(uint32(v)))
 	if _, err := b.bw.Write(b.buf[:]); err != nil {
 		b.fail(err)
 		return
@@ -123,47 +121,6 @@ func (b *Builder) cleanup() {
 	}
 }
 
-// cursors returns the exclusive prefix sums of deg — the scatter cursors of
-// one counting-sort pass. Every AddEdge records each endpoint once as a
-// source and once as a target, so the same histogram serves both passes.
-func (b *Builder) cursors() []int64 {
-	cur := make([]int64, b.n)
-	var total int64
-	for v, d := range b.deg {
-		cur[v] = total
-		total += d
-	}
-	return cur
-}
-
-// scatterPass reads packed half-edges sequentially from src and writes each
-// to dst at its key's cursor, advancing the cursor: one stable counting-sort
-// pass. key selects the sort radix (target v for pass 1, source u for
-// pass 2). dst must already have room for every element.
-func scatterPass(src, dst *os.File, half int64, cur []int64, key func(uint64) uint64) error {
-	out, release, err := mapRW(dst, 8*half)
-	if err != nil {
-		return err
-	}
-	if _, err := src.Seek(0, io.SeekStart); err != nil {
-		release(out)
-		return err
-	}
-	br := bufio.NewReaderSize(src, 1<<20)
-	var e [8]byte
-	for i := int64(0); i < half; i++ {
-		if _, err := io.ReadFull(br, e[:]); err != nil {
-			release(out)
-			return fmt.Errorf("csrfile: reading edge stream: %w", err)
-		}
-		p := binary.LittleEndian.Uint64(e[:])
-		k := key(p)
-		copy(out[cur[k]*8:cur[k]*8+8], e[:])
-		cur[k]++
-	}
-	return release(out)
-}
-
 // Finalize sorts, dedups and writes the graph file, returning its header.
 // The builder cannot be reused afterwards.
 func (b *Builder) Finalize() (Header, error) {
@@ -180,36 +137,6 @@ func (b *Builder) Finalize() (Header, error) {
 		return Header{}, b.err
 	}
 
-	n := int64(b.n)
-	if b.half > 0 {
-		// Pass 1: counting-sort the AddEdge-ordered stream by target v into
-		// a second temporary, then pass 2: sort that stream by source u back
-		// into the first. Two stable passes leave the half-edges in (u, v)
-		// lexicographic order — rows sorted, duplicates adjacent.
-		tmp2, err := os.CreateTemp(b.dir, filepath.Base(b.path)+".sort-*.tmp")
-		if err != nil {
-			return Header{}, err
-		}
-		defer func() {
-			name := tmp2.Name()
-			tmp2.Close()
-			os.Remove(name)
-		}()
-		if err := tmp2.Truncate(8 * b.half); err != nil {
-			return Header{}, err
-		}
-		if err := scatterPass(b.tmp, tmp2, b.half, b.cursors(), func(p uint64) uint64 {
-			return uint64(uint32(p))
-		}); err != nil {
-			return Header{}, err
-		}
-		if err := scatterPass(tmp2, b.tmp, b.half, b.cursors(), func(p uint64) uint64 {
-			return p >> 32
-		}); err != nil {
-			return Header{}, err
-		}
-	}
-
 	// Assemble the output through a mapping sized for the worst case (no
 	// duplicates); the file is trimmed to the deduped size at the end.
 	out, err := os.Create(b.path)
@@ -217,6 +144,7 @@ func (b *Builder) Finalize() (Header, error) {
 		return Header{}, err
 	}
 	defer out.Close()
+	n := int64(b.n)
 	maxSize := headerSize + 8*(n+1) + 8*b.half
 	if err := out.Truncate(maxSize); err != nil {
 		return Header{}, err
@@ -230,49 +158,70 @@ func (b *Builder) Finalize() (Header, error) {
 		return Header{}, err
 	}
 
-	// Dedup pass: stream the sorted half-edges, write the surviving targets
-	// as adj and count row sizes.
+	// Scatter: one sequential pass over the edge stream writes v into row u
+	// and u into row v, each at its row's cursor. off[:n] starts as the
+	// exclusive prefix sums of deg, so the raw rows (duplicates included,
+	// in AddEdge order) tile the adjacency region exactly.
 	adjStart := headerSize + 8*(n+1)
 	off := make([]int64, n+1)
-	var hf int64
+	var maxDeg int64
+	for v, d := range b.deg {
+		off[v+1] = off[v] + d
+		maxDeg = max(maxDeg, d)
+	}
 	if b.half > 0 {
-		if _, err := b.tmp.Seek(0, io.SeekStart); err != nil {
+		edges, releaseEdges, err := mapRO(b.tmp, 4*b.half)
+		if err != nil {
 			return fileErr(err)
 		}
-		br := bufio.NewReaderSize(b.tmp, 1<<20)
-		var e [8]byte
-		prev := ^uint64(0) // impossible pair: u == v is never recorded
-		for i := int64(0); i < b.half; i++ {
-			if _, err := io.ReadFull(br, e[:]); err != nil {
-				return fileErr(fmt.Errorf("csrfile: reading sorted edge stream: %w", err))
-			}
-			p := binary.LittleEndian.Uint64(e[:])
-			if p == prev {
-				continue
-			}
-			prev = p
-			off[(p>>32)+1]++
-			binary.LittleEndian.PutUint32(mo[adjStart+4*hf:], uint32(p))
+		for i := 0; i < len(edges); i += 8 {
+			p := binary.LittleEndian.Uint64(edges[i:])
+			u, v := p>>32, p&math.MaxUint32
+			binary.LittleEndian.PutUint32(mo[adjStart+4*off[u]:], uint32(v))
+			off[u]++
+			binary.LittleEndian.PutUint32(mo[adjStart+4*off[v]:], uint32(u))
+			off[v]++
+		}
+		if err := releaseEdges(edges); err != nil {
+			return fileErr(err)
+		}
+	}
+
+	// Rows: copy each raw row into the scratch slice, sort and dedup it, and
+	// write it back compacted. Rows are visited in order and a compacted row
+	// is never longer than its raw one, so the write index never passes the
+	// read index and the compaction runs in place.
+	row := make([]uint32, 0, maxDeg)
+	var raw, hf int64
+	for v := int64(0); v < n; v++ {
+		row = row[:0]
+		for i := raw; i < raw+b.deg[v]; i++ {
+			row = append(row, binary.LittleEndian.Uint32(mo[adjStart+4*i:]))
+		}
+		raw += b.deg[v]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		off[v] = hf
+		for _, w := range row {
+			binary.LittleEndian.PutUint32(mo[adjStart+4*hf:], w)
 			hf++
 		}
 	}
-	for v := int64(1); v <= n; v++ {
-		off[v] += off[v-1]
-	}
+	off[n] = hf
 
 	// Reverse-port table: scanning adj in global order visits, for each
 	// fixed neighbor w, the sources in ascending order — w's own row order —
 	// so a per-node cursor hands out the reverse positions (the same O(m)
 	// trick as graph.Builder, with the random writes absorbed by the page
-	// cache).
+	// cache). deg is spent, so it becomes the cursor array.
 	revStart := adjStart + 4*hf
-	cur := make([]int64, b.n)
+	cur := b.deg
+	clear(cur)
 	for i := int64(0); i < hf; i++ {
 		w := binary.LittleEndian.Uint32(mo[adjStart+4*i:])
 		binary.LittleEndian.PutUint32(mo[revStart+4*i:], uint32(off[w]+cur[w]))
 		cur[w]++
 	}
-
 	for v := int64(0); v <= n; v++ {
 		binary.LittleEndian.PutUint64(mo[headerSize+8*v:], uint64(off[v]))
 	}

@@ -6,9 +6,10 @@
 // zero copies (graph.OpenCSRFile).
 //
 // Files are produced either from an in-RAM graph (Write) or by the streaming
-// Builder, which counting-sorts an on-disk edge stream in two passes so peak
-// heap stays O(n) no matter how many edges the graph has — the point of the
-// format is graphs whose edge arrays do not fit in RAM.
+// Builder, which scatters an on-disk edge stream straight into the file's
+// adjacency rows and sorts each row in place, so peak heap stays O(n) no
+// matter how many edges the graph has — the point of the format is graphs
+// whose edge arrays do not fit in RAM.
 //
 // # Layout
 //

@@ -2,6 +2,8 @@ package csrfile_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -41,26 +43,67 @@ func randomEdges(rng *prng.SplitMix64, n, count int) [][2]int {
 	return edges
 }
 
+// streamCase is one edge list the two builders must agree on.
+type streamCase struct {
+	name  string
+	n     int
+	edges [][2]int
+}
+
+// streamCases are random multigraphs of growing size, duplicates and
+// self-loops included, plus a hub of degree 100 whose edges each recur three
+// times in alternating orientation among self-loops on the hub and a leaf —
+// a row the streaming builder must sort and dedup in place.
+// FuzzStreamingBuilder seeds from them.
+var streamCases = func() []streamCase {
+	rng := prng.New(7)
+	var cases []streamCase
+	for _, tc := range []struct{ n, count int }{
+		{1, 0}, {2, 1}, {5, 12}, {33, 100}, {257, 2000}, {1000, 500},
+	} {
+		cases = append(cases, streamCase{fmt.Sprintf("random-n%d-m%d", tc.n, tc.count), tc.n, randomEdges(rng, tc.n, tc.count)})
+	}
+	const hub = 5
+	var edges [][2]int
+	for rep := 0; rep < 3; rep++ {
+		for w := 199; w >= 100; w-- {
+			if rep%2 == 0 {
+				edges = append(edges, [2]int{hub, w})
+			} else {
+				edges = append(edges, [2]int{w, hub})
+			}
+			if w%10 == 0 {
+				edges = append(edges, [2]int{hub, hub}, [2]int{w, w})
+			}
+		}
+	}
+	edges = append(edges, randomEdges(rng, 200, 50)...)
+	return append(cases, streamCase{"hub-duplicates-selfloops", 200, edges})
+}()
+
+// writeInRAM builds edges with graph.Builder and writes the graph to path.
+func writeInRAM(t *testing.T, path string, n int, edges [][2]int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Graph()
+	if err := graph.WriteCSRFile(g, path); err != nil {
+		t.Fatalf("n=%d WriteCSRFile: %v", n, err)
+	}
+	return g
+}
+
 // TestStreamingBuilderMatchesInRAM is the core format equivalence: the
 // streaming builder and the in-RAM graph.Builder must produce byte-identical
 // files from the same edge multiset, in any AddEdge order.
 func TestStreamingBuilderMatchesInRAM(t *testing.T) {
 	dir := t.TempDir()
-	rng := prng.New(7)
-	for _, tc := range []struct{ n, count int }{
-		{1, 0}, {2, 1}, {5, 12}, {33, 100}, {257, 2000}, {1000, 500},
-	} {
-		edges := randomEdges(rng, tc.n, tc.count)
-
+	for _, tc := range streamCases {
+		edges := tc.edges
 		ramPath := filepath.Join(dir, "ram.csr")
-		b := graph.NewBuilder(tc.n)
-		for _, e := range edges {
-			b.AddEdge(e[0], e[1])
-		}
-		g := b.Graph()
-		if err := graph.WriteCSRFile(g, ramPath); err != nil {
-			t.Fatalf("n=%d WriteCSRFile: %v", tc.n, err)
-		}
+		g := writeInRAM(t, ramPath, tc.n, edges)
 
 		streamPath := filepath.Join(dir, "stream.csr")
 		hdr := buildStream(t, streamPath, tc.n, edges)
@@ -86,7 +129,7 @@ func TestStreamingBuilderMatchesInRAM(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(want, got) {
-				t.Fatalf("n=%d count=%d: %s differs from the in-RAM build", tc.n, tc.count, filepath.Base(p))
+				t.Fatalf("%s: %s differs from the in-RAM build", tc.name, filepath.Base(p))
 			}
 			if err := csrfile.Verify(p); err != nil {
 				t.Fatalf("Verify(%s): %v", p, err)
@@ -108,6 +151,48 @@ func TestStreamingBuilderMatchesInRAM(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 	}
+}
+
+// FuzzStreamingBuilder holds the streaming builder to graph.Builder on
+// arbitrary edge lists — any order, duplicates, self-loops: the streamed file
+// must equal WriteCSRFile of the in-RAM graph byte for byte. An input is a
+// little-endian uint16 n-1 followed by uint16 endpoint pairs taken mod n.
+func FuzzStreamingBuilder(f *testing.F) {
+	for _, tc := range streamCases {
+		data := binary.LittleEndian.AppendUint16(nil, uint16(tc.n-1))
+		for _, e := range tc.edges {
+			data = binary.LittleEndian.AppendUint16(data, uint16(e[0]))
+			data = binary.LittleEndian.AppendUint16(data, uint16(e[1]))
+		}
+		f.Add(data)
+	}
+	dir := f.TempDir()
+	ramPath, streamPath := filepath.Join(dir, "ram.csr"), filepath.Join(dir, "stream.csr")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int(binary.LittleEndian.Uint16(data)) + 1
+		var edges [][2]int
+		for i := 2; i+4 <= len(data); i += 4 {
+			u := int(binary.LittleEndian.Uint16(data[i:])) % n
+			v := int(binary.LittleEndian.Uint16(data[i+2:])) % n
+			edges = append(edges, [2]int{u, v})
+		}
+		writeInRAM(t, ramPath, n, edges)
+		buildStream(t, streamPath, n, edges)
+		want, err := os.ReadFile(ramPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(streamPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("n=%d, %d edges: streamed file differs from the in-RAM build", n, len(edges))
+		}
+	})
 }
 
 func TestOpenGNPRoundTrip(t *testing.T) {
@@ -286,13 +371,13 @@ func TestWriteRejectsBadShapes(t *testing.T) {
 
 // TestStreamingBuildHeapON is the out-of-core guarantee: building a graph
 // whose edge stream is tens of megabytes must allocate only O(n) heap (the
-// counters and fixed buffers), because the edges live in temp files and the
-// scatter passes run through file mappings, not Go slices.
+// counters and fixed buffers), because the edges live in a temp file and the
+// scatter and row sort run through file mappings, not Go slices.
 func TestStreamingBuildHeapON(t *testing.T) {
 	if !csrfile.MmapSupported {
 		t.Skip("fallback build buffers files in RAM; the O(n) bound only holds with mmap")
 	}
-	const n = 2048 // K_n: ~2.1M edges, a ~33 MiB half-edge stream on disk
+	const n = 2048 // K_n: ~2.1M edges, a ~16 MiB edge stream on disk
 	path := filepath.Join(t.TempDir(), "kn.csr")
 
 	var before, after runtime.MemStats

@@ -5,10 +5,10 @@ package csrfile
 import "os"
 
 // mmapSupported gates tests and callers that rely on the O(n)-heap builder
-// passes and the zero-copy loader. This fallback build keeps the format and
-// every API working on hosts without a usable mmap, but trades the memory
-// guarantee away: files are read into (8-byte-aligned) RAM buffers, so both
-// the builder's scatter passes and the loader are O(file) in heap.
+// and the zero-copy loader. This fallback build keeps the format and every
+// API working on hosts without a usable mmap, but trades the memory
+// guarantee away: files are read into (8-byte-aligned) RAM buffers, so the
+// builder's edge stream and output file and the loader are O(file) in heap.
 const mmapSupported = false
 
 // mapRO reads size bytes of f into an aligned buffer.

@@ -8,7 +8,7 @@ import (
 )
 
 // mmapSupported gates tests and callers that rely on the O(n)-heap builder
-// passes and the zero-copy loader, both of which need a real file mapping.
+// and the zero-copy loader, both of which need a real file mapping.
 const mmapSupported = true
 
 // mapRO maps size bytes of f read-only. The returned release func must be
@@ -26,8 +26,8 @@ func mapRO(f *os.File, size int64) (data []byte, release func([]byte) error, err
 }
 
 // mapRW maps size bytes of f read-write and shared: stores land in the page
-// cache, so the release func only has to unmap — the builder's scatter
-// passes write through the mapping instead of seeking.
+// cache, so the release func only has to unmap — the builder's scatter and
+// row sort write through the mapping instead of seeking.
 func mapRW(f *os.File, size int64) (data []byte, release func([]byte) error, err error) {
 	if size == 0 {
 		return nil, releaseNothing, nil

@@ -11,42 +11,46 @@ import (
 // edge independently with probability p. It uses geometric skipping, so the
 // expected running time is O(n + m) rather than O(n²) for sparse p.
 func GNP(n int, p float64, rng *prng.SplitMix64) *Graph {
+	b := NewBuilder(n)
+	gnpPairs(n, p, rng, b.AddEdge)
+	return b.Graph()
+}
+
+// gnpPairs emits the edges of one G(n, p) sample — the draw sequence GNP and
+// GNPConnectedStream share. It walks the pairs (u, v), u < v, in row-major
+// order and skips geometrically: each draw U gives floor(log U / log(1-p))
+// non-edges before the next edge. p = 0 and p = 1 draw nothing.
+func gnpPairs(n int, p float64, rng *prng.SplitMix64, emit func(u, v int)) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("graph: GNP probability %v out of [0,1]", p))
 	}
-	b := NewBuilder(n)
 	if p == 0 || n < 2 {
-		return b.Graph()
+		return
 	}
 	if p == 1 {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				b.AddEdge(u, v)
+				emit(u, v)
 			}
 		}
-		return b.Graph()
+		return
 	}
-	// Enumerate pairs (u,v), u<v, as a single index and skip geometrically.
-	// skip ~ Geometric(p): number of non-edges before the next edge.
 	u, v := 0, 0
 	for {
-		// Draw skip = floor(log(U)/log(1-p)).
 		uniform := rng.Float64()
 		for uniform == 0 {
 			uniform = rng.Float64()
 		}
-		skip := int(math.Log(uniform)/math.Log(1-p)) + 1
-		// Advance (u,v) by skip positions in row-major pair order.
-		v += skip
+		v += int(math.Log(uniform)/math.Log(1-p)) + 1
 		for v >= n {
 			overflow := v - n
 			u++
 			v = u + 1 + overflow
 			if u >= n-1 {
-				return b.Graph()
+				return
 			}
 		}
-		b.AddEdge(u, v)
+		emit(u, v)
 	}
 }
 
@@ -54,23 +58,10 @@ func GNP(n int, p float64, rng *prng.SplitMix64) *Graph {
 // links consecutive components with one extra edge each, chosen between
 // random representatives. The result is connected while remaining
 // statistically close to G(n, p) for p above the connectivity threshold.
+// It is GNPConnectedStream collected into a Builder.
 func GNPConnected(n int, p float64, rng *prng.SplitMix64) *Graph {
-	g := GNP(n, p, rng)
-	comp, k := Components(g)
-	if k <= 1 {
-		return g
-	}
-	reps := make([][]int, k)
-	for v := 0; v < n; v++ {
-		reps[comp[v]] = append(reps[comp[v]], v)
-	}
 	b := NewBuilder(n)
-	g.Edges(func(u, v int) { b.AddEdge(u, v) })
-	for c := 1; c < k; c++ {
-		u := reps[c-1][rng.Intn(len(reps[c-1]))]
-		v := reps[c][rng.Intn(len(reps[c]))]
-		b.AddEdge(u, v)
-	}
+	GNPConnectedStream(n, p, rng, b.AddEdge)
 	return b.Graph()
 }
 
@@ -352,11 +343,6 @@ func RandomRegular(n, d int, rng *prng.SplitMix64) *Graph {
 		stubs[2*p+1], stubs[2*q+1] = stubs[2*q+1], stubs[2*p+1]
 		count[key(u(p), v(p))]++
 		count[key(u(q), v(q))]++
-		if bad(p) || bad(q) {
-			// Revert if the switch made things no better for q while p
-			// stays bad — just try again with a fresh q next iteration.
-			continue
-		}
 	}
 	b := NewBuilder(n)
 	for p := 0; p < numPairs; p++ {

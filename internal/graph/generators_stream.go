@@ -1,69 +1,26 @@
 package graph
 
-import (
-	"fmt"
-	"math"
+import "randlocal/internal/prng"
 
-	"randlocal/internal/prng"
-)
-
-// GNPConnectedStream emits exactly the edge multiset of
-// GNPConnected(n, p, rng) — the same rng draw sequence, the same
-// component-linking edges — without ever materializing a Graph, so streaming
-// builders (csrfile.Builder) can construct G(n, p)+connectivity instances
-// whose edge arrays exceed RAM. Peak memory is O(n): a union-find forest
-// stands in for the BFS component labeling, and the per-component
-// representative lists match Components' ordering because both number
-// components by their minimum-index member and collect members in ascending
-// node order.
+// GNPConnectedStream emits the edges of a connected G(n, p) sample — the
+// graph GNPConnected builds — without ever materializing a Graph, so
+// streaming builders (csrfile.Builder) can construct instances whose edge
+// arrays exceed RAM. Peak memory is O(n): a union-find forest tracks the
+// components while the G(n, p) edges stream past, and consecutive components
+// (numbered by their minimum-index member, members in ascending node order)
+// are then linked by one edge between random representatives.
 //
-// Emission order differs from Graph.Edges order, which is fine for any
-// order-insensitive consumer (both CSR builders counting-sort and dedup);
-// the resulting graph is Equal to GNPConnected's, golden-tested.
+// Emission order is not Graph.Edges order, which is fine for any
+// order-insensitive consumer (both CSR builders sort every row).
+// TestGNPConnectedStreamMatches holds the result to a BFS-labeled reference
+// construction, and TestGNPDigestPins pins the graphs themselves.
 func GNPConnectedStream(n int, p float64, rng *prng.SplitMix64, emit func(u, v int)) {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("graph: GNP probability %v out of [0,1]", p))
-	}
 	d := newDSU(n)
-	add := func(u, v int) {
+	gnpPairs(n, p, rng, func(u, v int) {
 		emit(u, v)
 		d.union(u, v)
-	}
-	// The G(n, p) phase replicates GNP's draw discipline exactly: geometric
-	// pair skipping for 0 < p < 1, no draws at the endpoints.
-	switch {
-	case p == 0 || n < 2:
-	case p == 1:
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				add(u, v)
-			}
-		}
-	default:
-		u, v := 0, 0
-		for u < n-1 {
-			uniform := rng.Float64()
-			for uniform == 0 {
-				uniform = rng.Float64()
-			}
-			skip := int(math.Log(uniform)/math.Log(1-p)) + 1
-			v += skip
-			for v >= n {
-				overflow := v - n
-				u++
-				v = u + 1 + overflow
-				if u >= n-1 {
-					break
-				}
-			}
-			if u >= n-1 {
-				break
-			}
-			add(u, v)
-		}
-	}
-	// Link the components with the same representative choices GNPConnected
-	// makes: components numbered by minimum member, members listed in
+	})
+	// Link the components: numbered by minimum member, members listed in
 	// ascending node order, one rng.Intn per endpoint.
 	comp := make([]int32, n)
 	k := 0

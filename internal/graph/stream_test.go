@@ -6,17 +6,39 @@ import (
 	"randlocal/internal/prng"
 )
 
+// gnpConnectedBFS is the reference for GNPConnectedStream: GNP, then
+// Components' BFS labeling, then one link per consecutive component pair.
+// It shares no code with the union-find emitter beyond GNP itself.
+func gnpConnectedBFS(n int, p float64, rng *prng.SplitMix64) *Graph {
+	g := GNP(n, p, rng)
+	comp, k := Components(g)
+	if k <= 1 {
+		return g
+	}
+	reps := make([][]int, k)
+	for v := 0; v < n; v++ {
+		reps[comp[v]] = append(reps[comp[v]], v)
+	}
+	b := NewBuilder(n)
+	g.Edges(b.AddEdge)
+	for c := 1; c < k; c++ {
+		u := reps[c-1][rng.Intn(len(reps[c-1]))]
+		v := reps[c][rng.Intn(len(reps[c]))]
+		b.AddEdge(u, v)
+	}
+	return b.Graph()
+}
+
 // TestGNPConnectedStreamMatches is the golden guarantee behind csrgen's gnp
-// streaming: the emitter must reproduce GNPConnected exactly — same rng draw
-// order, same linking representatives — for every regime of p.
+// streaming and GNPConnected: the union-find emitter must reproduce the
+// BFS-labeled construction exactly — same rng draw order, same linking
+// representatives — for every regime of p.
 func TestGNPConnectedStreamMatches(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 17, 100, 257} {
 		for _, p := range []float64{0, 0.01, 0.5, 1} {
 			for seed := uint64(1); seed <= 5; seed++ {
-				want := GNPConnected(n, p, prng.New(seed))
-				b := NewBuilder(n)
-				GNPConnectedStream(n, p, prng.New(seed), b.AddEdge)
-				got := b.Graph()
+				want := gnpConnectedBFS(n, p, prng.New(seed))
+				got := GNPConnected(n, p, prng.New(seed))
 				if !want.Equal(got) {
 					t.Fatalf("n=%d p=%v seed=%d: streamed graph differs (want %v, got %v)",
 						n, p, seed, want, got)
@@ -31,10 +53,7 @@ func TestGNPConnectedStreamMatches(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		n := 1 << 12
 		p := 4.0 / float64(n)
-		want := GNPConnected(n, p, prng.New(seed))
-		b := NewBuilder(n)
-		GNPConnectedStream(n, p, prng.New(seed), b.AddEdge)
-		if !want.Equal(b.Graph()) {
+		if !gnpConnectedBFS(n, p, prng.New(seed)).Equal(GNPConnected(n, p, prng.New(seed))) {
 			t.Fatalf("n=%d p=4/n seed=%d: streamed graph differs", n, seed)
 		}
 	}

@@ -131,6 +131,11 @@ func TestBuildGraphFamilies(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
+			// BuildGraph checks the shape itself, so front ends that skip
+			// Validate (locsim) get the error instead of a generator panic.
+			if _, err := BuildGraph(tc.kind, tc.n, tc.p, tc.deg, 1); err == nil {
+				t.Fatalf("BuildGraph(%q, %d, %v, %d) accepted", tc.kind, tc.n, tc.p, tc.deg)
+			}
 			// The same shape through a full request must reject too.
 			req := RunRequest{Algo: "luby", Graph: tc.kind, N: tc.n, P: tc.p, Deg: tc.deg, Seed: 1}
 			if err := req.Validate(); err == nil {

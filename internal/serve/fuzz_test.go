@@ -43,15 +43,7 @@ func FuzzRunRequest(f *testing.F) {
 		if req.Validate() != nil || req.GraphFile != "" || req.N > fuzzMaxN {
 			return
 		}
-		p, deg := req.P, req.Deg
-		if p == 0 {
-			p = 4 / float64(req.N)
-		}
-		if deg == 0 {
-			deg = 3
-		}
-		if (req.Graph == "gnp" && p*float64(req.N)*float64(req.N) > fuzzMaxHalfEdges) ||
-			(req.Graph == "regular" && req.N*deg > fuzzMaxHalfEdges) {
+		if expectedHalfEdges(req.Graph, req.N, req.P, req.Deg) > fuzzMaxHalfEdges {
 			return
 		}
 		g, err := BuildGraph(req.Graph, req.N, req.P, req.Deg, req.Seed)

@@ -25,6 +25,12 @@ import (
 // scale, small enough that a single request cannot exhaust the host.
 const MaxN = 1 << 22
 
+// MaxHalfEdges bounds the expected half-edge count of an accepted generated
+// graph: 16 per node at the n cap. Without it a dense shape at a legal n
+// (gnp with n = 2^22 and p = 1) would send BuildGraph after ~10^13
+// half-edges.
+const MaxHalfEdges = 16 * MaxN
+
 // AdversaryKnobs are the fault-injection budgets of a run request, mirroring
 // the locsim -drop/-delay/-crash/-churn/-stall flags.
 type AdversaryKnobs struct {
@@ -129,6 +135,10 @@ func (r *RunRequest) Validate() error {
 		if r.N > MaxN {
 			return fmt.Errorf("n %d exceeds the service cap %d", r.N, MaxN)
 		}
+		if h := expectedHalfEdges(r.Graph, r.N, r.P, r.Deg); h > MaxHalfEdges {
+			return fmt.Errorf("graph %s with n=%d is expected to have %.3g half-edges, over the service cap %d",
+				r.Graph, r.N, h, MaxHalfEdges)
+		}
 	}
 	if _, err := sim.ParseScheduler(r.Scheduler); err != nil {
 		return err
@@ -170,9 +180,7 @@ func ValidateGraphSpec(kind string, n int, p float64, deg int) error {
 			return fmt.Errorf("graph cliques needs n >= 4 (one clique of size 4), got n=%d", n)
 		}
 	case "regular":
-		if deg == 0 {
-			deg = 3 // the CLI default BuildGraph applies
-		}
+		_, deg = familyDefaults(n, p, deg)
 		if deg >= n {
 			return fmt.Errorf("graph regular needs deg < n, got deg=%d n=%d", deg, n)
 		}
@@ -188,17 +196,47 @@ func ValidateGraphSpec(kind string, n int, p float64, deg int) error {
 	return nil
 }
 
+// familyDefaults applies the CLI defaults for unset family parameters:
+// p = 0 means min(1, 4/n) for gnp (expected degree about 4; below 4 nodes
+// that is the clique) and deg = 0 means 3 for regular.
+func familyDefaults(n int, p float64, deg int) (float64, int) {
+	if p == 0 {
+		p = min(1, 4.0/float64(n))
+	}
+	if deg == 0 {
+		deg = 3
+	}
+	return p, deg
+}
+
+// expectedHalfEdges is the expected half-edge count of a generated family
+// with the defaults applied: p·n·(n−1) for gnp and n·deg for regular. The
+// other families have at most 4n, which the n cap already bounds.
+func expectedHalfEdges(kind string, n int, p float64, deg int) float64 {
+	p, deg = familyDefaults(n, p, deg)
+	switch kind {
+	case "gnp":
+		return p * float64(n) * float64(n-1)
+	case "regular":
+		return float64(n) * float64(deg)
+	default:
+		return 4 * float64(n)
+	}
+}
+
 // BuildGraph constructs the request's graph family exactly as the locsim CLI
 // does (same generator, same seed discipline), so a daemon-submitted run and
-// a CLI run of the same request solve the same instance.
+// a CLI run of the same request solve the same instance. It checks the shape
+// with ValidateGraphSpec first, so every front end gets an error, never a
+// generator panic, for an infeasible one.
 func BuildGraph(kind string, n int, p float64, deg int, seed uint64) (*graph.Graph, error) {
+	if err := ValidateGraphSpec(kind, n, p, deg); err != nil {
+		return nil, err
+	}
+	p, deg = familyDefaults(n, p, deg)
 	rng := prng.New(seed)
 	switch kind {
 	case "gnp":
-		if p == 0 {
-			// Expected degree about 4; below 4 nodes that is the clique.
-			p = min(1, 4.0/float64(n))
-		}
 		return graph.GNPConnected(n, p, rng), nil
 	case "ring":
 		return graph.Ring(n), nil
@@ -213,9 +251,6 @@ func BuildGraph(kind string, n int, p float64, deg int, seed uint64) (*graph.Gra
 	case "cliques":
 		return graph.RingOfCliques(n/4, 4), nil
 	case "regular":
-		if deg == 0 {
-			deg = 3
-		}
 		return graph.RandomRegular(n, deg, rng), nil
 	default:
 		return nil, fmt.Errorf("unknown graph family %q", kind)

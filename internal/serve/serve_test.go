@@ -41,12 +41,18 @@ var (
 		{Algo: "luby", N: 5, Graph: "regular"},            // default deg 3, n*deg odd
 		{Algo: "luby", N: 64, Graph: "regular", Deg: -2},  // negative deg
 		{Algo: "luby", N: 16, Graph: "regular", Deg: 15},  // deg > n/2: the repair panics
+		// Legal n, but far more than MaxHalfEdges expected half-edges.
+		{Algo: "luby", N: MaxN, Graph: "gnp", P: 1},
+		{Algo: "luby", N: MaxN, Graph: "regular", Deg: MaxN / 2},
+		{Algo: "luby", N: MaxN, Graph: "regular", Deg: 18},
 	}
 	feasibleRequests = []RunRequest{
 		{Algo: "luby", N: 4, Seed: 1, Graph: "cliques"},
 		{Algo: "luby", N: 64, Seed: 1, Graph: "regular"},
 		{Algo: "luby", N: 64, Seed: 1, Graph: "regular", Deg: 4},
 		{Algo: "luby", N: 16, Seed: 1, Graph: "regular", Deg: 8},
+		{Algo: "luby", N: MaxN, Seed: 1},                            // default p: 4(n-1) half-edges
+		{Algo: "luby", N: MaxN, Seed: 1, Graph: "regular", Deg: 16}, // exactly MaxHalfEdges
 	}
 )
 

@@ -11,9 +11,9 @@
 #     warm on this machine". Acceptance: the n=2^20 row's overhead must stay
 #     within 10%.
 #   * BenchmarkStreamBuild documents the out-of-core construction path: one
-#     op is a complete n=2^20 streaming build (generator → counting-sort
-#     passes → dedup/rev/checksum). Its heapB/node metric is the O(n)
-#     peak-RAM story in numbers — the half-edge stream (~50MB here) lives on
+#     op is a complete n=2^20 streaming build (generator → one scatter
+#     pass → per-row sort/dedup → rev/checksum). Its heapB/node metric is
+#     the O(n) peak-RAM story in numbers — the edge stream (~17MB here) lives on
 #     disk, and the heap carries only per-node counters and fixed buffers.
 #     (The hard not-O(m) proof is TestStreamingBuildHeapON's allocation
 #     assertion; this row records the absolute costs.)
