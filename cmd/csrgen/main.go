@@ -60,10 +60,7 @@ func run(args []string) error {
 		return err
 	}
 	if *graphKind == "gnp" {
-		prob := *p
-		if prob == 0 {
-			prob = min(1, 4.0/float64(*n)) // the BuildGraph default
-		}
+		prob, _ := serve.FamilyDefaults(*n, *p, *deg)
 		graph.GNPConnectedStream(*n, prob, prng.New(*seed), b.AddEdge)
 	} else {
 		g, err := serve.BuildGraph(*graphKind, *n, *p, *deg, *seed)

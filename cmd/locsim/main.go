@@ -1,6 +1,10 @@
-// Command locsim runs one algorithm on one generated graph and prints its
-// quality parameters and engine accounting — the interactive front door to
-// the library.
+// Command locsim runs one algorithm on one generated graph (or a csrgen
+// graph file) and prints its quality parameters and engine accounting — the
+// interactive front door to the library. The single-simulation algorithms
+// (en, luby, lubybit, coloring) run through serve.Run, the locsimd daemon's
+// execution path, so the CLI and the daemon print the same run, checker
+// verdict and telemetry. The graph line carries the exact diameter up to
+// 2^12 nodes and a double-sweep lower bound (diameter>=) above.
 //
 // Usage examples:
 //
@@ -20,10 +24,8 @@ import (
 	"os"
 
 	"randlocal/internal/check"
-	"randlocal/internal/coloring"
 	"randlocal/internal/decomp"
 	"randlocal/internal/graph"
-	"randlocal/internal/mis"
 	"randlocal/internal/orientation"
 	"randlocal/internal/prng"
 	"randlocal/internal/randomness"
@@ -34,17 +36,22 @@ import (
 
 // errRejected makes a checker-rejected (or fault-truncated) run exit nonzero
 // so scripts and CI can rely on the exit status, while the INVALID/INCOMPLETE
-// diagnostics above it keep carrying the detail.
+// summary line above it keeps carrying the detail.
 var errRejected = errors.New("run rejected (INVALID or INCOMPLETE under faults)")
 
+// exactDiameterMaxN is the largest graph whose exact diameter locsim prints:
+// graph.Diameter runs one BFS per node, O(n·m). Larger graphs get a
+// double-sweep lower bound.
+const exactDiameterMaxN = 1 << 12
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "locsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("locsim", flag.ContinueOnError)
 	graphKind := fs.String("graph", "gnp", "graph family: gnp | ring | grid | tree | cliques | regular")
 	graphFile := fs.String("graphfile", "", "run on a prebuilt on-disk CSR graph (cmd/csrgen) instead of generating one; overrides -graph/-n/-p/-deg")
@@ -57,13 +64,14 @@ func run(args []string) error {
 	scheduler := fs.String("scheduler", "sequential", "simulation engine: sequential | parallel")
 	workers := fs.Int("workers", 0, "worker-pool size for -scheduler parallel (0 = GOMAXPROCS, clamped to the node count)")
 	telemetry := fs.Bool("telemetry", false, "collect per-round scheduling telemetry and print a summary for the single-simulation algorithms (en, luby, lubybit, coloring); delivery modes are packed (bit planes), dense (plane sweep) and sparse (staged-slot walk)")
-	drop := fs.Float64("drop", 0, "adversary: per-message drop probability (en, luby, coloring)")
-	delay := fs.Float64("delay", 0, "adversary: per-message delay probability")
-	delayMax := fs.Int("delaymax", 2, "adversary: max extra rounds a delayed message is held")
-	crash := fs.Int("crash", 0, "adversary: nodes crash-stopped per round")
-	churn := fs.Int("churn", 0, "adversary: edges removed per round")
-	heal := fs.Int("heal", 0, "adversary: removed edges restored per round")
-	stall := fs.Int("stall", 0, "adversary: nodes denied the round by the scheduler, per round")
+	var adv serve.AdversaryKnobs
+	fs.Float64Var(&adv.Drop, "drop", 0, "adversary: per-message drop probability (en, luby, lubybit, coloring)")
+	fs.Float64Var(&adv.Delay, "delay", 0, "adversary: per-message delay probability")
+	fs.IntVar(&adv.DelayMax, "delaymax", 2, "adversary: max extra rounds a delayed message is held")
+	fs.IntVar(&adv.Crash, "crash", 0, "adversary: nodes crash-stopped per round")
+	fs.IntVar(&adv.Churn, "churn", 0, "adversary: edges removed per round")
+	fs.IntVar(&adv.Heal, "heal", 0, "adversary: removed edges restored per round")
+	fs.IntVar(&adv.Stall, "stall", 0, "adversary: nodes denied the round by the scheduler, per round")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -76,27 +84,9 @@ func run(args []string) error {
 	}
 	// Every simulation this run starts executes on these options.
 	exec := sim.ExecOptions{Scheduler: sched, Workers: *workers, Telemetry: *telemetry}
-
-	// The adversary draws from the key's isolated adversary stream, so the
-	// same -seed with and without fault flags replays the same algorithm
-	// coins (telemetry is forced on for faulted runs, so the injected-event
-	// summary always prints).
-	advCfg := sim.AdversaryConfig{
-		DropProb: *drop, DelayProb: *delay, DelayMax: *delayMax,
-		CrashPerRound: *crash, ChurnPerRound: *churn, HealPerRound: *heal,
-		StallPerRound: *stall,
-	}
-	var adv *sim.Adversary
-	if !advCfg.Zero() {
-		adv, err = sim.NewAdversary(sim.NewSimulationKey(*seed), advCfg)
-		if err != nil {
-			return err
-		}
-		switch *algo {
-		case "en", "luby", "lubybit", "coloring":
-		default:
-			return fmt.Errorf("adversary flags apply to -algo en, luby, lubybit or coloring, not %q", *algo)
-		}
+	single := *algo == "en" || *algo == "luby" || *algo == "lubybit" || *algo == "coloring"
+	if !adv.Zero() && !single {
+		return fmt.Errorf("adversary flags apply to -algo en, luby, lubybit or coloring, not %q", *algo)
 	}
 
 	// Graph construction is shared with the locsimd daemon (serve.BuildGraph)
@@ -118,35 +108,34 @@ func run(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("graph: %v diameter=%d\n", g, graph.Diameter(g))
+	fmt.Fprintf(w, "graph: %v %s\n", g, diameter(g))
 	if sched == sim.Parallel && *workers > g.N() {
 		// The engine clamps a pool wider than the node count (a shard needs
 		// at least one node); say so rather than silently running narrower.
-		fmt.Printf("note: -workers %d exceeds n=%d; running %d workers\n", *workers, g.N(), g.N())
+		fmt.Fprintf(w, "note: -workers %d exceeds n=%d; running %d workers\n", *workers, g.N(), g.N())
+	}
+
+	if single {
+		// The daemon's execution path: same run, checker and one-sided
+		// INVALID/INCOMPLETE verdict for faulted runs, whose adversary draws
+		// from the seed's isolated adversary stream (the same -seed with and
+		// without fault flags replays the same algorithm coins).
+		out, err := serve.Run(g, serve.RunRequest{
+			Algo: *algo, Seed: *seed, Scheduler: *scheduler, Workers: *workers, Adversary: adv,
+		}, sim.ExecOptions{Telemetry: *telemetry})
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, out.Telemetry)
+		fmt.Fprintf(w, "%s rounds=%d messages=%d bits=%d maxMsgBits=%d\n",
+			out.Summary, out.Rounds, out.Messages, out.BitsTotal, out.MaxMessageBits)
+		if !out.Valid {
+			return errRejected
+		}
+		return nil
 	}
 
 	switch *algo {
-	case "en":
-		src := randomness.NewFull(*seed)
-		d, res, err := decomp.ElkinNeiman(g, src, nil, decomp.ENConfig{Adversary: adv, Exec: exec})
-		if err != nil {
-			if adv == nil || res == nil {
-				return err
-			}
-			printTelemetry(res.Telemetry)
-			fmt.Printf("Elkin–Neiman under faults: INCOMPLETE (%v) rounds=%d\n", err, res.Rounds)
-			return errRejected
-		}
-		printTelemetry(res.Telemetry)
-		if adv != nil {
-			if verr := d.Validate(g, 0, 0); verr != nil {
-				fmt.Printf("Elkin–Neiman under faults: INVALID (%v) rounds=%d messages=%d\n", verr, res.Rounds, res.Messages)
-				return errRejected
-			}
-		}
-		return reportDecomp(g, d, "Elkin–Neiman",
-			fmt.Sprintf("rounds=%d messages=%d maxMsgBits=%d trueBits=%d",
-				res.Rounds, res.Messages, res.MaxMessageBits, src.Ledger().TrueBits()))
 	case "lowrand", "strong37":
 		holders := decomp.GreedyDominatingSet(g, *h)
 		bits := 1
@@ -163,7 +152,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			return reportDecomp(g, res.Decomposition, "LowRand (Thm 3.1)",
+			return reportDecomp(w, g, res.Decomposition, "LowRand (Thm 3.1)",
 				fmt.Sprintf("holders=%d bitsGathered=%d preClusters=%d analyticRounds=%d",
 					len(holders), res.BitsGathered, res.DistinctPreClusters(), res.AnalyticRounds))
 		}
@@ -171,7 +160,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return reportDecomp(g, res.Decomposition, "StrongLowRand (Thm 3.7)",
+		return reportDecomp(w, g, res.Decomposition, "StrongLowRand (Thm 3.7)",
 			fmt.Sprintf("holders=%d bitsGathered=%d phases=%d analyticRounds=%d",
 				len(holders), res.BitsGathered, res.Phases, res.AnalyticRounds))
 	case "sharedrand":
@@ -180,7 +169,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return reportDecomp(g, res.Decomposition, "SharedRand (Thm 3.6)",
+		return reportDecomp(w, g, res.Decomposition, "SharedRand (Thm 3.6)",
 			fmt.Sprintf("seedBitsUsed=%d phases=%d analyticRounds=%d",
 				res.SeedBitsUsed, res.Phases, res.AnalyticRounds))
 	case "shattering":
@@ -191,19 +180,19 @@ func run(args []string) error {
 		if err := res.Decomposition.ValidateWeak(g, 0, 0); err != nil {
 			return fmt.Errorf("invalid result: %w", err)
 		}
-		fmt.Printf("Shattering (Thm 4.2): valid (weak-diameter)\n")
-		fmt.Printf("  leftover=%d separated=%d ENrounds=%d detClusters=%d analyticRounds=%d\n",
+		fmt.Fprintf(w, "Shattering (Thm 4.2): valid (weak-diameter)\n")
+		fmt.Fprintf(w, "  leftover=%d separated=%d ENrounds=%d detClusters=%d analyticRounds=%d\n",
 			res.Leftover, res.SeparatedLeftover, res.ENRounds, res.DeterministicClusters, res.AnalyticRounds)
 		return nil
 	case "detdecomp":
 		d := decomp.DeterministicSequential(g)
-		return reportDecomp(g, d, "Deterministic sequential (zero randomness)", "SLOCAL locality O(log n)")
+		return reportDecomp(w, g, d, "Deterministic sequential (zero randomness)", "SLOCAL locality O(log n)")
 	case "mpx":
 		res, err := decomp.MPXPartition(g, randomness.NewFull(*seed), nil, exec)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("MPX random-shift partition: maxClusterDiameter=%d cutEdges=%d/%d rounds=%d\n",
+		fmt.Fprintf(w, "MPX random-shift partition: maxClusterDiameter=%d cutEdges=%d/%d rounds=%d\n",
 			res.MaxClusterDiameter, res.CutEdges, g.M(), res.Rounds)
 		return nil
 	case "sinkless":
@@ -214,87 +203,7 @@ func run(args []string) error {
 		if err := res.Orientation.Check(3); err != nil {
 			return fmt.Errorf("invalid orientation: %w", err)
 		}
-		fmt.Printf("Sinkless orientation: valid, rounds=%d retries=%d\n", res.Rounds, res.Retries)
-		return nil
-	case "luby":
-		src := randomness.NewFull(*seed)
-		in, res, err := mis.Luby(g, src, nil, mis.LubyConfig{Adversary: adv, Exec: exec})
-		if err != nil {
-			if adv == nil || res == nil {
-				return err
-			}
-			printTelemetry(res.Telemetry)
-			fmt.Printf("Luby MIS under faults: INCOMPLETE (%v) rounds=%d\n", err, res.Rounds)
-			return errRejected
-		}
-		if err := check.MIS(g, in); err != nil {
-			if adv != nil {
-				printTelemetry(res.Telemetry)
-				fmt.Printf("Luby MIS under faults: INVALID (%v) rounds=%d\n", err, res.Rounds)
-				return errRejected
-			}
-			return fmt.Errorf("invalid MIS: %w", err)
-		}
-		size := 0
-		for _, b := range in {
-			if b {
-				size++
-			}
-		}
-		printTelemetry(res.Telemetry)
-		fmt.Printf("Luby MIS: valid, |MIS|=%d rounds=%d trueBits=%d\n", size, res.Rounds, src.Ledger().TrueBits())
-		return nil
-	case "lubybit":
-		src := randomness.NewFull(*seed)
-		in, res, err := mis.LubyBit(g, src, nil, mis.LubyBitConfig{Adversary: adv, Exec: exec})
-		if err != nil {
-			if adv == nil || res == nil {
-				return err
-			}
-			printTelemetry(res.Telemetry)
-			fmt.Printf("LubyBit MIS under faults: INCOMPLETE (%v) rounds=%d\n", err, res.Rounds)
-			return errRejected
-		}
-		if err := check.MIS(g, in); err != nil {
-			if adv != nil {
-				printTelemetry(res.Telemetry)
-				fmt.Printf("LubyBit MIS under faults: INVALID (%v) rounds=%d\n", err, res.Rounds)
-				return errRejected
-			}
-			return fmt.Errorf("invalid MIS: %w", err)
-		}
-		size := 0
-		for _, b := range in {
-			if b {
-				size++
-			}
-		}
-		printTelemetry(res.Telemetry)
-		fmt.Printf("LubyBit MIS (1-bit messages): valid, |MIS|=%d rounds=%d messages=%d bits=%d trueBits=%d\n",
-			size, res.Rounds, res.Messages, res.BitsTotal, src.Ledger().TrueBits())
-		return nil
-	case "coloring":
-		src := randomness.NewFull(*seed)
-		colors, res, err := coloring.Randomized(g, src, nil, coloring.Config{Adversary: adv, Exec: exec})
-		if err != nil {
-			if adv == nil || res == nil {
-				return err
-			}
-			printTelemetry(res.Telemetry)
-			fmt.Printf("(Δ+1)-coloring under faults: INCOMPLETE (%v) rounds=%d\n", err, res.Rounds)
-			return errRejected
-		}
-		if err := check.Coloring(g, colors, g.MaxDegree()+1); err != nil {
-			if adv != nil {
-				printTelemetry(res.Telemetry)
-				fmt.Printf("(Δ+1)-coloring under faults: INVALID (%v) rounds=%d\n", err, res.Rounds)
-				return errRejected
-			}
-			return fmt.Errorf("invalid coloring: %w", err)
-		}
-		printTelemetry(res.Telemetry)
-		fmt.Printf("Randomized (Δ+1)-coloring: valid, Δ+1=%d rounds=%d trueBits=%d\n",
-			g.MaxDegree()+1, res.Rounds, src.Ledger().TrueBits())
+		fmt.Fprintf(w, "Sinkless orientation: valid, rounds=%d retries=%d\n", res.Rounds, res.Retries)
 		return nil
 	case "derand-mis":
 		res, err := slocal.DerandomizedMIS(g)
@@ -304,7 +213,7 @@ func run(args []string) error {
 		if err := check.MIS(g, res.Outputs); err != nil {
 			return fmt.Errorf("invalid MIS: %w", err)
 		}
-		fmt.Printf("Derandomized MIS: valid, zero randomness, analyticRounds=%d (colors=%d, clusterDiam=%d)\n",
+		fmt.Fprintf(w, "Derandomized MIS: valid, zero randomness, analyticRounds=%d (colors=%d, clusterDiam=%d)\n",
 			res.AnalyticRounds, res.Colors, res.MaxClusterDiameter)
 		return nil
 	case "derand-coloring":
@@ -315,84 +224,38 @@ func run(args []string) error {
 		if err := check.Coloring(g, res.Outputs, g.MaxDegree()+1); err != nil {
 			return fmt.Errorf("invalid coloring: %w", err)
 		}
-		fmt.Printf("Derandomized (Δ+1)-coloring: valid, zero randomness, analyticRounds=%d\n", res.AnalyticRounds)
+		fmt.Fprintf(w, "Derandomized (Δ+1)-coloring: valid, zero randomness, analyticRounds=%d\n", res.AnalyticRounds)
 		return nil
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 }
 
-// printTelemetry summarizes a run's telemetry record when -telemetry
-// enabled collection: pool shape, round count, the compute-time imbalance
-// across the pool and the delivery-mode split.
-func printTelemetry(tel *sim.Telemetry) {
-	if tel == nil {
-		return
-	}
-	var computeNS, idleNS, wallNS int64
-	packed, dense, sparse := 0, 0, 0
-	for _, rs := range tel.Rounds {
-		wallNS += rs.WallNS
-		var maxC int64
-		for _, c := range rs.ComputeNS {
-			computeNS += c
-			if c > maxC {
-				maxC = c
-			}
-		}
-		idleNS += maxC*int64(tel.Workers) - sumInt64(rs.ComputeNS)
-		for _, m := range rs.Mode {
-			switch m {
-			case sim.DeliverPacked:
-				packed++
-			case sim.DeliverDense:
-				dense++
-			case sim.DeliverSparse:
-				sparse++
-			}
-		}
-	}
-	fmt.Printf("telemetry: scheduler=%v workers=%d rounds=%d wall=%.1fms compute=%.1fms barrier-idle=%.1fms\n",
-		tel.Scheduler, tel.Workers, len(tel.Rounds),
-		float64(wallNS)/1e6, float64(computeNS)/1e6, float64(idleNS)/1e6)
-	if packed+dense+sparse > 0 {
-		fmt.Printf("telemetry: delivery modes: %d packed / %d dense / %d sparse (per worker-round)\n", packed, dense, sparse)
-	}
-	if len(tel.Injected) > 0 {
-		totals := map[sim.InjectKind]int{}
-		for _, ev := range tel.Injected {
-			totals[ev.Kind] += ev.Count
-		}
-		kinds := []sim.InjectKind{sim.InjectDrop, sim.InjectCut, sim.InjectDelay,
-			sim.InjectSupersede, sim.InjectExpire, sim.InjectChurnDown,
-			sim.InjectChurnUp, sim.InjectCrash, sim.InjectStall, sim.InjectStallLoss}
-		line := ""
-		for _, k := range kinds {
-			if totals[k] > 0 {
-				line += fmt.Sprintf(" %v=%d", k, totals[k])
-			}
-		}
-		fmt.Printf("telemetry: injected faults (%d events):%s\n", len(tel.Injected), line)
-	}
-}
-
-func sumInt64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-func reportDecomp(g *graph.Graph, d *decomp.Decomposition, name, extra string) error {
+func reportDecomp(w io.Writer, g *graph.Graph, d *decomp.Decomposition, name, extra string) error {
 	if err := d.Validate(g, 0, 0); err != nil {
 		return fmt.Errorf("%s produced an invalid decomposition: %w", name, err)
 	}
 	st := d.StatsOf(g)
-	fmt.Printf("%s: valid strong-diameter decomposition\n", name)
-	fmt.Printf("  colors=%d clusters=%d maxDiameter=%d maxSize=%d\n", st.Colors, st.Clusters, st.MaxDiameter, st.MaxSize)
+	fmt.Fprintf(w, "%s: valid strong-diameter decomposition\n", name)
+	fmt.Fprintf(w, "  colors=%d clusters=%d maxDiameter=%d maxSize=%d\n", st.Colors, st.Clusters, st.MaxDiameter, st.MaxSize)
 	if extra != "" {
-		fmt.Printf("  %s\n", extra)
+		fmt.Fprintf(w, "  %s\n", extra)
 	}
 	return nil
+}
+
+// diameter prints the graph's exact diameter up to exactDiameterMaxN nodes.
+// Above that it prints the double-sweep lower bound: the eccentricity of a
+// node farthest from node 0.
+func diameter(g *graph.Graph) string {
+	if g.N() <= exactDiameterMaxN {
+		return fmt.Sprintf("diameter=%d", graph.Diameter(g))
+	}
+	dist, far := g.BFS(0), 0
+	for v, d := range dist {
+		if d > dist[far] {
+			far = v
+		}
+	}
+	return fmt.Sprintf("diameter>=%d", g.Eccentricity(far))
 }

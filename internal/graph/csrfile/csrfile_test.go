@@ -403,9 +403,9 @@ func TestStreamingBuildHeapON(t *testing.T) {
 	allocated := after.TotalAlloc - before.TotalAlloc
 	streamBytes := uint64(8 * n * (n - 1)) // what an in-RAM edge list alone would cost
 	if limit := uint64(16 << 20); allocated > limit {
-		t.Fatalf("streaming build allocated %d bytes (limit %d; the on-disk stream is %d) — edges are leaking into the heap",
+		t.Fatalf("streaming build allocated %d bytes (limit %d; an in-RAM half-edge list is %d) — edges are leaking into the heap",
 			allocated, limit, streamBytes)
 	}
-	t.Logf("streaming K_%d build: %d half-edges, %.1f MiB on disk, %.2f MiB heap allocated",
+	t.Logf("streaming K_%d build: %d half-edges, %.1f MiB as an in-RAM half-edge list, %.2f MiB heap allocated",
 		n, hdr.HalfEdges, float64(streamBytes)/(1<<20), float64(allocated)/(1<<20))
 }

@@ -9,7 +9,7 @@ package serve
 
 import (
 	"fmt"
-	"io"
+	"strings"
 
 	"randlocal/internal/check"
 	"randlocal/internal/coloring"
@@ -83,7 +83,7 @@ type RunRequest struct {
 	// instead of a generated family: Graph/P/Deg must be unset and N may be
 	// 0 (it is filled from the file's header) or must match it. Over HTTP
 	// the path is resolved inside the daemon's -graphdir sandbox; direct
-	// Execute callers and the locsim CLI pass any path.
+	// Execute callers pass any path.
 	GraphFile string `json:"graphFile,omitempty"`
 	// Seed drives everything: graph construction, the algorithm's coins,
 	// and (through the derived SimulationKey) the adversary's. The same
@@ -149,7 +149,7 @@ func (r *RunRequest) Validate() error {
 	if r.N > 0 && r.Workers > r.N {
 		// Normalize rather than reject: the engine would clamp anyway, and
 		// the telemetry summary reports the effective width. (A graphFile
-		// run with N still 0 clamps once the header fills N in.)
+		// run with N still 0 is left to the engine's clamp.)
 		r.Workers = r.N
 	}
 	_, err := r.Adversary.adversary(r.Seed)
@@ -180,7 +180,7 @@ func ValidateGraphSpec(kind string, n int, p float64, deg int) error {
 			return fmt.Errorf("graph cliques needs n >= 4 (one clique of size 4), got n=%d", n)
 		}
 	case "regular":
-		_, deg = familyDefaults(n, p, deg)
+		_, deg = FamilyDefaults(n, p, deg)
 		if deg >= n {
 			return fmt.Errorf("graph regular needs deg < n, got deg=%d n=%d", deg, n)
 		}
@@ -196,10 +196,11 @@ func ValidateGraphSpec(kind string, n int, p float64, deg int) error {
 	return nil
 }
 
-// familyDefaults applies the CLI defaults for unset family parameters:
+// FamilyDefaults applies the CLI defaults for unset family parameters:
 // p = 0 means min(1, 4/n) for gnp (expected degree about 4; below 4 nodes
-// that is the clique) and deg = 0 means 3 for regular.
-func familyDefaults(n int, p float64, deg int) (float64, int) {
+// that is the clique) and deg = 0 means 3 for regular. BuildGraph, request
+// validation and csrgen all take the defaults from here.
+func FamilyDefaults(n int, p float64, deg int) (float64, int) {
 	if p == 0 {
 		p = min(1, 4.0/float64(n))
 	}
@@ -213,7 +214,7 @@ func familyDefaults(n int, p float64, deg int) (float64, int) {
 // with the defaults applied: p·n·(n−1) for gnp and n·deg for regular. The
 // other families have at most 4n, which the n cap already bounds.
 func expectedHalfEdges(kind string, n int, p float64, deg int) float64 {
-	p, deg = familyDefaults(n, p, deg)
+	p, deg = FamilyDefaults(n, p, deg)
 	switch kind {
 	case "gnp":
 		return p * float64(n) * float64(n-1)
@@ -233,7 +234,7 @@ func BuildGraph(kind string, n int, p float64, deg int, seed uint64) (*graph.Gra
 	if err := ValidateGraphSpec(kind, n, p, deg); err != nil {
 		return nil, err
 	}
-	p, deg = familyDefaults(n, p, deg)
+	p, deg = FamilyDefaults(n, p, deg)
 	rng := prng.New(seed)
 	switch kind {
 	case "gnp":
@@ -257,16 +258,19 @@ func BuildGraph(kind string, n int, p float64, deg int, seed uint64) (*graph.Gra
 	}
 }
 
-// TelemetrySummary condenses a run's sim.Telemetry for the status API; the
-// full per-round trace stays server-side.
+// TelemetrySummary condenses a run's sim.Telemetry for the status API and
+// the locsim -telemetry lines; the full per-round trace stays server-side.
 type TelemetrySummary struct {
-	Scheduler string         `json:"scheduler"`
-	Workers   int            `json:"workers"`
-	Rounds    int            `json:"rounds"`
-	WallMS    float64        `json:"wallMS"`
-	ComputeMS float64        `json:"computeMS"`
-	Modes     map[string]int `json:"modes,omitempty"`
-	Injected  map[string]int `json:"injected,omitempty"`
+	Scheduler string  `json:"scheduler"`
+	Workers   int     `json:"workers"`
+	Rounds    int     `json:"rounds"`
+	WallMS    float64 `json:"wallMS"`
+	ComputeMS float64 `json:"computeMS"`
+	// IdleMS is the barrier idle: per round, the time the lanes waited for
+	// the slowest one (max compute × workers − Σ compute), summed.
+	IdleMS   float64        `json:"idleMS"`
+	Modes    map[string]int `json:"modes,omitempty"`
+	Injected map[string]int `json:"injected,omitempty"`
 }
 
 func summarizeTelemetry(tel *sim.Telemetry) *TelemetrySummary {
@@ -279,18 +283,23 @@ func summarizeTelemetry(tel *sim.Telemetry) *TelemetrySummary {
 		Rounds:    len(tel.Rounds),
 		Modes:     map[string]int{},
 	}
-	var wallNS, computeNS int64
+	var wallNS, computeNS, idleNS int64
 	for _, rs := range tel.Rounds {
 		wallNS += rs.WallNS
+		var roundNS, maxNS int64
 		for _, c := range rs.ComputeNS {
-			computeNS += c
+			roundNS += c
+			maxNS = max(maxNS, c)
 		}
+		computeNS += roundNS
+		idleNS += maxNS*int64(tel.Workers) - roundNS
 		for _, m := range rs.Mode {
 			out.Modes[m.String()]++
 		}
 	}
 	out.WallMS = float64(wallNS) / 1e6
 	out.ComputeMS = float64(computeNS) / 1e6
+	out.IdleMS = float64(idleNS) / 1e6
 	if len(tel.Injected) > 0 {
 		out.Injected = map[string]int{}
 		for _, ev := range tel.Injected {
@@ -300,11 +309,37 @@ func summarizeTelemetry(tel *sim.Telemetry) *TelemetrySummary {
 	return out
 }
 
+// String renders the summary as the locsim "telemetry:" lines: pool shape
+// and time split, then the delivery-mode split and the injected-fault
+// totals when there are any. A nil summary renders as nothing.
+func (s *TelemetrySummary) String() string {
+	if s == nil {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "telemetry: scheduler=%s workers=%d rounds=%d wall=%.1fms compute=%.1fms barrier-idle=%.1fms\n",
+		s.Scheduler, s.Workers, s.Rounds, s.WallMS, s.ComputeMS, s.IdleMS)
+	if len(s.Modes) > 0 {
+		fmt.Fprintf(&b, "telemetry: delivery modes: %d packed / %d dense / %d sparse (per worker-round)\n",
+			s.Modes[sim.DeliverPacked.String()], s.Modes[sim.DeliverDense.String()], s.Modes[sim.DeliverSparse.String()])
+	}
+	if len(s.Injected) > 0 {
+		b.WriteString("telemetry: injected faults:")
+		for k := sim.InjectDrop; k <= sim.InjectStallLoss; k++ {
+			if c := s.Injected[k.String()]; c > 0 {
+				fmt.Fprintf(&b, " %v=%d", k, c)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // RunOutcome is the completed run's result: the engine accounting every
 // scheduler agrees on byte for byte, the checker verdict, and the telemetry
 // summary. A faulted run that ran to completion but failed its checker (or
 // exhausted its phases) is an outcome with Valid=false and Reject set — the
-// same one-sided-oracle reporting the CLI prints — while configuration and
+// one-sided-oracle reporting locsim prints — while configuration and
 // engine errors surface as request failures instead.
 type RunOutcome struct {
 	Valid          bool              `json:"valid"`
@@ -318,8 +353,12 @@ type RunOutcome struct {
 	Telemetry      *TelemetrySummary `json:"telemetry,omitempty"`
 }
 
-// accounting is the Result slice every algorithm shares.
+// outcomeOf is the Result slice every algorithm shares; nil for a run that
+// produced no Result.
 func outcomeOf[T any](res *sim.Result[T]) *RunOutcome {
+	if res == nil {
+		return nil
+	}
 	return &RunOutcome{
 		Rounds:         res.Rounds,
 		Messages:       res.Messages,
@@ -330,15 +369,48 @@ func outcomeOf[T any](res *sim.Result[T]) *RunOutcome {
 	}
 }
 
-// Execute runs one validated request to its outcome. exec carries the host's
-// per-run execution wiring — the engine pool, the forced telemetry, the
-// progress hook — merged with the request's own scheduler knobs; the zero
-// ExecOptions runs unpooled without telemetry or hook, as the locsim CLI
-// does, which is what the CLI-equivalence guarantee is stated against.
+// Execute admits one request and runs it to its outcome: Validate, then the
+// request's graph — BuildGraph, or the mapped graph file under the n cap —
+// then Run. exec carries the host's per-run execution wiring (the engine
+// pool, the forced telemetry, the progress hook); the zero ExecOptions runs
+// unpooled without telemetry or hook, as the locsim CLI does, which is what
+// the CLI-equivalence guarantee is stated against.
 func Execute(req RunRequest, exec sim.ExecOptions) (*RunOutcome, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	if req.GraphFile == "" {
+		g, err := BuildGraph(req.Graph, req.N, req.P, req.Deg, req.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return Run(g, req, exec)
+	}
+	// File-backed run: the engines execute on the read-only mapping
+	// directly; the closer releases it once the run (and its telemetry
+	// summarization) is done.
+	g, closer, err := graph.OpenCSRFile(req.GraphFile)
+	if err != nil {
+		return nil, err
+	}
+	defer closer.Close()
+	if g.N() > MaxN {
+		return nil, fmt.Errorf("graph file n=%d exceeds the service cap %d", g.N(), MaxN)
+	}
+	if req.N != 0 && req.N != g.N() {
+		return nil, fmt.Errorf("request n=%d does not match the graph file's n=%d", req.N, g.N())
+	}
+	return Run(g, req, exec)
+}
+
+// Run executes req's algorithm on g — the engine knobs, the adversary, the
+// run and its checker — merging the request's scheduler, workers and
+// unpacked knobs into exec. It applies none of the service caps and ignores
+// the request's graph fields, so the locsim CLI runs any graph it can load
+// through it. Faulted runs follow the one-sided-oracle reporting: an
+// incomplete or checker-rejected execution is a Valid=false outcome with the
+// partial accounting, not an error; a fault-free one is an error.
+func Run(g *graph.Graph, req RunRequest, exec sim.ExecOptions) (*RunOutcome, error) {
 	sched, err := sim.ParseScheduler(req.Scheduler)
 	if err != nil {
 		return nil, err
@@ -348,122 +420,85 @@ func Execute(req RunRequest, exec sim.ExecOptions) (*RunOutcome, error) {
 	if req.Unpacked {
 		exec.Unpacked = true
 	}
-
-	var g *graph.Graph
-	if req.GraphFile != "" {
-		// File-backed run: the engines execute on the read-only mapping
-		// directly; the closer releases it once the run (and its telemetry
-		// summarization) is done.
-		var closer io.Closer
-		g, closer, err = graph.OpenCSRFile(req.GraphFile)
-		if err != nil {
-			return nil, err
-		}
-		defer closer.Close()
-		if g.N() > MaxN {
-			return nil, fmt.Errorf("graph file n=%d exceeds the service cap %d", g.N(), MaxN)
-		}
-		if req.N != 0 && req.N != g.N() {
-			return nil, fmt.Errorf("request n=%d does not match the graph file's n=%d", req.N, g.N())
-		}
-		req.N = g.N()
-		if req.Workers > req.N {
-			req.Workers = req.N
-		}
-		exec.Workers = req.Workers
-	} else {
-		g, err = BuildGraph(req.Graph, req.N, req.P, req.Deg, req.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
 	adv, err := req.Adversary.adversary(req.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	// Faulted runs follow the CLI's one-sided-oracle reporting: an
-	// incomplete or checker-rejected execution is a Valid=false outcome
-	// with the partial accounting, not a request error.
-	reject := func(res *RunOutcome, phase string, cause error) *RunOutcome {
-		res.Valid = false
-		res.Reject = fmt.Sprintf("%s (%v)", phase, cause)
-		res.Summary = fmt.Sprintf("%s under faults: %s", req.Algo, res.Reject)
-		return res
-	}
-
+	src := randomness.NewFull(req.Seed)
+	var (
+		out    *RunOutcome
+		runErr error
+		// verdict checks the run's output and, when it holds, returns the
+		// valid summary.
+		verdict func() (string, error)
+	)
 	switch req.Algo {
 	case "en":
-		src := randomness.NewFull(req.Seed)
 		d, res, err := decomp.ElkinNeiman(g, src, nil, decomp.ENConfig{Adversary: adv, Exec: exec})
-		if err != nil {
-			if adv == nil || res == nil {
-				return nil, err
+		out, runErr = outcomeOf(res), err
+		verdict = func() (string, error) {
+			if err := d.Validate(g, 0, 0); err != nil {
+				return "", err
 			}
-			return reject(outcomeOf(res), "INCOMPLETE", err), nil
+			st := d.StatsOf(g)
+			return fmt.Sprintf("Elkin–Neiman: valid, colors=%d clusters=%d maxDiameter=%d maxSize=%d trueBits=%d",
+				st.Colors, st.Clusters, st.MaxDiameter, st.MaxSize, src.Ledger().TrueBits()), nil
 		}
-		out := outcomeOf(res)
-		if verr := d.Validate(g, 0, 0); verr != nil {
-			if adv == nil {
-				return nil, fmt.Errorf("invalid decomposition: %w", verr)
-			}
-			return reject(out, "INVALID", verr), nil
-		}
-		st := d.StatsOf(g)
-		out.Valid = true
-		out.Summary = fmt.Sprintf("Elkin–Neiman: valid, colors=%d clusters=%d maxDiameter=%d trueBits=%d",
-			st.Colors, st.Clusters, st.MaxDiameter, src.Ledger().TrueBits())
-		return out, nil
 	case "luby", "lubybit":
-		src := randomness.NewFull(req.Seed)
 		var in []bool
 		var res *sim.Result[mis.LubyOutput]
 		if req.Algo == "luby" {
-			in, res, err = mis.Luby(g, src, nil, mis.LubyConfig{Adversary: adv, Exec: exec})
+			in, res, runErr = mis.Luby(g, src, nil, mis.LubyConfig{Adversary: adv, Exec: exec})
 		} else {
-			in, res, err = mis.LubyBit(g, src, nil, mis.LubyBitConfig{Adversary: adv, Exec: exec})
+			in, res, runErr = mis.LubyBit(g, src, nil, mis.LubyBitConfig{Adversary: adv, Exec: exec})
 		}
-		if err != nil {
-			if adv == nil || res == nil {
-				return nil, err
+		out = outcomeOf(res)
+		verdict = func() (string, error) {
+			if err := check.MIS(g, in); err != nil {
+				return "", err
 			}
-			return reject(outcomeOf(res), "INCOMPLETE", err), nil
-		}
-		out := outcomeOf(res)
-		if cerr := check.MIS(g, in); cerr != nil {
-			if adv == nil {
-				return nil, fmt.Errorf("invalid MIS: %w", cerr)
+			size := 0
+			for _, b := range in {
+				if b {
+					size++
+				}
 			}
-			return reject(out, "INVALID", cerr), nil
+			return fmt.Sprintf("%s MIS: valid, |MIS|=%d trueBits=%d", req.Algo, size, src.Ledger().TrueBits()), nil
 		}
-		size := 0
-		for _, b := range in {
-			if b {
-				size++
-			}
-		}
-		out.Valid = true
-		out.Summary = fmt.Sprintf("%s MIS: valid, |MIS|=%d trueBits=%d", req.Algo, size, src.Ledger().TrueBits())
-		return out, nil
 	case "coloring":
-		src := randomness.NewFull(req.Seed)
 		colors, res, err := coloring.Randomized(g, src, nil, coloring.Config{Adversary: adv, Exec: exec})
-		if err != nil {
-			if adv == nil || res == nil {
-				return nil, err
+		out, runErr = outcomeOf(res), err
+		verdict = func() (string, error) {
+			if err := check.Coloring(g, colors, g.MaxDegree()+1); err != nil {
+				return "", err
 			}
-			return reject(outcomeOf(res), "INCOMPLETE", err), nil
+			return fmt.Sprintf("coloring: valid, palette=%d trueBits=%d", g.MaxDegree()+1, src.Ledger().TrueBits()), nil
 		}
-		out := outcomeOf(res)
-		if cerr := check.Coloring(g, colors, g.MaxDegree()+1); cerr != nil {
-			if adv == nil {
-				return nil, fmt.Errorf("invalid coloring: %w", cerr)
-			}
-			return reject(out, "INVALID", cerr), nil
-		}
-		out.Valid = true
-		out.Summary = fmt.Sprintf("coloring: valid, palette=%d trueBits=%d", g.MaxDegree()+1, src.Ledger().TrueBits())
-		return out, nil
+	default:
+		return nil, fmt.Errorf("unknown algo %q", req.Algo)
 	}
-	return nil, fmt.Errorf("unknown algo %q", req.Algo)
+
+	// Only a faulted run may end INCOMPLETE or INVALID; without an
+	// adversary either is an error.
+	reject := func(phase string, cause error) *RunOutcome {
+		out.Reject = fmt.Sprintf("%s (%v)", phase, cause)
+		out.Summary = fmt.Sprintf("%s under faults: %s", req.Algo, out.Reject)
+		return out
+	}
+	if runErr != nil {
+		if adv == nil || out == nil {
+			return nil, runErr
+		}
+		return reject("INCOMPLETE", runErr), nil
+	}
+	summary, err := verdict()
+	if err != nil {
+		if adv == nil {
+			return nil, fmt.Errorf("%s: invalid output: %w", req.Algo, err)
+		}
+		return reject("INVALID", err), nil
+	}
+	out.Valid, out.Summary = true, summary
+	return out, nil
 }

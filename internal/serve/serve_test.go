@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"randlocal/internal/graph"
 	"randlocal/internal/mis"
 	"randlocal/internal/randomness"
 	"randlocal/internal/sim"
@@ -90,6 +91,56 @@ func TestExecuteInfeasibleGraphs(t *testing.T) {
 		if err == nil {
 			t.Errorf("infeasible request %+v executed: %+v", req, out)
 		}
+	}
+}
+
+// TestRunSkipsServiceCaps: the caps are admission, not execution — Run
+// executes a request whose N is over MaxN on the graph it is handed (as
+// locsim does with any graph it loads), while Execute of the same request
+// fails on the cap.
+func TestRunSkipsServiceCaps(t *testing.T) {
+	req := RunRequest{Algo: "luby", N: MaxN + 1, Seed: 1}
+	if _, err := Execute(req, sim.ExecOptions{}); err == nil || !strings.Contains(err.Error(), "service cap") {
+		t.Fatalf("Execute over the cap = %v, want the service-cap error", err)
+	}
+	out, err := Run(graph.Ring(64), req, sim.ExecOptions{})
+	if err != nil || !out.Valid {
+		t.Fatalf("Run over the cap = %+v, %v; want a valid outcome", out, err)
+	}
+}
+
+// TestTelemetrySummary: IdleMS is the summed barrier idle
+// Σ_rounds (max compute · workers − Σ compute), and String renders the
+// locsim telemetry lines from the summary.
+func TestTelemetrySummary(t *testing.T) {
+	tel := &sim.Telemetry{
+		Scheduler: sim.Parallel,
+		Workers:   3,
+		Rounds: []sim.RoundStats{
+			{WallNS: 5e6, ComputeNS: []int64{1e6, 3e6, 2e6},
+				Mode: []sim.DeliveryMode{sim.DeliverDense, sim.DeliverSparse, sim.DeliverSparse}},
+			{WallNS: 6e6, ComputeNS: []int64{4e6, 4e6, 1e6},
+				Mode: []sim.DeliveryMode{sim.DeliverSparse, sim.DeliverSparse, sim.DeliverSparse}},
+		},
+		Injected: []sim.InjectedEvent{
+			{Round: 0, Kind: sim.InjectCrash, Count: 2},
+			{Round: 0, Kind: sim.InjectDrop, Count: 5},
+			{Round: 1, Kind: sim.InjectDrop, Count: 1},
+		},
+	}
+	s := summarizeTelemetry(tel)
+	// Round 0 idles 3·3 − 6 = 3 ms, round 1 idles 4·3 − 9 = 3 ms.
+	if s.IdleMS != 6 || s.ComputeMS != 15 || s.WallMS != 11 {
+		t.Fatalf("summary idle=%v compute=%v wall=%v, want 6, 15, 11", s.IdleMS, s.ComputeMS, s.WallMS)
+	}
+	want := "telemetry: scheduler=parallel workers=3 rounds=2 wall=11.0ms compute=15.0ms barrier-idle=6.0ms\n" +
+		"telemetry: delivery modes: 0 packed / 1 dense / 5 sparse (per worker-round)\n" +
+		"telemetry: injected faults: drop=6 crash=2\n"
+	if got := s.String(); got != want {
+		t.Errorf("String() =\n%s\nwant\n%s", got, want)
+	}
+	if got := (*TelemetrySummary)(nil).String(); got != "" {
+		t.Errorf("nil summary renders %q, want nothing", got)
 	}
 }
 
