@@ -120,7 +120,7 @@ func TestMISDistributedAgreesWithValidator(t *testing.T) {
 func TestColoringDistributedAgreesWithValidator(t *testing.T) {
 	g := graph.Ring(12)
 	colors := []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
-	all, _, err := ColoringDistributed(g, colors, 2)
+	all, _, err := ColoringDistributedOpts(g, colors, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestColoringDistributedAgreesWithValidator(t *testing.T) {
 		t.Error("valid 2-coloring of C12 rejected")
 	}
 	colors[3] = 0 // monochromatic edge {3,4}? C12: 3-4 edge colors 0,0
-	all, answers, err := ColoringDistributed(g, colors, 2)
+	all, answers, err := ColoringDistributedOpts(g, colors, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestColoringDistributedAgreesWithValidator(t *testing.T) {
 
 func TestColoringDistributedPaletteBound(t *testing.T) {
 	g := graph.Path(3)
-	all, _, err := ColoringDistributed(g, []int{0, 9, 0}, 3)
+	all, _, err := ColoringDistributedOpts(g, []int{0, 9, 0}, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDecompositionDistributedChecker(t *testing.T) {
 func TestSplittingDistributedAgreesWithGlobal(t *testing.T) {
 	adjU := [][]int{{0, 1, 2}, {1, 2, 3}}
 	good := []int{0, 1, 0, 1}
-	ok, err := SplittingDistributed(adjU, 4, good)
+	ok, err := SplittingDistributedOpts(adjU, 4, good, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSplittingDistributedAgreesWithGlobal(t *testing.T) {
 	}
 	// U-node 0 sees only color 0.
 	bad := []int{0, 0, 0, 1}
-	ok, err = SplittingDistributed(adjU, 4, bad)
+	ok, err = SplittingDistributedOpts(adjU, 4, bad, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSplittingDistributedAgreesWithGlobal(t *testing.T) {
 	}
 	// Out-of-range color.
 	weird := []int{0, 2, 1, 1}
-	ok, err = SplittingDistributed(adjU, 4, weird)
+	ok, err = SplittingDistributedOpts(adjU, 4, weird, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

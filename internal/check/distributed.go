@@ -136,12 +136,8 @@ func (c *coloringChecker) Round(r int, inbox []sim.Message) ([]sim.Message, bool
 
 func (c *coloringChecker) Output() bool { return c.answer }
 
-// ColoringDistributed runs the 1-round distributed coloring checker.
-func ColoringDistributed(g *graph.Graph, colors []int, maxColors int) (bool, []bool, error) {
-	return ColoringDistributedOpts(g, colors, maxColors, Options{})
-}
-
-// ColoringDistributedOpts is ColoringDistributed on a configured network.
+// ColoringDistributedOpts runs the 1-round distributed coloring checker
+// over the network opt configures.
 func ColoringDistributedOpts(g *graph.Graph, colors []int, maxColors int, opt Options) (bool, []bool, error) {
 	res, err := sim.Execute(opt.config(g), func(v int) sim.NodeProgram[bool] {
 		return &coloringChecker{color: colors[v], maxColors: maxColors}

@@ -48,15 +48,11 @@ func (c *splitChecker) Round(r int, inbox []sim.Message) ([]sim.Message, bool) {
 
 func (c *splitChecker) Output() bool { return c.answer }
 
-// SplittingDistributed runs the 1-round distributed splitting checker of
-// Definition 2.2 on the bipartite communication graph induced by adjU
-// (U-nodes get indices [0, |U|), V-nodes [|U|, |U|+nv)). It returns
-// whether all nodes answered yes, matching the global Splitting validator.
-func SplittingDistributed(adjU [][]int, nv int, colors []int) (bool, error) {
-	return SplittingDistributedOpts(adjU, nv, colors, Options{})
-}
-
-// SplittingDistributedOpts is SplittingDistributed on a configured network.
+// SplittingDistributedOpts runs the 1-round distributed splitting checker
+// of Definition 2.2 on the bipartite communication graph induced by adjU
+// (U-nodes get indices [0, |U|), V-nodes [|U|, |U|+nv)), over the network
+// opt configures. It returns whether all nodes answered yes, matching the
+// global Splitting validator.
 func SplittingDistributedOpts(adjU [][]int, nv int, colors []int, opt Options) (bool, error) {
 	nu := len(adjU)
 	b := graph.NewBuilder(nu + nv)

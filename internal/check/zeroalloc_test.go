@@ -94,7 +94,7 @@ func TestCheckerRoundsAllocNothing(t *testing.T) {
 		for i := range colors {
 			colors[i] = i % 2
 		}
-		ok, err := SplittingDistributed(inst.AdjU, 200, colors)
+		ok, err := SplittingDistributedOpts(inst.AdjU, 200, colors, Options{})
 		if err != nil || !ok {
 			t.Errorf("splitting checker: ok=%v err=%v, want acceptance", ok, err)
 		}

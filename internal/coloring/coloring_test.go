@@ -101,65 +101,3 @@ func TestRandomizedColoringDeterministicGivenSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestReduceFromIDColoring(t *testing.T) {
-	// The trivial n-coloring (color = index) reduced to Δ+1.
-	rng := prng.New(31)
-	g := graph.GNPConnected(120, 0.05, rng)
-	trivial := make([]int, g.N())
-	for v := range trivial {
-		trivial[v] = v
-	}
-	res, err := Reduce(g, trivial, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := check.Coloring(g, res.Colors, g.MaxDegree()+1); err != nil {
-		t.Fatalf("reduced coloring invalid: %v", err)
-	}
-	if res.AnalyticRounds != g.N()-(g.MaxDegree()+1) {
-		t.Errorf("rounds = %d, want %d", res.AnalyticRounds, g.N()-(g.MaxDegree()+1))
-	}
-}
-
-func TestReduceNoOpWhenAlreadySmall(t *testing.T) {
-	g := graph.Ring(8)
-	colors := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	res, err := Reduce(g, colors, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AnalyticRounds != 0 {
-		t.Errorf("rounds = %d for an already-small coloring", res.AnalyticRounds)
-	}
-	for v := range colors {
-		if res.Colors[v] != colors[v] {
-			t.Error("no-op reduction changed colors")
-		}
-	}
-}
-
-func TestReduceRejectsImproperInput(t *testing.T) {
-	g := graph.Path(3)
-	if _, err := Reduce(g, []int{0, 0, 1}, 0); err == nil {
-		t.Error("improper input coloring accepted")
-	}
-	if _, err := Reduce(g, []int{0, 1}, 0); err == nil {
-		t.Error("short color array accepted")
-	}
-}
-
-func TestReduceCustomTarget(t *testing.T) {
-	g := graph.Path(10) // Δ+1 = 3
-	trivial := make([]int, 10)
-	for v := range trivial {
-		trivial[v] = v
-	}
-	res, err := Reduce(g, trivial, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := check.Coloring(g, res.Colors, 5); err != nil {
-		t.Fatal(err)
-	}
-}

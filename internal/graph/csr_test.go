@@ -81,7 +81,7 @@ func TestCSRInvariantsAcrossGenerators(t *testing.T) {
 		{"tree", RandomTree(60, rng)},
 		{"regular", RandomRegular(30, 4, rng)},
 		{"powerlaw", PowerLaw(70, 3, rng)},
-		{"hypercube", Hypercube(5)},
+		{"hypercube", hypercube(5)},
 		{"cliques", RingOfCliques(5, 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkCSR(t, tc.g) })

@@ -61,3 +61,36 @@ func TestGNPDigestPins(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomRegularDigestPins pins the graphs RandomRegular draws, so a
+// rewrite of its repair loop cannot move the regular instances (and the
+// results built on them) unnoticed. The cases cover the smallest shape,
+// deg = n/2 (many repairs), mid-size and dense shapes and the 2^14
+// daemon-mix shape.
+func TestRandomRegularDigestPins(t *testing.T) {
+	for _, c := range []struct {
+		n, d   int
+		seed   uint64
+		digest uint64
+	}{
+		{4, 2, 1, 0xd0cdb4a7d8b627cd},
+		{10, 3, 2, 0xf743da63dd7f2b30},
+		{64, 32, 3, 0x49b536b10328db51},
+		{1000, 3, 4, 0x3069af5c38381128},
+		{1 << 12, 16, 5, 0x2f4954b7494737f8},
+		{1 << 14, 4, 6, 0xecf6cd78ba65001c},
+	} {
+		g := RandomRegular(c.n, c.d, prng.New(c.seed))
+		if got := csrDigest(g); got != c.digest {
+			t.Errorf("RandomRegular(%d, %d, seed %d) digest %#x, want %#x", c.n, c.d, c.seed, got, c.digest)
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("RandomRegular(%d, %d, seed %d): %v", c.n, c.d, c.seed, err)
+		}
+		for v := range g.N() {
+			if g.Degree(v) != c.d {
+				t.Fatalf("RandomRegular(%d, %d, seed %d): node %d has degree %d", c.n, c.d, c.seed, v, g.Degree(v))
+			}
+		}
+	}
+}

@@ -271,24 +271,6 @@ func RingOfCliques(k, s int) *Graph {
 	return b.Graph()
 }
 
-// Caterpillar returns a path of length spine with legs pendant nodes attached
-// to every spine node, a tree family with many degree-1 nodes.
-func Caterpillar(spine, legs int) *Graph {
-	n := spine + spine*legs
-	b := NewBuilder(n)
-	for v := 0; v+1 < spine; v++ {
-		b.AddEdge(v, v+1)
-	}
-	next := spine
-	for v := 0; v < spine; v++ {
-		for l := 0; l < legs; l++ {
-			b.AddEdge(v, next)
-			next++
-		}
-	}
-	return b.Graph()
-}
-
 // RandomRegular returns a random d-regular graph on n nodes via the
 // configuration model with edge-swap repair: a random stub pairing is
 // drawn, and any self-loop or parallel edge is removed by switching it with
@@ -347,21 +329,6 @@ func RandomRegular(n, d int, rng *prng.SplitMix64) *Graph {
 	b := NewBuilder(n)
 	for p := 0; p < numPairs; p++ {
 		b.AddEdge(u(p), v(p))
-	}
-	return b.Graph()
-}
-
-// Hypercube returns the dim-dimensional hypercube on 2^dim nodes.
-func Hypercube(dim int) *Graph {
-	n := 1 << dim
-	b := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		for bit := 0; bit < dim; bit++ {
-			w := v ^ (1 << bit)
-			if v < w {
-				b.AddEdge(v, w)
-			}
-		}
 	}
 	return b.Graph()
 }

@@ -290,16 +290,6 @@ func TestRingOfCliques(t *testing.T) {
 	}
 }
 
-func TestCaterpillar(t *testing.T) {
-	g := Caterpillar(5, 3)
-	if g.N() != 5+15 || g.M() != 4+15 {
-		t.Fatalf("n=%d m=%d", g.N(), g.M())
-	}
-	if !IsConnected(g) {
-		t.Fatal("disconnected")
-	}
-}
-
 func TestRandomRegular(t *testing.T) {
 	rng := prng.New(5)
 	for _, tc := range []struct{ n, d int }{{10, 3}, {20, 4}, {50, 3}, {8, 0}} {
@@ -324,8 +314,24 @@ func TestRandomRegularPanicsInfeasible(t *testing.T) {
 	RandomRegular(5, 3, prng.New(1))
 }
 
+// hypercube returns the dim-dimensional hypercube on 2^dim nodes, a
+// regular fixture for the CSR invariant checks.
+func hypercube(dim int) *Graph {
+	n := 1 << dim
+	b := NewBuilder(n)
+	for v := 0; v < n; v++ {
+		for bit := 0; bit < dim; bit++ {
+			w := v ^ (1 << bit)
+			if v < w {
+				b.AddEdge(v, w)
+			}
+		}
+	}
+	return b.Graph()
+}
+
 func TestHypercube(t *testing.T) {
-	g := Hypercube(4)
+	g := hypercube(4)
 	if g.N() != 16 || g.M() != 32 {
 		t.Fatalf("n=%d m=%d", g.N(), g.M())
 	}
@@ -538,13 +544,6 @@ func TestContract(t *testing.T) {
 	cg2 := Contract(g, part2, 2)
 	if cg2.M() != 0 {
 		t.Errorf("contract with gap: m=%d, want 0", cg2.M())
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	hist := DegreeHistogram(Star(5))
-	if hist[1] != 4 || hist[4] != 1 {
-		t.Errorf("hist = %v", hist)
 	}
 }
 

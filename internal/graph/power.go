@@ -70,13 +70,3 @@ func Contract(g *Graph, part []int, k int) *Graph {
 	})
 	return b.Graph()
 }
-
-// DegreeHistogram returns hist where hist[d] is the number of nodes of
-// degree d, for d up to MaxDegree.
-func DegreeHistogram(g *Graph) []int {
-	hist := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		hist[g.Degree(v)]++
-	}
-	return hist
-}

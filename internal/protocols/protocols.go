@@ -9,8 +9,6 @@
 package protocols
 
 import (
-	"fmt"
-
 	"randlocal/internal/graph"
 	"randlocal/internal/sim"
 )
@@ -293,29 +291,4 @@ func ElectLeader(g *graph.Graph, ids []uint64, rounds int, exec sim.ExecOptions)
 		return nil, nil, err
 	}
 	return res.Outputs, res, nil
-}
-
-// Validate checks a BFS forest against the graph: parent distances
-// decrease by one along parent pointers and distances match true BFS.
-func Validate(g *graph.Graph, root int, outs []BFSOutput) error {
-	want := g.BFS(root)
-	for v, o := range outs {
-		if want[v] != o.Dist {
-			return fmt.Errorf("protocols: node %d dist %d, want %d", v, o.Dist, want[v])
-		}
-		if v == root && o.ParentPort != -1 {
-			return fmt.Errorf("protocols: root has a parent")
-		}
-		if o.Dist > 0 {
-			if o.ParentPort < 0 || o.ParentPort >= g.Degree(v) {
-				return fmt.Errorf("protocols: node %d has bad parent port %d", v, o.ParentPort)
-			}
-			parent := g.Neighbors(v)[o.ParentPort]
-			if outs[parent].Dist != o.Dist-1 {
-				return fmt.Errorf("protocols: node %d parent %d at dist %d, want %d",
-					v, parent, outs[parent].Dist, o.Dist-1)
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"fmt"
 	"testing"
 
 	"randlocal/internal/graph"
@@ -67,7 +68,7 @@ func TestBFSTreeOnFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Validate(g, 0, outs); err != nil {
+			if err := validateBFS(g, 0, outs); err != nil {
 				t.Fatal(err)
 			}
 			if outs[0].SubtreeSize != g.N() {
@@ -144,7 +145,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	outs[2].Dist = 7
-	if err := Validate(g, 0, outs); err == nil {
+	if err := validateBFS(g, 0, outs); err == nil {
 		t.Error("corrupted distance accepted")
 	}
 }
@@ -229,4 +230,29 @@ func TestFloodMinBitMatchesFloodMin(t *testing.T) {
 			t.Errorf("node %d: FloodMinBit %d, FloodMin high word %d", v, gotBits[v], wantRes.Outputs[v]>>32)
 		}
 	}
+}
+
+// validateBFS checks a BFS forest against the graph: parent distances
+// decrease by one along parent pointers and distances match true BFS.
+func validateBFS(g *graph.Graph, root int, outs []BFSOutput) error {
+	want := g.BFS(root)
+	for v, o := range outs {
+		if want[v] != o.Dist {
+			return fmt.Errorf("protocols: node %d dist %d, want %d", v, o.Dist, want[v])
+		}
+		if v == root && o.ParentPort != -1 {
+			return fmt.Errorf("protocols: root has a parent")
+		}
+		if o.Dist > 0 {
+			if o.ParentPort < 0 || o.ParentPort >= g.Degree(v) {
+				return fmt.Errorf("protocols: node %d has bad parent port %d", v, o.ParentPort)
+			}
+			parent := g.Neighbors(v)[o.ParentPort]
+			if outs[parent].Dist != o.Dist-1 {
+				return fmt.Errorf("protocols: node %d parent %d at dist %d, want %d",
+					v, parent, outs[parent].Dist, o.Dist-1)
+			}
+		}
+	}
+	return nil
 }

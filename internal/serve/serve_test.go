@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -455,6 +456,49 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing run: status %d", resp.StatusCode)
+	}
+}
+
+// algoBody streams a {"algo":"aaaa… request body of size bytes without
+// holding it in memory.
+type algoBody struct{ off, size int }
+
+func (b *algoBody) Read(p []byte) (int, error) {
+	const head = `{"algo":"`
+	if b.off >= b.size {
+		return 0, io.EOF
+	}
+	n := min(len(p), b.size-b.off)
+	for i := range n {
+		if b.off+i < len(head) {
+			p[i] = head[b.off+i]
+		} else {
+			p[i] = 'a'
+		}
+	}
+	b.off += n
+	return n, nil
+}
+
+// TestServerBodyCap: a request body over maxRequestBytes is answered 413
+// after reading at most the cap, however large the body is.
+func TestServerBodyCap(t *testing.T) {
+	srv := NewServer(Options{Jobs: 1})
+	defer srv.Drain()
+	h := srv.Handler()
+	for _, size := range []int{maxRequestBytes + 1, 256 << 20} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/runs", &algoBody{size: size}))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%d-byte body: status %d, want 413", size, rec.Code)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+			t.Errorf("%d-byte body: handler allocated %d bytes, want < 8 MiB", size, alloc)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -167,7 +168,7 @@ func (s *Server) Drain() int {
 
 // Handler returns the service's HTTP API:
 //
-//	POST /v1/runs         submit a RunRequest → 202 {id} | 400 | 503 when full/draining
+//	POST /v1/runs         submit a RunRequest → 202 {id} | 400 | 413 over 64 KiB | 503 when full/draining
 //	GET  /v1/runs         list all runs newest-last
 //	GET  /v1/runs/{id}    one run's status, progress and outcome
 //	GET  /v1/runs/{id}/stream  SSE: every round as an event, then the result
@@ -192,12 +193,21 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxRequestBytes caps a submitted request body. A RunRequest is under
+// 1 KiB; without a cap the decoder buffers a body of any size.
+const maxRequestBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if err := req.Validate(); err != nil {

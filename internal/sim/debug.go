@@ -35,9 +35,6 @@ var debugOutboxCheck atomic.Bool
 // checked without a flag threaded through its config.
 func SetDebugOutboxCheck(on bool) { debugOutboxCheck.Store(on) }
 
-// DebugOutboxCheckEnabled reports the current setting.
-func DebugOutboxCheckEnabled() bool { return debugOutboxCheck.Load() }
-
 func isPoison(m Message) bool { return len(m) == 1 && &m[0] == &outboxPoison[0] }
 
 // poisonWindow fills one node's Outbox window with the sentinel.

@@ -74,7 +74,7 @@ func TestPoisonedOutboxCheckAllowsShortAndOwnOutboxes(t *testing.T) {
 }
 
 func TestDebugOutboxCheckToggle(t *testing.T) {
-	if !DebugOutboxCheckEnabled() {
+	if !debugOutboxCheck.Load() {
 		t.Fatal("TestMain should have enabled the check")
 	}
 	// With the check disabled, the stale program runs (incorrectly but

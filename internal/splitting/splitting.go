@@ -103,36 +103,3 @@ func SolveEpsBias(in *Instance, gen *randomness.EpsBias) []int {
 	}
 	return colors
 }
-
-// SolveFromShared derives a k-wise family from the shared seed and solves
-// with it, returning the colors and the number of seed bits consumed —
-// the exact quantity Lemma 3.4 bounds.
-func SolveFromShared(in *Instance, shared *randomness.Shared, k int, m uint) ([]int, int, error) {
-	fam, used, err := shared.KWiseFamily(k, m, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	return SolveKWise(in, fam), used, nil
-}
-
-// Deterministic solves the instance with zero randomness in poly time by
-// the method of conditional expectations over pairwise-independent coins:
-// it scans the ε-bias/k-wise seed space candidate-by-candidate and returns
-// the first seed whose coloring works, together with the number of seeds
-// tried. Lemma 3.4 guarantees a positive fraction of seeds succeed, so the
-// scan is short; the existence of this centralized derandomization — and
-// the absence of a poly(log n)-round LOCAL one — is exactly the paper's
-// point about P-RLOCAL vs P-LOCAL being unlike P vs BPP.
-func Deterministic(in *Instance, m uint, maxSeeds int) ([]int, int, error) {
-	for trial := 0; trial < maxSeeds; trial++ {
-		gen, err := randomness.NewEpsBiasFromSeed(m, uint64(trial)*2654435761, uint64(trial)^0x9E3779B9)
-		if err != nil {
-			return nil, 0, err
-		}
-		colors := SolveEpsBias(in, gen)
-		if in.Check(colors) {
-			return colors, trial + 1, nil
-		}
-	}
-	return nil, maxSeeds, fmt.Errorf("splitting: no working seed among %d candidates", maxSeeds)
-}

@@ -3,7 +3,6 @@ package splitting
 import (
 	"testing"
 
-	"randlocal/internal/check"
 	"randlocal/internal/prng"
 	"randlocal/internal/randomness"
 )
@@ -91,66 +90,6 @@ func TestSolveEpsBiasSucceeds(t *testing.T) {
 	}
 	if ok < 28 {
 		t.Errorf("eps-bias solver (48 seed bits) succeeded only %d/30 times", ok)
-	}
-}
-
-func TestSolveFromSharedSeedAccounting(t *testing.T) {
-	rng := prng.New(5)
-	inst := RandomInstance(30, 150, 20, rng)
-	shared := randomness.NewShared(4096, prng.New(9))
-	colors, used, err := SolveFromShared(inst, shared, 16, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != 16*32 {
-		t.Errorf("seed bits used = %d, want 512", used)
-	}
-	if len(colors) != 150 {
-		t.Errorf("colors length %d", len(colors))
-	}
-	// Only the shared seed is true randomness — ledger agrees.
-	if got := shared.Ledger().TrueBits(); got != 4096 {
-		t.Errorf("true bits = %d", got)
-	}
-	// Agreement with the global checker.
-	if inst.Check(colors) {
-		adjU := inst.AdjU
-		if err := check.Splitting(adjU, colors); err != nil {
-			t.Errorf("check.Splitting disagrees with Instance.Check: %v", err)
-		}
-	}
-}
-
-func TestSolveFromSharedTooSmallSeed(t *testing.T) {
-	inst := RandomInstance(5, 20, 4, prng.New(1))
-	shared := randomness.NewShared(10, prng.New(2))
-	if _, _, err := SolveFromShared(inst, shared, 16, 32); err == nil {
-		t.Error("undersized shared seed accepted")
-	}
-}
-
-func TestDeterministicSeedScan(t *testing.T) {
-	rng := prng.New(6)
-	inst := RandomInstance(30, 150, 20, rng)
-	colors, tried, err := Deterministic(inst, 24, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inst.Check(colors) {
-		t.Fatal("deterministic scan returned an invalid coloring")
-	}
-	if tried < 1 || tried > 1000 {
-		t.Errorf("tried = %d", tried)
-	}
-	t.Logf("deterministic splitting found a seed after %d candidates", tried)
-}
-
-func TestDeterministicExhaustion(t *testing.T) {
-	// An unsatisfiable instance: a U-node with a single neighbor can never
-	// see two colors.
-	inst := &Instance{NV: 3, AdjU: [][]int{{0}}}
-	if _, _, err := Deterministic(inst, 16, 50); err == nil {
-		t.Error("unsatisfiable instance should exhaust the seed scan")
 	}
 }
 

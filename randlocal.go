@@ -44,18 +44,12 @@ import (
 // Graph is an immutable simple undirected graph on nodes 0..N()-1.
 type Graph = graph.Graph
 
-// GraphBuilder accumulates edges for a Graph.
-type GraphBuilder = graph.Builder
-
 // RNG is the deterministic pseudo-random generator used by generators and
 // randomness sources.
 type RNG = prng.SplitMix64
 
 // NewRNG returns a seeded generator.
 func NewRNG(seed uint64) *RNG { return prng.New(seed) }
-
-// NewGraphBuilder returns a builder for a graph on n nodes.
-func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
 // Generators for the graph families used throughout the experiments.
 var (
@@ -64,21 +58,11 @@ var (
 	Ring          = graph.Ring
 	Path          = graph.Path
 	Grid          = graph.Grid
-	Grid2D        = graph.Grid2D
 	Torus         = graph.Torus
 	Complete      = graph.Complete
-	Star          = graph.Star
-	RandomTree    = graph.RandomTree
-	BalancedTree  = graph.BalancedTree
-	RingOfCliques = graph.RingOfCliques
-	RandomRegular = graph.RandomRegular
-	Hypercube     = graph.Hypercube
 	PowerLaw      = graph.PowerLaw
-	Disjoint      = graph.Disjoint
-	FromEdges     = graph.FromEdges
 	PowerGraph    = graph.Power
 	GraphDiameter = graph.Diameter
-	IsConnected   = graph.IsConnected
 )
 
 // Out-of-core graphs: WriteCSRFile persists a graph in the versioned on-disk
@@ -149,16 +133,6 @@ type SimulationKey = sim.SimulationKey
 // PartitionedRNG hands out the per-subsystem generators of one key.
 type PartitionedRNG = sim.PartitionedRNG
 
-// Subsystem names one isolated randomness stream of a run key.
-type Subsystem = sim.Subsystem
-
-// The subsystems a SimulationKey partitions its randomness into.
-const (
-	StreamAlgorithm = sim.StreamAlgorithm
-	StreamAdversary = sim.StreamAdversary
-	StreamWorkload  = sim.StreamWorkload
-)
-
 // NewSimulationKey wraps a master seed as a run key.
 var NewSimulationKey = sim.NewSimulationKey
 
@@ -175,26 +149,6 @@ type AdversaryConfig = sim.AdversaryConfig
 // NewAdversary builds an adversary from a key's adversary stream and the
 // given budgets.
 var NewAdversary = sim.NewAdversary
-
-// InjectedEvent is one aggregated fault record in Telemetry.Injected.
-type InjectedEvent = sim.InjectedEvent
-
-// InjectKind names one category of injected fault event.
-type InjectKind = sim.InjectKind
-
-// The fault-event categories.
-const (
-	InjectDrop      = sim.InjectDrop
-	InjectCut       = sim.InjectCut
-	InjectDelay     = sim.InjectDelay
-	InjectSupersede = sim.InjectSupersede
-	InjectExpire    = sim.InjectExpire
-	InjectChurnDown = sim.InjectChurnDown
-	InjectChurnUp   = sim.InjectChurnUp
-	InjectCrash     = sim.InjectCrash
-	InjectStall     = sim.InjectStall
-	InjectStallLoss = sim.InjectStallLoss
-)
 
 // --- The LOCAL/CONGEST simulator --------------------------------------------
 
@@ -242,10 +196,6 @@ const (
 	SchedulerParallel   = sim.Parallel
 )
 
-// ParseScheduler parses a -scheduler flag value ("sequential",
-// "parallel", plus short aliases).
-var ParseScheduler = sim.ParseScheduler
-
 // ExecOptions are the per-run execution knobs — scheduler, workers,
 // unpacked planes, telemetry, progress hook — that every algorithm wrapper
 // takes (the Exec field of its config, or a trailing argument) and applies
@@ -289,7 +239,6 @@ var CongestBits = sim.CongestBits
 // NodeCtx.Broadcast / NodeCtx.Uints to write programs whose steady-state
 // rounds allocate nothing (see README "Memory layout").
 var (
-	AppendUint      = sim.AppendUint
 	Uints           = sim.Uints
 	ReadUint        = sim.ReadUint
 	DecodeUints     = sim.DecodeUints
@@ -309,9 +258,8 @@ var SetDebugOutboxCheck = sim.SetDebugOutboxCheck
 
 // ID assignment helpers.
 var (
-	SequentialIDs            = sim.SequentialIDs
-	RandomIDs                = sim.RandomIDs
-	AdversarialDescendingIDs = sim.AdversarialDescendingIDs
+	SequentialIDs = sim.SequentialIDs
+	RandomIDs     = sim.RandomIDs
 )
 
 // --- Network decomposition ---------------------------------------------------
@@ -430,9 +378,6 @@ var (
 	RandomizedColoring = coloring.Randomized
 	// GreedyColoring is the sequential greedy reference.
 	GreedyColoring = coloring.Greedy
-	// ReduceColoring is the classic deterministic k → Δ+1 color
-	// reduction, one LOCAL round per eliminated class.
-	ReduceColoring = coloring.Reduce
 )
 
 // --- SLOCAL and derandomization -------------------------------------------------
@@ -455,10 +400,9 @@ func CompileSLOCAL[T any](g *Graph, algo SLOCALAlgorithm[T], d *Decomposition) (
 }
 
 var (
-	// SLOCALGreedyMIS and SLOCALGreedyColoring are the locality-1 members
-	// of P-SLOCAL the paper cites as motivating examples.
-	SLOCALGreedyMIS      = slocal.GreedyMIS
-	SLOCALGreedyColoring = slocal.GreedyColoring
+	// SLOCALGreedyMIS is the locality-1 member of P-SLOCAL the paper
+	// cites as a motivating example.
+	SLOCALGreedyMIS = slocal.GreedyMIS
 	// DerandomizedMIS and DerandomizedColoring run the full zero-
 	// randomness pipeline (decompose G³, compile greedy through it).
 	DerandomizedMIS      = slocal.DerandomizedMIS
@@ -470,8 +414,6 @@ var (
 	NeighborhoodSplitting = derand.NeighborhoodSplitting
 	// AllGraphs enumerates every labeled simple graph on n nodes.
 	AllGraphs = derand.AllGraphs
-	// InflatedENConfig derives EN parameters for a declared (inflated) n.
-	InflatedENConfig = derand.InflatedENConfig
 )
 
 // --- Splitting and conflict-free multi-coloring ----------------------------------
@@ -506,7 +448,6 @@ var (
 	CheckSplitting            = check.Splitting
 	CheckConflictFree         = check.ConflictFree
 	CheckMISDistributed       = check.MISDistributed
-	CheckColoringDistributed  = check.ColoringDistributed
 	CheckDecompositionDistrib = check.DecompositionDistributed
 
 	// The Opts variants run the same checker programs on a configured
@@ -516,7 +457,6 @@ var (
 	CheckMISDistributedOpts       = check.MISDistributedOpts
 	CheckColoringDistributedOpts  = check.ColoringDistributedOpts
 	CheckDecompositionDistribOpts = check.DecompositionDistributedOpts
-	CheckSplittingDistributedOpts = check.SplittingDistributedOpts
 )
 
 // CheckOptions configures the verification network the *DistributedOpts

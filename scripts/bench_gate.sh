@@ -5,9 +5,8 @@
 # BenchmarkLubyPacked pair keeps both sides of the packed-vs-unpacked
 # comparison honest, and BenchmarkLubyPackedFile holds the mmap-backed
 # on-disk graph path to its recorded cost) and compares ns/op and allocs/op
-# per benchmark against
-# a committed BENCH_PR*.json baseline, failing (exit 1)
-# when either metric regresses by more than the threshold. Benchmarks
+# per benchmark against a committed baseline JSON, failing (exit 1) when
+# either metric regresses by more than the threshold. Benchmarks
 # without a row in the baseline (newly added ones) are recorded but not
 # gated. The fresh run is always written to BENCH_FRESH.json so CI can
 # upload it as an artifact for trend inspection.
@@ -21,12 +20,16 @@
 #
 # Usage: scripts/bench_gate.sh [--baseline baseline.json] [--benchtime 1x]
 #        scripts/bench_gate.sh [baseline.json] [benchtime]
-#   --baseline baseline.json  committed BENCH_PR*.json to gate against
-#                             (default BENCH_PR10.json — bump this when a PR
-#                             records a new baseline)
+#   --baseline baseline.json  committed baseline to gate against
+#                             (default BENCH_PR10.json)
 #   --benchtime 1x            go test -benchtime value; each size runs
 #                             BENCH_COUNT times and the gate compares the
 #                             min, which strips shared-machine noise
+#
+# To re-record the baseline, run the gate on the reference machine and
+# commit the BENCH_FRESH.json it writes as the new baseline file, then point
+# this script's default BASELINE and ci.yml's --baseline at it.
+#
 # Env:
 #   BENCH_GATE_THRESHOLD_PCT  allowed regression per metric (default 15)
 #   BENCH_COUNT               runs per benchmark to take the min of (default 3)

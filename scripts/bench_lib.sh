@@ -1,39 +1,16 @@
-# bench_lib.sh — shared machinery for the BENCH_PR*.json recorders
-# (bench_pr*.sh) and the CI regression gate (bench_gate.sh).
-# Source it; do not execute it.
+# bench_lib.sh — shared machinery for the CI regression gate
+# (bench_gate.sh). Source it; do not execute it.
 #
-# The JSON shape is stable across PRs: {note, benchtime, benchmarks: [
+# The JSON shape is stable: {note, benchtime, benchmarks: [
 # {name, ns_per_op, bytes_per_op, allocs_per_op, baseline_*...}]}, where the
 # baseline_* and *_reduction_pct fields appear on benchmarks that have a row
 # in the baseline spec ("name ns allocs bytes" per line).
-#
-# Baseline lineage — each committed BENCH_PR*.json was recorded against the
-# previous one, so the chain reads as the repo's performance history and the
-# CI gate (bench_gate.sh) always compares against the newest link:
-#
-#   BENCH_FRESH.json  (uncommitted; every gate run writes one)
-#     ^ gated against
-#   BENCH_PR10.json   out-of-core CSR: mmap-backed engines + streaming build
-#     ^ recorded vs
-#   BENCH_PR9.json    topology-aware parallel execution (pool width, pinning)
-#     ^ recorded vs
-#   BENCH_PR7.json    bit-packed message planes (LubyPacked vs unpacked)
-#     ^ recorded vs
-#   BENCH_PR4.json    zero-alloc programs + adaptive delivery + re-sharding
-#     ^ recorded vs
-#   BENCH_PR3.json    worklist + arena engine
-#     ^ recorded vs
-#   BENCH_PR2.json    flat CSR graphs (baseline = pre-CSR commit e48e40f)
-#
-# When a PR moves performance, record a new BENCH_PR<k>.json with a
-# bench_pr<k>.sh that baselines against the previous file, then bump
-# bench_gate.sh's default BASELINE and the ci.yml bench-gate step.
 
 # run_benchmarks_isolated <benchtime> <bench-regex>...
 # One `go test` process per regex, outputs concatenated. Heavy benchmarks
 # measurably pollute the heap/GC state of whatever runs after them in the
-# same process (>50% ns/op swings at n=2^20 on small machines), so the
-# recorders and the CI gate isolate each benchmark size — regexes may use
+# same process (>50% ns/op swings at n=2^20 on small machines), so the CI
+# gate isolates each benchmark size — regexes may use
 # `go test`'s slash syntax to select sub-benchmarks.
 run_benchmarks_isolated() {
 	local benchtime="$1"
@@ -64,7 +41,7 @@ min_over_runs() {
 }
 
 # bench_to_json <note> <benchtime> [baseline_spec]
-# Reads raw benchmark output on stdin and emits the BENCH_PR*.json document.
+# Reads raw benchmark output on stdin and emits the baseline JSON document.
 bench_to_json() {
 	awk -v note="$1" -v benchtime="$2" -v baselines="${3:-}" '
 	BEGIN {
@@ -102,7 +79,7 @@ bench_to_json() {
 }
 
 # baselines_from_json <file>
-# Extracts "name ns allocs bytes" rows from a committed BENCH_PR*.json, for
+# Extracts "name ns allocs bytes" rows from a committed baseline JSON, for
 # use as a bench_to_json baseline spec or as the gate's reference. Matches
 # only the un-prefixed per-op fields (a leading quote excludes baseline_*).
 baselines_from_json() {
