@@ -39,9 +39,6 @@ func newBitPlane(slots int) *bitPlane {
 	return &bitPlane{present: make([]uint64, w), value: make([]uint64, w)}
 }
 
-// words reports the plane's word count — the dense-path window unit.
-func (b *bitPlane) words() int { return len(b.present) }
-
 // set stages payload bit v at slot i. The slot must be clear (the planes'
 // delivery discipline guarantees it: every slot is cleared before it is
 // re-delivered to, and staged at most once per round).
@@ -54,21 +51,6 @@ func (b *bitPlane) set(i int32, v uint64) {
 // occupied reports whether slot i holds a message.
 func (b *bitPlane) occupied(i int32) bool {
 	return b.present[int(i)>>6]>>(uint(i)&63)&1 != 0
-}
-
-// clearSlot empties slot i (present and value).
-func (b *bitPlane) clearSlot(i int32) {
-	w, s := int(i)>>6, uint(i)&63
-	mask := ^(uint64(1) << s)
-	b.present[w] &= mask
-	b.value[w] &= mask
-}
-
-// clearWords memclrs the word range [lo, hi) of both lanes — the dense path
-// of a word-owned scatter window.
-func (b *bitPlane) clearWords(lo, hi int) {
-	clear(b.present[lo:hi])
-	clear(b.value[lo:hi])
 }
 
 // clearBitRange empties the slot range [lo, hi), mask-aware at the boundary
@@ -159,14 +141,59 @@ func popcountRange(src []uint64, lo, hi int64) int {
 	return n + bits.OnesCount64(src[whi]&last)
 }
 
-// inboxView is the adversary boundary's uniform handle on the current inbox
-// plane of either kind: the boundary's supersede checks, late-delivery
-// injections and stall-loss counts must behave identically whether the run
-// stores inboxes as Messages or packed bits, so the engines hand it whichever
-// plane the run allocated.
+// inboxView is the uniform handle on the inbox plane of either kind. The
+// scatter phase clears through it, and the adversary boundary's supersede
+// checks, late-delivery injections and stall-loss counts read and write
+// through it, so both behave identically whether the run stores inboxes as
+// Messages or packed bits.
 type inboxView struct {
 	msgs []Message // the []Message plane; nil in packed runs
 	bits *bitPlane // the packed plane; nil in unpacked runs
+}
+
+// slots returns the slot range [lo, hi) of the word window [wlo, whi) of a
+// Message plane, 64 slots a word, clipped to the plane.
+func (iv inboxView) slots(wlo, whi int) (lo, hi int) {
+	return min(wlo<<6, len(iv.msgs)), min(whi<<6, len(iv.msgs))
+}
+
+// window measures the word window [wlo, whi) in the unit the dense clear
+// sweeps: words on packed planes (one memclr'd word retires 64 slots),
+// slots on Message planes.
+func (iv inboxView) window(wlo, whi int) int {
+	if iv.bits != nil {
+		return whi - wlo
+	}
+	lo, hi := iv.slots(wlo, whi)
+	return hi - lo
+}
+
+// clearWords empties the word window [wlo, whi) — the dense clear, a
+// memclr the runtime vectorizes.
+func (iv inboxView) clearWords(wlo, whi int) {
+	if iv.bits != nil {
+		clear(iv.bits.present[wlo:whi])
+		clear(iv.bits.value[wlo:whi])
+		return
+	}
+	lo, hi := iv.slots(wlo, whi)
+	clear(iv.msgs[lo:hi])
+}
+
+// clearSlots empties the listed slots — the sparse clear. On packed planes
+// it clears present and value, keeping value ⊆ present.
+func (iv inboxView) clearSlots(slots []int32) {
+	if b := iv.bits; b != nil {
+		for _, i := range slots {
+			w, mask := int(i)>>6, ^(uint64(1) << (uint(i) & 63))
+			b.present[w] &= mask
+			b.value[w] &= mask
+		}
+		return
+	}
+	for _, i := range slots {
+		iv.msgs[i] = nil
+	}
 }
 
 // occupied reports whether inbox slot i currently holds a message.

@@ -159,7 +159,7 @@ type engineState[T any] struct {
 	done   []bool
 	// inbox[i] is what node v received on port p this round. outbox is the
 	// engine-owned scratch exposed to programs as NodeCtx.Outbox, one slot
-	// per half-edge.
+	// per half-edge; it is also the out plane scatter copies from.
 	inbox  []Message
 	outbox []Message
 	arena  *arena
@@ -356,15 +356,6 @@ func (st *engineState[T]) roundFor(v, r int) ([]Message, bool) {
 		poisonWindow(st.outbox[lo:hi])
 	}
 	return st.progs[v].Round(r, st.inbox[lo:hi:hi])
-}
-
-// inboxView returns the adversary boundary's handle on whichever inbox plane
-// this run allocated.
-func (st *engineState[T]) inboxView() inboxView {
-	if st.packed {
-		return inboxView{bits: st.inBits}
-	}
-	return inboxView{msgs: st.inbox}
 }
 
 // initTelemetry creates the run's telemetry record when Config.Telemetry

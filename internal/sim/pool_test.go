@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"randlocal/internal/graph"
@@ -230,56 +231,71 @@ func TestEnginePoolIdleCap(t *testing.T) {
 // the program table, the Result, and on a two-worker pool its goroutines and
 // shard cut — independent of n and m, on one worker and on two. The probe
 // program set lives in a preallocated slab itself, so what the pin measures
-// is the engine, not the caller.
+// is the engine, not the caller. It runs two sender sets: every third node
+// (dense rounds) and every 64th (sparse rounds, which record their slots).
+//
+// It also pins how much a cold run's allocation count grows from n=512 to
+// n=2^14. The lanes and the slot lists are sized once per run, so none of
+// that growth is an append; all of it is the arenas' two round buffers
+// doubling from empty as the senders' carves grow with n (five doublings
+// each on the dense set, fewer on the sparse one).
 func TestEnginePoolSteadyStateAllocs(t *testing.T) {
 	// maxWarm is the per-run constant: engineState, progs slice, outputs
 	// slice, the Result and its ActivePerRound copy — plus, on two workers,
-	// the goroutines, channels and shard cut. coldRatio is how many times
-	// more a cold run must allocate.
+	// the goroutines, channels and shard cut. Per sender stride, coldRatio is
+	// how many times more a cold run must allocate, and coldGrowth bounds the
+	// cold count's growth from n=512 to n=2^14.
 	engines := []struct {
-		name      string
-		run       func(Config, func(int) NodeProgram[uint64]) (*Result[uint64], error)
-		maxWarm   float64
-		coldRatio float64
+		name       string
+		run        func(Config, func(int) NodeProgram[uint64]) (*Result[uint64], error)
+		maxWarm    float64
+		coldRatio  map[int]float64
+		coldGrowth map[int]float64
 	}{
-		{"sequential", Run[uint64], 16, 4},
+		{"sequential", Run[uint64], 16, map[int]float64{3: 4, 64: 3}, map[int]float64{3: 10, 64: 6}},
 		{"parallel2", func(c Config, f func(int) NodeProgram[uint64]) (*Result[uint64], error) {
 			return RunParallel(c, f, 2)
-		}, 24, 2},
+		}, 24, map[int]float64{3: 2, 64: 2}, map[int]float64{3: 20, 64: 8}},
 	}
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
-			warm := map[int]float64{}
-			for _, n := range []int{512, 1 << 14} {
-				g := graph.Ring(n)
-				probes := make([]modeProbe, n)
-				factory := func(v int) NodeProgram[uint64] {
-					probes[v] = modeProbe{rounds: 4, send: v%3 == 0}
-					return &probes[v]
-				}
-				cfg := Config{Graph: g, Pool: NewEnginePool()}
-				run := func() {
-					if _, err := eng.run(cfg, factory); err != nil {
-						t.Fatal(err)
+			for _, stride := range []int{3, 64} {
+				warm := map[int]float64{}
+				cold := map[int]float64{}
+				for _, n := range []int{512, 1 << 14} {
+					g := graph.Ring(n)
+					probes := make([]modeProbe, n)
+					factory := func(v int) NodeProgram[uint64] {
+						probes[v] = modeProbe{rounds: 4, send: v%stride == 0}
+						return &probes[v]
+					}
+					cfg := Config{Graph: g, Pool: NewEnginePool()}
+					run := func() {
+						if _, err := eng.run(cfg, factory); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run() // warm the slab
+					allocs := testing.AllocsPerRun(20, run)
+					if allocs > eng.maxWarm {
+						t.Errorf("stride %d, n=%d: steady-state pooled run: %.1f allocs/run, want <= %.0f", stride, n, allocs, eng.maxWarm)
+					}
+					warm[n] = allocs
+					cold[n] = testing.AllocsPerRun(5, func() {
+						if _, err := eng.run(Config{Graph: g}, factory); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if cold[n] < eng.coldRatio[stride]*allocs {
+						t.Errorf("stride %d, n=%d: cold run allocates %.1f vs warm %.1f — pool not actually saving allocations", stride, n, cold[n], allocs)
 					}
 				}
-				run() // warm the slab
-				allocs := testing.AllocsPerRun(20, run)
-				if allocs > eng.maxWarm {
-					t.Errorf("n=%d: steady-state pooled run: %.1f allocs/run, want <= %.0f", n, allocs, eng.maxWarm)
+				if warm[1<<14] > warm[512]+2 {
+					t.Errorf("stride %d: warm allocations grow with n: %.1f at n=512, %.1f at n=%d", stride, warm[512], warm[1<<14], 1<<14)
 				}
-				warm[n] = allocs
-				cold := testing.AllocsPerRun(5, func() {
-					if _, err := eng.run(Config{Graph: g}, factory); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if cold < eng.coldRatio*allocs {
-					t.Errorf("n=%d: cold run allocates %.1f vs warm %.1f — pool not actually saving allocations", n, cold, allocs)
+				if d := cold[1<<14] - cold[512]; d > eng.coldGrowth[stride] {
+					t.Errorf("stride %d: cold allocations grow by %.1f from n=512 to n=%d, want <= %.0f", stride, d, 1<<14, eng.coldGrowth[stride])
 				}
-			}
-			if warm[1<<14] > warm[512]+2 {
-				t.Errorf("warm allocations grow with n: %.1f at n=512, %.1f at n=%d", warm[512], warm[1<<14], 1<<14)
 			}
 		})
 	}
@@ -325,6 +341,60 @@ func TestColdRunAllocsFlat(t *testing.T) {
 	}
 	if d := allocs[1<<14] - allocs[1<<10]; d > 2 || d < -2 {
 		t.Errorf("cold one-worker flood: %.1f allocs at n=2^10, %.1f at n=2^14 — buffers grow with the run", allocs[1<<10], allocs[1<<14])
+	}
+}
+
+// constBitFlood is constFlood over packed planes: it declares 1-bit
+// payloads and broadcasts bit 1 every round.
+type constBitFlood struct{ constFlood }
+
+func (c *constBitFlood) PayloadBits() int { return 1 }
+
+func (c *constBitFlood) Round(r int, _ []Message) ([]Message, bool) {
+	if r >= c.rounds {
+		return nil, true
+	}
+	return c.ctx.BroadcastBit(1), false
+}
+
+// TestEngineBytesPerHalfEdge pins what a cold one-worker run allocates per
+// half-edge, graph and programs excluded, on one GNPConnected shape (n=2^14,
+// p=16/n). An unpacked run holds two Message planes (24 B each), the
+// neighbor IDs (8 B), one uint32 lane entry (4 B), the sparse slot list
+// (0.5 B) and per-node state spread over ~16 half-edges: about 73 B. A
+// packed run swaps the Message planes for two bit planes: about 25 B. The
+// unpacked bound sits below 73 + 28, so a lane entry that carried the
+// message again (32 B) fails it.
+func TestEngineBytesPerHalfEdge(t *testing.T) {
+	n := 1 << 14
+	g := graph.GNPConnected(n, 16.0/float64(n), prng.New(7))
+	h := float64(2 * g.M())
+	measure := func(factory func(int) NodeProgram[uint64]) float64 {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(Config{Graph: g}, factory); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / h
+	}
+	floods := make([]constFlood, n)
+	unpacked := measure(func(v int) NodeProgram[uint64] {
+		floods[v] = constFlood{rounds: 3}
+		return &floods[v]
+	})
+	bitFloods := make([]constBitFlood, n)
+	packed := measure(func(v int) NodeProgram[uint64] {
+		bitFloods[v] = constBitFlood{constFlood{rounds: 3}}
+		return &bitFloods[v]
+	})
+	t.Logf("bytes per half-edge: unpacked %.1f, packed %.1f", unpacked, packed)
+	if unpacked > 85 {
+		t.Errorf("cold unpacked run allocates %.1f B per half-edge, want <= 85", unpacked)
+	}
+	if packed > 32 {
+		t.Errorf("cold packed run allocates %.1f B per half-edge, want <= 32", packed)
 	}
 }
 

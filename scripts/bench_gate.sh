@@ -4,17 +4,19 @@
 # Reruns the engine and packed-bit-plane benchmarks (the BenchmarkLuby /
 # BenchmarkLubyPacked pair keeps both sides of the packed-vs-unpacked
 # comparison honest, and BenchmarkLubyPackedFile holds the mmap-backed
-# on-disk graph path to its recorded cost) and compares ns/op and allocs/op
-# per benchmark against a committed baseline JSON, failing (exit 1) when
-# either metric regresses by more than the threshold. Benchmarks
+# on-disk graph path to its recorded cost) and compares ns/op, allocs/op and
+# bytes/op per benchmark against a committed baseline JSON, failing (exit 1)
+# when any of the three regresses by more than the threshold. Benchmarks
 # without a row in the baseline (newly added ones) are recorded but not
 # gated. The fresh run is always written to BENCH_FRESH.json so CI can
 # upload it as an artifact for trend inspection.
 #
-# allocs/op is machine-independent and gates exactly. ns/op compares a fresh
-# run against numbers recorded on whatever machine produced the baseline
-# JSON, so a host much slower than the recording machine can trip it
-# spuriously even with min-of-BENCH_COUNT noise stripping — raise
+# allocs/op and bytes/op are machine-independent and gate on every host;
+# bytes/op is what a run's buffers cost, so an engine that grows a
+# per-message structure shows up there first. ns/op compares a fresh run
+# against numbers recorded on whatever machine produced the baseline JSON,
+# so a host much slower than the recording machine can trip it spuriously
+# even with min-of-BENCH_COUNT noise stripping — raise
 # BENCH_GATE_THRESHOLD_PCT (or re-record the baseline) when moving the gate
 # to a slower runner class.
 #
@@ -96,17 +98,18 @@ BEGIN {
 	nb = split(baselines, lines, "\n")
 	for (i = 1; i <= nb; i++) {
 		split(lines[i], f, " ")
-		if (f[1] != "") { bns[f[1]] = f[2]; ball[f[1]] = f[3] }
+		if (f[1] != "") { bns[f[1]] = f[2]; ball[f[1]] = f[3]; bby[f[1]] = f[4] }
 	}
 	fail = 0
 }
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
-	ns = allocs = ""
+	ns = allocs = bytes = ""
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op")     ns     = $(i-1)
 		if ($i == "allocs/op") allocs = $(i-1)
+		if ($i == "B/op")      bytes  = $(i-1)
 	}
 	if (ns == "") next
 	if (!(name in bns)) {
@@ -122,6 +125,7 @@ BEGIN {
 	}
 	dns = (ns / bns[name] - 1) * 100
 	dal = (allocs / ball[name] - 1) * 100
+	dby = (bytes / bby[name] - 1) * 100
 	# Wall clock of a K-worker benchmark only means something on a host
 	# that can run K workers in parallel; on smaller hosts barrier
 	# scheduling noise dominates, so gate just the allocations there.
@@ -129,8 +133,8 @@ BEGIN {
 	if (match(name, /workers=[0-9]+$/) && substr(name, RSTART + 8) + 0 > cores + 0) gateNS = 0
 	status = "ok"
 	if (!gateNS) status = "ok (ns not gated: workers > cores)"
-	if ((gateNS && dns > thr) || dal > thr) { status = "REGRESSION"; fail = 1 }
-	printf "%-55s ns/op %+8.1f%%  allocs/op %+8.1f%%  %s\n", name, dns, dal, status
+	if ((gateNS && dns > thr) || dal > thr || dby > thr) { status = "REGRESSION"; fail = 1 }
+	printf "%-55s ns/op %+8.1f%%  allocs/op %+8.1f%%  bytes/op %+8.1f%%  %s\n", name, dns, dal, dby, status
 }
 END {
 	if (fail) exit 1
