@@ -12,7 +12,10 @@ package randlocal
 // poisoned-Outbox check enabled, so they also verify every migrated program
 // honors the Outbox contract.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 type goldenAccounting struct {
 	rounds  int
@@ -122,5 +125,59 @@ func TestGoldenAccountingAcrossSchedulers(t *testing.T) {
 				t.Errorf("decomposition checker: ok=%v err=%v", okDec, err)
 			}
 		})
+	}
+}
+
+// lubyBitGolden is one pinned LubyBit run: its accounting and |MIS|.
+type lubyBitGolden struct {
+	goldenAccounting
+	mis int
+}
+
+// TestGoldenLubyBit pins the coin-flip Luby program's accounting and MIS
+// size, packed and unpacked, on one worker and on three, over three graphs:
+// the golden graph above, a 2^14-node gnp(6/n), and a dense gnp whose
+// degrees all exceed 64, so every port mask spans several words and every
+// node's plane window crosses word boundaries. The values were captured
+// before the node-state layout of the packed path was rewritten (128-byte
+// NodeCtx, interleaved plane words, 64-byte program structs); every
+// representation and width must reproduce them exactly.
+func TestGoldenLubyBit(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *Graph
+		seed uint64
+		want lubyBitGolden
+	}{
+		{"golden-gnp200", GNPConnected(200, 4.0/200, NewRNG(1)), 3, lubyBitGolden{goldenAccounting{39, 734, 5872, 8}, 86}},
+		{"gnp2^14", GNPConnected(1<<14, 6.0/(1<<14), NewRNG(5)), 9, lubyBitGolden{goldenAccounting{225, 80616, 644928, 8}, 5508}},
+		{"dense-deg>64", GNPConnected(600, 100.0/600, NewRNG(8)), 4, lubyBitGolden{goldenAccounting{516, 43995, 351960, 8}, 27}},
+	}
+	for _, c := range cases {
+		if c.name == "dense-deg>64" && c.g.MaxDegree() <= 64 {
+			t.Fatalf("%s: max degree %d, want > 64", c.name, c.g.MaxDegree())
+		}
+		for _, unpacked := range []bool{false, true} {
+			for _, exec := range []ExecOptions{
+				{Scheduler: SchedulerSequential},
+				{Scheduler: SchedulerParallel, Workers: 3},
+			} {
+				label := fmt.Sprintf("%s/unpacked=%v/workers=%d", c.name, unpacked, max(exec.Workers, 1))
+				in, res, err := LubyBit(c.g, NewFullRandomness(c.seed), nil, LubyBitConfig{Unpacked: unpacked, Exec: exec})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				size := 0
+				for _, b := range in {
+					if b {
+						size++
+					}
+				}
+				assertGolden(t, label, c.want.goldenAccounting, res.Rounds, res.Messages, res.BitsTotal, res.MaxMessageBits)
+				if size != c.want.mis {
+					t.Errorf("%s: |MIS| = %d, want %d", label, size, c.want.mis)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package mis
 
 import (
 	"fmt"
+	"math"
 
 	"randlocal/internal/graph"
 	"randlocal/internal/randomness"
@@ -65,20 +66,24 @@ func (c *LubyBitConfig) maxPhases(n int) int {
 // InBitWord accessor: active-mask updates AND-NOT whole words, the join test
 // ANDs the arrival words against a precomputed stronger-neighbor mask, and
 // the IN test ORs the arrival words — 64 ports per operation.
+//
+// The struct is 64 bytes, one cache line in a slab (NewBitProgramSlab), so a
+// node-step touches one line of program state.
 type lubyBitProgram struct {
 	cfg *LubyBitConfig // shared by every node of the run
 	ctx *sim.NodeCtx
-	// activeMask has bit p set while the neighbor on port p is still
-	// undecided; strongerMask while that neighbor's ID exceeds ours. For
-	// degree ≤ 64 both live in inlineMasks, so Init allocates nothing.
-	activeMask   []uint64
-	strongerMask []uint64
-	inlineMasks  [2]uint64
-	maxPhases    int
-	markBits     int
-	marked       bool
-	inMIS        bool
-	decided      bool
+	// The port masks: the active mask has bit p set while the neighbor on
+	// port p is still undecided, the stronger mask while that neighbor's ID
+	// exceeds ours. Up to degree 64 they are inline[0] and inline[1] and
+	// masks is nil, so Init allocates nothing; above it masks holds the
+	// active words, then the stronger words (see portMasks).
+	masks     []uint64
+	inline    [2]uint64
+	maxPhases int32
+	markBits  uint8 // the coin is Bits(markBits) == 0
+	marked    bool
+	inMIS     bool
+	decided   bool
 }
 
 // PayloadBits declares the 1-bit payload width that lets the engines pack
@@ -87,55 +92,59 @@ func (p *lubyBitProgram) PayloadBits() int { return 1 }
 
 func (p *lubyBitProgram) Init(ctx *sim.NodeCtx) {
 	p.ctx = ctx
-	p.maxPhases = p.cfg.maxPhases(ctx.N)
-	nw := ctx.BitWords()
-	var masks []uint64
-	if 2*nw <= len(p.inlineMasks) {
-		masks = p.inlineMasks[:2*nw]
-		clear(masks)
-	} else {
-		masks = make([]uint64, 2*nw)
+	p.maxPhases = int32(min(p.cfg.maxPhases(ctx.N), math.MaxInt32))
+	p.inline = [2]uint64{}
+	if nw := ctx.BitWords(); nw > 1 {
+		p.masks = make([]uint64, 2*nw)
 	}
-	p.activeMask, p.strongerMask = masks[:nw:nw], masks[nw:]
+	active, stronger := p.portMasks()
 	for port := 0; port < ctx.Degree; port++ {
-		p.activeMask[port>>6] |= 1 << (uint(port) & 63)
+		active[port>>6] |= 1 << (uint(port) & 63)
 		if ctx.NeighborIDs[port] > ctx.ID {
-			p.strongerMask[port>>6] |= 1 << (uint(port) & 63)
+			stronger[port>>6] |= 1 << (uint(port) & 63)
 		}
 	}
-	d := ctx.Degree
-	if d < 1 {
-		d = 1
-	}
-	k := 1
+	d := max(ctx.Degree, 1)
+	k := uint8(1)
 	for 1<<k < 2*d {
 		k++
 	}
 	p.markBits = k
 }
 
+// portMasks returns the active and the stronger port masks, ⌈Degree/64⌉
+// words each (one word, zero past the degree, for degree ≤ 64).
+func (p *lubyBitProgram) portMasks() (active, stronger []uint64) {
+	if p.masks == nil {
+		return p.inline[:1], p.inline[1:]
+	}
+	nw := len(p.masks) >> 1
+	return p.masks[:nw:nw], p.masks[nw:]
+}
+
 func (p *lubyBitProgram) drawMark(phase int) bool {
 	if p.cfg.Mark != nil {
 		return p.cfg.Mark(p.ctx.Index, phase)
 	}
-	return p.ctx.Rand.Bits(p.markBits) == 0
+	return p.ctx.Rand.Bits(int(p.markBits)) == 0
 }
 
 func (p *lubyBitProgram) Round(r int, _ []sim.Message) ([]sim.Message, bool) {
 	phase := r / 3
-	if phase >= p.maxPhases {
+	if phase >= int(p.maxPhases) {
 		return nil, true // give up undecided; the wrapper flags it
 	}
+	active, stronger := p.portMasks()
 	switch r % 3 {
 	case 0:
 		// OUT announcements from the previous phase's t=2 deciders.
-		for j := range p.activeMask {
+		for j := range active {
 			pres, _ := p.ctx.InBitWord(j)
-			p.activeMask[j] &^= pres
+			active[j] &^= pres
 		}
 		p.marked = p.drawMark(phase)
 		if p.marked {
-			return p.ctx.BroadcastBitMask(1, p.activeMask), false
+			return p.ctx.BroadcastBitMask(1, active), false
 		}
 		return nil, false
 	case 1:
@@ -143,28 +152,28 @@ func (p *lubyBitProgram) Round(r int, _ []sim.Message) ([]sim.Message, bool) {
 		// a node whose active neighborhood emptied (every neighbor went
 		// OUT) joins unconditionally — maximality requires it.
 		var conflict, activeAny uint64
-		for j := range p.activeMask {
+		for j := range active {
 			pres, _ := p.ctx.InBitWord(j)
-			conflict |= pres & p.strongerMask[j]
-			activeAny |= p.activeMask[j]
+			conflict |= pres & stronger[j]
+			activeAny |= active[j]
 		}
 		if (p.marked && conflict == 0) || activeAny == 0 {
 			p.inMIS = true
 			p.decided = true
-			return p.ctx.BroadcastBitMask(1, p.activeMask), true
+			return p.ctx.BroadcastBitMask(1, active), true
 		}
 		return nil, false
 	default:
 		// IN announcements: every winner broadcast to all its active
 		// neighbors, so hearing any bit means a neighbor joined.
 		var joined uint64
-		for j := range p.activeMask {
+		for j := range active {
 			pres, _ := p.ctx.InBitWord(j)
 			joined |= pres
 		}
 		if joined != 0 {
 			p.decided = true
-			return p.ctx.BroadcastBitMask(1, p.activeMask), true
+			return p.ctx.BroadcastBitMask(1, active), true
 		}
 		return nil, false
 	}

@@ -1,7 +1,9 @@
 package mis
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"randlocal/internal/check"
 	"randlocal/internal/graph"
@@ -13,13 +15,16 @@ import (
 func TestLubyBitOnFamilies(t *testing.T) {
 	rng := prng.New(59)
 	families := map[string]*graph.Graph{
-		"ring64":    graph.Ring(64),
-		"ring-odd":  graph.Ring(67),
-		"clique32":  graph.Complete(32),
-		"gnp256":    graph.GNPConnected(256, 4.0/256, rng),
-		"tree100":   graph.RandomTree(100, rng),
-		"grid10":    graph.Grid(10, 10),
-		"star50":    graph.Star(50),
+		"ring64":   graph.Ring(64),
+		"ring-odd": graph.Ring(67),
+		"clique32": graph.Complete(32),
+		"gnp256":   graph.GNPConnected(256, 4.0/256, rng),
+		"tree100":  graph.RandomTree(100, rng),
+		"grid10":   graph.Grid(10, 10),
+		"star50":   graph.Star(50),
+		// Degrees past 64 take the multi-word port-mask path.
+		"star130":   graph.Star(130),
+		"clique70":  graph.Complete(70),
 		"singleton": graph.NewBuilder(1).Graph(),
 		"isolated":  graph.NewBuilder(5).Graph(),
 		"disjoint":  graph.Disjoint(graph.Ring(8), graph.Complete(4)),
@@ -48,7 +53,17 @@ func TestLubyBitOnFamilies(t *testing.T) {
 // with its own probe program).
 func TestLubyBitPackedUnpackedEquivalence(t *testing.T) {
 	rng := prng.New(61)
-	g := graph.GNPConnected(200, 5.0/200, rng)
+	for name, g := range map[string]*graph.Graph{
+		"gnp200": graph.GNPConnected(200, 5.0/200, rng),
+		// Degrees past 64: multi-word port masks and plane windows.
+		"star130":  graph.Star(130),
+		"clique70": graph.Complete(70),
+	} {
+		t.Run(name, func(t *testing.T) { lubyBitEquivalent(t, g) })
+	}
+}
+
+func lubyBitEquivalent(t *testing.T, g *graph.Graph) {
 	run := func(unpacked bool, workers int) *sim.Result[LubyOutput] {
 		cfg := sim.Config{
 			Graph:          g,
@@ -206,5 +221,39 @@ func TestLubyBitRunAllocs(t *testing.T) {
 	if large-small > n/64 {
 		t.Errorf("doubling the network from %d nodes adds %.0f allocations per run, want at most %d (1 per 64 nodes)",
 			n, large-small, n/64)
+	}
+}
+
+// TestLubyBitProgramLayout pins the program struct at one cache line: the
+// slab (NewBitProgramSlab) then gives every node exactly one line of
+// program state, which the packed round loop touches once per node-step.
+func TestLubyBitProgramLayout(t *testing.T) {
+	if size := unsafe.Sizeof(lubyBitProgram{}); size != 64 {
+		t.Errorf("lubyBitProgram is %d bytes, want 64", size)
+	}
+}
+
+// TestLubyBitBytesPerNode pins what a cold one-worker LubyBit run
+// allocates per node, graph excluded, on GNPConnected(2^14, 6/n): the
+// programs (64 B), the contexts (128 B), the program interface slots
+// (16 B), the randomness streams, worklist, outputs, neighbor IDs and
+// packed planes. With 104-byte programs and 160-byte contexts the run
+// allocated 427 B per node; with 64-byte programs and 128-byte contexts it
+// allocates 355 B. The bound sits below 355 + 32, so growing either struct
+// back by a cache-line half fails it.
+func TestLubyBitBytesPerNode(t *testing.T) {
+	n := 1 << 14
+	g := graph.GNPConnected(n, 6.0/float64(n), prng.New(7))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := LubyBit(g, randomness.NewFull(3), nil, LubyBitConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("cold LubyBit run: %.1f B per node", perNode)
+	if perNode > 380 {
+		t.Errorf("cold LubyBit run allocates %.1f B per node, want <= 380", perNode)
 	}
 }

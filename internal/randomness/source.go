@@ -131,10 +131,9 @@ func (s *Shared) SeedWord(off, k int) uint64 {
 // defining property of shared randomness.
 func (s *Shared) Stream(v int) *Stream {
 	return s.slab.carve(Stream{
-		shared:  s,
-		budget:  int64(s.nbits),
-		ledger:  &s.ledger,
-		derived: true, // the true bits were billed once at construction
+		shared: s, // bills derived bits: the true ones were billed at construction
+		budget: int64(s.nbits),
+		ledger: &s.ledger,
 	})
 }
 

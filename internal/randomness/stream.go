@@ -70,14 +70,14 @@ type Stream struct {
 	rng prng.SplitMix64 // Full/Sparse generator
 	buf uint64          // unread bits of the current word, next bit lowest; zero above have
 	// shared is non-nil for a Shared stream, which replays the seed words
-	// from word index pos instead of drawing from rng.
-	shared  *Shared
-	pos     int
-	ledger  *Ledger
-	budget  int64 // remaining bits; negative means unlimited
-	drawn   int64
-	have    uint8 // number of unread bits in buf
-	derived bool  // derived streams bill to DerivedBits
+	// from word index pos instead of drawing from rng, and bills its draws
+	// to DerivedBits (the seed's true bits were billed at construction).
+	shared *Shared
+	pos    int
+	ledger *Ledger
+	budget int64 // remaining bits; negative means unlimited
+	drawn  int64
+	have   uint8 // number of unread bits in buf
 }
 
 // Drawn returns the number of bits this stream has produced.
@@ -128,7 +128,7 @@ func (s *Stream) spend(n int64) {
 		s.budget -= n
 	}
 	s.drawn += n
-	if s.derived {
+	if s.shared != nil {
 		s.ledger.addDerived(n)
 	} else {
 		s.ledger.addTrue(n)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"randlocal/internal/prng"
 )
@@ -427,4 +428,13 @@ func BenchmarkStream(b *testing.B) {
 		v, _ := s.Geometric(32)
 		return uint64(v)
 	})
+}
+
+// TestStreamLayout pins a Stream at one cache line: streamChunk of them
+// fill one 32 KiB slab chunk, so no stream straddles two lines and a draw
+// touches one.
+func TestStreamLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Stream{}); size != 64 {
+		t.Errorf("Stream is %d bytes, want 64", size)
+	}
 }

@@ -81,8 +81,8 @@ func TestNodeCtxArenaFallback(t *testing.T) {
 		t.Errorf("bare ctx Alloc len = %d", len(got))
 	}
 
-	wired := &NodeCtx{arena: &arena{}}
-	wired.arena.rotate()
+	wired := &NodeCtx{w: &wire{arena: &arena{}}}
+	wired.w.arena.rotate()
 	if got := wired.Uints(5, 600, 1<<40); !bytes.Equal(got, Uints(5, 600, 1<<40)) {
 		t.Errorf("arena ctx Uints = %x", got)
 	}
@@ -98,7 +98,7 @@ func TestNodeCtxArenaFallback(t *testing.T) {
 	if bare.Alloc(0) == nil || wired.Alloc(0) == nil {
 		t.Error("Alloc(0) must be non-nil on both paths")
 	}
-	virgin := &NodeCtx{arena: &arena{}}
+	virgin := &NodeCtx{w: &wire{arena: &arena{}}}
 	if virgin.Alloc(0) == nil {
 		t.Error("Alloc(0) on a virgin arena must be non-nil")
 	}

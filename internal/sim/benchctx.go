@@ -29,7 +29,7 @@ func NewBenchCtx(degree int, id uint64, n int, neighborIDs []uint64) (*NodeCtx, 
 		N:           n,
 		NeighborIDs: neighborIDs,
 		Outbox:      make([]Message, degree),
-		arena:       a,
+		w:           &wire{arena: a},
 	}
 	return ctx, a.rotate
 }
@@ -58,15 +58,12 @@ func NewPackedBenchCtx(degree int, id uint64, n int, neighborIDs []uint64) (ctx 
 		N:           n,
 		NeighborIDs: neighborIDs,
 		packed:      true,
-		inBits:      in,
-		outBits:     out,
+		w:           &wire{arena: &arena{}, in: in, out: out},
 	}
 	setIn = func(p int, bit uint64) { in.set(int32(p), bit) }
 	reset = func() {
-		clear(in.present)
-		clear(in.value)
-		clear(out.present)
-		clear(out.value)
+		clear(in)
+		clear(out)
 	}
 	return ctx, setIn, reset
 }

@@ -20,125 +20,146 @@ func denseDelivery(staged, window int) bool { return denseCutover*staged >= wind
 
 // bitPlane is the packed counterpart of a []Message half-edge plane for runs
 // whose programs declare 1-bit payloads (see PayloadBitsDeclarer): slot i of
-// the plane is bit i&63 of word i>>6. present marks slots holding a message
-// (the analogue of a non-nil Message) and value carries the payload bit.
-// Invariant: value ⊆ present — every clear clears both words, so a delivered
-// 0-bit is distinguishable from silence and stale value bits cannot leak into
-// a later OR-delivery.
+// the plane is bit i&63 of word i>>6. Each word interleaves two lanes:
+// present marks slots holding a message (the analogue of a non-nil Message)
+// and value carries the payload bit, so reading a node's inbox window or
+// harvesting its out window touches one cache line per plane, not one per
+// lane. Invariant: value ⊆ present — every clear clears both lanes, so a
+// delivered 0-bit is distinguishable from silence and stale value bits
+// cannot leak into a later OR-delivery.
 //
-// The pointer is what the engine shares with NodeCtx, and a wired *bitPlane
-// stays valid for the whole run.
-type bitPlane struct {
-	present []uint64
-	value   []uint64
+// The slice header is what the engine shares with the NodeCtx accessors
+// (through the worker's wire); a materialized plane keeps its backing array
+// for the whole run, and for the slab's lifetime when pooled.
+type bitPlane []bitWord
+
+// bitWord is one 64-slot word of a bitPlane, both lanes side by side.
+type bitWord struct {
+	present uint64
+	value   uint64
 }
 
-// newBitPlane returns a zeroed plane covering the given number of slots.
-func newBitPlane(slots int) *bitPlane {
-	w := (slots + 63) >> 6
-	return &bitPlane{present: make([]uint64, w), value: make([]uint64, w)}
+// newBitPlane returns a zeroed plane covering the given number of slots;
+// never nil, even for zero slots, since a nil plane means "unpacked run".
+func newBitPlane(slots int) bitPlane {
+	return make(bitPlane, (slots+63)>>6)
 }
 
 // set stages payload bit v at slot i. The slot must be clear (the planes'
 // delivery discipline guarantees it: every slot is cleared before it is
 // re-delivered to, and staged at most once per round).
-func (b *bitPlane) set(i int32, v uint64) {
-	w, s := int(i)>>6, uint(i)&63
-	b.present[w] |= 1 << s
-	b.value[w] |= (v & 1) << s
+func (b bitPlane) set(i int32, v uint64) {
+	w, s := &b[int(i)>>6], uint(i)&63
+	w.present |= 1 << s
+	w.value |= (v & 1) << s
 }
 
 // occupied reports whether slot i holds a message.
-func (b *bitPlane) occupied(i int32) bool {
-	return b.present[int(i)>>6]>>(uint(i)&63)&1 != 0
+func (b bitPlane) occupied(i int32) bool {
+	return b[int(i)>>6].present>>(uint(i)&63)&1 != 0
+}
+
+// rangeMasks returns the word span [wlo, whi] of the non-empty slot range
+// [lo, hi) and the masks of its slots in the first and the last word.
+func rangeMasks(lo, hi int64) (wlo, whi int, first, last uint64) {
+	return int(lo >> 6), int((hi - 1) >> 6), ^uint64(0) << (uint(lo) & 63), ^uint64(0) >> (63 - uint(hi-1)&63)
 }
 
 // clearBitRange empties the slot range [lo, hi), mask-aware at the boundary
 // words so slots of adjacent ranges sharing a word are untouched.
-func (b *bitPlane) clearBitRange(lo, hi int64) {
+func (b bitPlane) clearBitRange(lo, hi int64) {
 	if lo >= hi {
 		return
 	}
-	wlo, whi := int(lo>>6), int((hi-1)>>6)
-	first := ^uint64(0) << (uint(lo) & 63)
-	last := ^uint64(0) >> (63 - uint(hi-1)&63)
+	wlo, whi, first, last := rangeMasks(lo, hi)
 	if wlo == whi {
 		m := ^(first & last)
-		b.present[wlo] &= m
-		b.value[wlo] &= m
+		b[wlo].present &= m
+		b[wlo].value &= m
 		return
 	}
-	b.present[wlo] &= ^first
-	b.value[wlo] &= ^first
-	clear(b.present[wlo+1 : whi])
-	clear(b.value[wlo+1 : whi])
-	b.present[whi] &= ^last
-	b.value[whi] &= ^last
+	b[wlo].present &= ^first
+	b[wlo].value &= ^first
+	clear(b[wlo+1 : whi])
+	b[whi].present &= ^last
+	b[whi].value &= ^last
 }
 
-// setBitRange fills the slot range [lo, hi) of one lane, mask-aware at the
-// boundary words.
-func setBitRange(dst []uint64, lo, hi int64) {
+// setBitRange stages payload bit v (its low bit) on every slot of [lo, hi),
+// mask-aware at the boundary words.
+func (b bitPlane) setBitRange(lo, hi int64, v uint64) {
 	if lo >= hi {
 		return
 	}
-	wlo, whi := int(lo>>6), int((hi-1)>>6)
-	first := ^uint64(0) << (uint(lo) & 63)
-	last := ^uint64(0) >> (63 - uint(hi-1)&63)
+	wlo, whi, first, last := rangeMasks(lo, hi)
+	val := -(v & 1) // all ones when the bit is set
 	if wlo == whi {
-		dst[wlo] |= first & last
+		m := first & last
+		b[wlo].present |= m
+		b[wlo].value |= m & val
 		return
 	}
-	dst[wlo] |= first
+	b[wlo].present |= first
+	b[wlo].value |= first & val
 	for w := wlo + 1; w < whi; w++ {
-		dst[w] = ^uint64(0)
+		b[w].present = ^uint64(0)
+		b[w].value |= val
 	}
-	dst[whi] |= last
+	b[whi].present |= last
+	b[whi].value |= last & val
 }
 
-// orBitsAt ORs the low n (1..64) bits of w into dst starting at global bit
-// position pos.
-func orBitsAt(dst []uint64, pos int64, w uint64, n int) {
+// orBitsAt stages payload bit v (its low bit) on the slots selected by the
+// low n (1..64) bits of mask, starting at global slot pos.
+func (b bitPlane) orBitsAt(pos int64, mask uint64, n int, v uint64) {
 	if n < 64 {
-		w &= 1<<uint(n) - 1
+		mask &= 1<<uint(n) - 1
 	}
+	val := -(v & 1)
 	i, s := int(pos>>6), uint(pos)&63
-	dst[i] |= w << s
+	lo := mask << s
+	b[i].present |= lo
+	b[i].value |= lo & val
 	if s != 0 && int(s)+n > 64 {
-		dst[i+1] |= w >> (64 - s)
+		hi := mask >> (64 - s)
+		b[i+1].present |= hi
+		b[i+1].value |= hi & val
 	}
 }
 
-// readBitsAt returns the n (1..64) bits of src starting at global position
-// pos, in the low bits of the result.
-func readBitsAt(src []uint64, pos int64, n int) uint64 {
+// readBitsAt returns the present and value lanes of the n (1..64) slots
+// starting at global slot pos, in the low bits of the results.
+func (b bitPlane) readBitsAt(pos int64, n int) (present, value uint64) {
 	i, s := int(pos>>6), uint(pos)&63
-	w := src[i] >> s
+	w := b[i]
+	present, value = w.present>>s, w.value>>s
 	if s != 0 && int(s)+n > 64 {
-		w |= src[i+1] << (64 - s)
+		w = b[i+1]
+		present |= w.present << (64 - s)
+		value |= w.value << (64 - s)
 	}
 	if n < 64 {
-		w &= 1<<uint(n) - 1
+		m := uint64(1)<<uint(n) - 1
+		present &= m
+		value &= m
 	}
-	return w
+	return present, value
 }
 
-// popcountRange counts the set bits of src in the slot range [lo, hi).
-func popcountRange(src []uint64, lo, hi int64) int {
+// popcountRange counts the occupied slots in [lo, hi).
+func (b bitPlane) popcountRange(lo, hi int64) int {
 	if lo >= hi {
 		return 0
 	}
-	wlo, whi := int(lo>>6), int((hi-1)>>6)
-	first := ^uint64(0) << (uint(lo) & 63)
-	last := ^uint64(0) >> (63 - uint(hi-1)&63)
+	wlo, whi, first, last := rangeMasks(lo, hi)
 	if wlo == whi {
-		return bits.OnesCount64(src[wlo] & first & last)
+		return bits.OnesCount64(b[wlo].present & first & last)
 	}
-	n := bits.OnesCount64(src[wlo] & first)
+	n := bits.OnesCount64(b[wlo].present & first)
 	for w := wlo + 1; w < whi; w++ {
-		n += bits.OnesCount64(src[w])
+		n += bits.OnesCount64(b[w].present)
 	}
-	return n + bits.OnesCount64(src[whi]&last)
+	return n + bits.OnesCount64(b[whi].present&last)
 }
 
 // inboxView is the uniform handle on the inbox plane of either kind. The
@@ -148,7 +169,7 @@ func popcountRange(src []uint64, lo, hi int64) int {
 // Messages or packed bits.
 type inboxView struct {
 	msgs []Message // the []Message plane; nil in packed runs
-	bits *bitPlane // the packed plane; nil in unpacked runs
+	bits bitPlane  // the packed plane; nil in unpacked runs
 }
 
 // slots returns the slot range [lo, hi) of the word window [wlo, whi) of a
@@ -172,8 +193,7 @@ func (iv inboxView) window(wlo, whi int) int {
 // memclr the runtime vectorizes.
 func (iv inboxView) clearWords(wlo, whi int) {
 	if iv.bits != nil {
-		clear(iv.bits.present[wlo:whi])
-		clear(iv.bits.value[wlo:whi])
+		clear(iv.bits[wlo:whi])
 		return
 	}
 	lo, hi := iv.slots(wlo, whi)
@@ -185,9 +205,9 @@ func (iv inboxView) clearWords(wlo, whi int) {
 func (iv inboxView) clearSlots(slots []int32) {
 	if b := iv.bits; b != nil {
 		for _, i := range slots {
-			w, mask := int(i)>>6, ^(uint64(1) << (uint(i) & 63))
-			b.present[w] &= mask
-			b.value[w] &= mask
+			w, mask := &b[int(i)>>6], ^(uint64(1) << (uint(i) & 63))
+			w.present &= mask
+			w.value &= mask
 		}
 		return
 	}
@@ -222,7 +242,7 @@ func (iv inboxView) inject(i int32, m Message) {
 // packed planes.
 func (iv inboxView) occupiedInRange(lo, hi int64) int {
 	if iv.bits != nil {
-		return popcountRange(iv.bits.present, lo, hi)
+		return iv.bits.popcountRange(lo, hi)
 	}
 	n := 0
 	for i := lo; i < hi; i++ {

@@ -162,7 +162,6 @@ type engineState[T any] struct {
 	// per half-edge; it is also the out plane scatter copies from.
 	inbox  []Message
 	outbox []Message
-	arena  *arena
 	ctxs   []NodeCtx
 	// packed marks a run whose planes are bitmaps: every program declared
 	// PayloadBits() <= 1 and the config did not opt out. inBits then
@@ -171,8 +170,8 @@ type engineState[T any] struct {
 	// workers' slot lists keep their exact unpacked meaning, so the
 	// accounting and the adversary see identical slots.
 	packed       bool
-	inBits       *bitPlane
-	outBitsPlane *bitPlane
+	inBits       bitPlane
+	outBitsPlane bitPlane
 	// poison latches the poisoned-Outbox debug setting for this run; see
 	// debug.go.
 	poison bool
@@ -257,7 +256,6 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T]) (*eng
 	st.active = slab.active[:n]
 	st.done = slab.done
 	st.ctxs = slab.ctxs
-	st.arena = &slab.arena
 	st.activeTrace = slab.activeTrace
 	// Programs are constructed before the planes are allocated so their
 	// declared payload widths can pick the plane representation; Init runs
@@ -281,6 +279,10 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T]) (*eng
 		st.inbox = slab.msgPlane(&slab.inbox)
 		st.outbox = slab.msgPlane(&slab.outbox)
 	}
+	// Every context starts on worker 0's wire, the slab's; runPool repoints
+	// the contexts of further shards at their own workers' wires.
+	wire0 := &slab.wire
+	*wire0 = wire{arena: &slab.arena, in: st.inBits, out: st.outBitsPlane, inbox: st.inbox}
 	if cfg.Adversary != nil {
 		st.adv = cfg.Adversary.newState(off, adjf, rev, st.done)
 	}
@@ -319,14 +321,11 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T]) (*eng
 			Degree: int(hi - lo),
 			N:      declaredN,
 			Shared: shared,
-			arena:  st.arena,
+			base:   lo,
+			w:      wire0,
+			packed: packed,
 		}
-		if packed {
-			ctx.packed = true
-			ctx.inBits = st.inBits
-			ctx.outBits = st.outBitsPlane
-			ctx.base = lo
-		} else {
+		if !packed {
 			ctx.Outbox = st.outbox[lo:hi:hi]
 		}
 		if !cfg.KT0 {
@@ -341,17 +340,17 @@ func newEngineState[T any](cfg Config, factory func(v int) NodeProgram[T]) (*eng
 }
 
 // roundFor invokes node v's compute phase for round r against its
-// flat-inbox window. Under the poisoned-Outbox debug check the node's
-// Outbox window is pre-filled with the sentinel so unset ports are caught
-// when the outbox is consumed. A packed run has neither inbox windows nor
-// Outbox — programs read and write the bit planes through the NodeCtx
-// accessors, and Round receives a nil inbox.
+// flat-inbox window, which the unpacked bit accessors also derive from the
+// context's wire. Under the poisoned-Outbox debug check the node's Outbox
+// window is pre-filled with the sentinel so unset ports are caught when the
+// outbox is consumed. A packed run has neither inbox windows nor Outbox —
+// programs read and write the bit planes through the NodeCtx accessors, and
+// Round receives a nil inbox.
 func (st *engineState[T]) roundFor(v, r int) ([]Message, bool) {
 	if st.packed {
 		return st.progs[v].Round(r, nil)
 	}
 	lo, hi := st.off[v], st.off[v+1]
-	st.ctxs[v].inboxWin = st.inbox[lo:hi:hi]
 	if st.poison {
 		poisonWindow(st.outbox[lo:hi])
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"randlocal/internal/graph"
 	"randlocal/internal/prng"
@@ -455,5 +456,30 @@ func TestMessageCodecRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNodeCtxLayout pins the context layout the packed round loop relies
+// on: a NodeCtx is a whole number of cache lines, so the engine's context
+// slice keeps every context line-aligned, and every field the per-round
+// accessors read lies in its first line.
+func TestNodeCtxLayout(t *testing.T) {
+	var c NodeCtx
+	if size := unsafe.Sizeof(c); size%64 != 0 {
+		t.Errorf("NodeCtx is %d bytes, want a multiple of 64", size)
+	}
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"Degree", unsafe.Offsetof(c.Degree), unsafe.Sizeof(c.Degree)},
+		{"base", unsafe.Offsetof(c.base), unsafe.Sizeof(c.base)},
+		{"Rand", unsafe.Offsetof(c.Rand), unsafe.Sizeof(c.Rand)},
+		{"w", unsafe.Offsetof(c.w), unsafe.Sizeof(c.w)},
+		{"packed", unsafe.Offsetof(c.packed), unsafe.Sizeof(c.packed)},
+	} {
+		if f.off+f.size > 64 {
+			t.Errorf("NodeCtx.%s spans bytes [%d, %d), want it within the first 64", f.name, f.off, f.off+f.size)
+		}
 	}
 }

@@ -48,14 +48,38 @@ func (m Message) BitLen() int { return 8 * len(m) }
 // communication: its identifier, its degree, the declared network size
 // (non-uniform algorithms receive n as input, Definition 2.1), and its
 // randomness, if the configured source grants it any.
+//
+// Layout: a NodeCtx is 128 bytes, two cache lines, and the fields the
+// per-round accessors read (Degree, base, Rand, the wire pointer, packed)
+// lie in the first, so a node-step that reads its inbox and stages its
+// outbox through the bit accessors touches one line of its context. The
+// engine keeps the contexts in one slice, line-aligned whenever the slice
+// is (as the runtime's large allocations are).
 type NodeCtx struct {
+	// Degree is the number of incident edges (= ports).
+	Degree int
+	// base is off[v], the node's first slot in the flat half-edge planes;
+	// its ports are the slots [base, base+Degree).
+	base int64
+	// Rand is this node's accounted private random stream, or nil when the
+	// randomness source grants this node no private bits.
+	Rand *randomness.Stream
+	// w is the wiring of the worker that runs this node: its payload arena
+	// and the planes the accessors read and write. The engine points every
+	// context of a shard at its worker's wire, so rewiring a context is one
+	// pointer store. nil (a hand-built NodeCtx outside an engine) makes
+	// Uints/Alloc fall back to plain heap allocation.
+	w *wire
+	// packed is set when the engine runs this node over packed bit planes
+	// (every program declared PayloadBits() <= 1; see PayloadBitsDeclarer):
+	// the bit accessors below then read and write the wire's bit planes
+	// word-at-a-time instead of going through Outbox and the inbox plane.
+	packed bool
 	// Index is the dense engine-internal node index in [0, n). Node
 	// programs must treat it as opaque; algorithmic decisions must use ID.
 	Index int
 	// ID is the unique Θ(log n)-bit identifier.
 	ID uint64
-	// Degree is the number of incident edges (= ports).
-	Degree int
 	// N is the declared number of nodes handed to non-uniform algorithms.
 	// It may exceed the true size — that is exactly the "lying about n"
 	// device of Theorem 4.3.
@@ -63,9 +87,6 @@ type NodeCtx struct {
 	// NeighborIDs lists the identifier behind each port when the engine is
 	// configured with KT1 knowledge (the default); nil under KT0.
 	NeighborIDs []uint64
-	// Rand is this node's accounted private random stream, or nil when the
-	// randomness source grants this node no private bits.
-	Rand *randomness.Stream
 	// Outbox is an engine-owned scratch slice of length Degree that the
 	// program may fill and return from Round instead of allocating a fresh
 	// outbox every round. The engine consumes the returned outbox before
@@ -80,25 +101,25 @@ type NodeCtx struct {
 	// Shared is non-nil when running under the shared-randomness model and
 	// exposes the public seed (and its deterministic expansions).
 	Shared *randomness.Shared
-	// arena is the per-round payload arena this node carves Uints/Alloc
-	// payloads from. The engine wires it before Init and then gives every
-	// worker shard its own — it always has a single writer. nil (a hand-built
-	// NodeCtx outside an engine) falls back to plain heap allocation.
+	_      [8]byte // pads the struct to two whole cache lines
+}
+
+// wire is one worker's side of the NodeCtx accessors: everything a node's
+// Uints/Alloc and bit accessors reach beyond the context itself. Every
+// worker has one, shared by the contexts of its shard, so it stays hot in
+// the worker's cache.
+type wire struct {
+	// arena is the worker's per-round payload arena; it has a single
+	// writer, the worker.
 	arena *arena
-	// packed is set when the engine runs this node over packed bit planes
-	// (every program declared PayloadBits() <= 1; see PayloadBitsDeclarer):
-	// the bit accessors below then read inBits / write outBits word-at-a-
-	// time instead of going through Outbox and the inbox window. The fields
-	// are engine-wired; programs only ever use the accessors.
-	packed  bool
-	inBits  *bitPlane // current-inbox plane (read side)
-	outBits *bitPlane // this node's out plane (write side; per worker under RunParallel)
-	base    int64     // off[v]: the node's first slot in the flat planes
-	// inboxWin is the node's window of the flat inbox plane, wired by the
-	// engine before each unpacked Round call so the bit accessors can read
-	// received bits without the program threading its inbox argument
-	// through. It aliases the inbox slice Round receives.
-	inboxWin []Message
+	// in is the packed inbox plane (read side, shared by all workers) and
+	// out the worker's out plane (write side, private per worker); both nil
+	// on unpacked runs.
+	in, out bitPlane
+	// inbox is the unpacked inbox plane, from which the unpacked bit
+	// accessors read a node's window [base, base+Degree) — the slice Round
+	// receives. nil on packed runs.
+	inbox []Message
 }
 
 // Uints encodes xs as a single varint payload carved from the engine's
@@ -108,22 +129,22 @@ type NodeCtx struct {
 // Init has round 0's lifetime: it may be returned from Round(0) and is read
 // safely by receivers in round 1.
 func (c *NodeCtx) Uints(xs ...uint64) Message {
-	if c.arena == nil || len(xs) == 0 {
+	if c.w == nil || len(xs) == 0 {
 		// Uints(nil...) is nil — "send nothing" — and the arena must agree,
 		// not hand out a non-nil empty payload the engine would deliver.
 		return Uints(xs...)
 	}
-	return c.arena.uints(xs)
+	return c.w.arena.uints(xs)
 }
 
 // Alloc returns a zeroed n-byte payload carved from the engine's per-round
 // message arena, for programs that assemble payloads with AppendUint-style
 // encoders or raw bytes. The same lifetime rule as Uints applies.
 func (c *NodeCtx) Alloc(n int) Message {
-	if c.arena == nil {
+	if c.w == nil {
 		return make(Message, n)
 	}
-	return c.arena.alloc(n)
+	return c.w.arena.alloc(n)
 }
 
 // Broadcast fills the engine-owned Outbox window with msg on every port and
@@ -193,10 +214,7 @@ func (c *NodeCtx) BitWords() int { return (c.Degree + 63) >> 6 }
 // representations account identically: one 8-bit message per port.
 func (c *NodeCtx) BroadcastBit(b uint64) []Message {
 	if c.packed {
-		setBitRange(c.outBits.present, c.base, c.base+int64(c.Degree))
-		if b&1 != 0 {
-			setBitRange(c.outBits.value, c.base, c.base+int64(c.Degree))
-		}
+		c.w.out.setBitRange(c.base, c.base+int64(c.Degree), b)
 		return nil
 	}
 	msg := bitWire[b&1]
@@ -214,20 +232,13 @@ func (c *NodeCtx) BroadcastBit(b uint64) []Message {
 // are ignored.
 func (c *NodeCtx) BroadcastBitMask(b uint64, mask []uint64) []Message {
 	if c.packed {
+		out := c.w.out
 		for j := 0; j < c.BitWords(); j++ {
 			m := mask[j]
 			if m == 0 {
 				continue
 			}
-			n := c.Degree - j<<6
-			if n > 64 {
-				n = 64
-			}
-			pos := c.base + int64(j)<<6
-			orBitsAt(c.outBits.present, pos, m, n)
-			if b&1 != 0 {
-				orBitsAt(c.outBits.value, pos, m, n)
-			}
+			out.orBitsAt(c.base+int64(j)<<6, m, min(c.Degree-j<<6, 64), b)
 		}
 		return nil
 	}
@@ -246,10 +257,10 @@ func (c *NodeCtx) BroadcastBitMask(b uint64, mask []uint64) []Message {
 // InBitWord returns this round's received bits for ports [64j, 64j+64): bit k
 // of present is set when port 64j+k received a message, and the matching bit
 // of value carries its payload (value ⊆ present). It is the word-at-a-time
-// read path of 1-bit programs — in packed mode two shift-combined loads from
-// the packed inbox plane, in unpacked mode assembled from the inbox window —
-// and must be called from inside Round (the engine wires the window per
-// call).
+// read path of 1-bit programs — in packed mode one shift-combined load of
+// interleaved words from the packed inbox plane, in unpacked mode assembled
+// from the node's window of the inbox plane — and must be called from
+// inside Round, while the inbox holds this round's messages.
 func (c *NodeCtx) InBitWord(j int) (present, value uint64) {
 	n := c.Degree - j<<6
 	if n <= 0 {
@@ -258,13 +269,12 @@ func (c *NodeCtx) InBitWord(j int) (present, value uint64) {
 	if n > 64 {
 		n = 64
 	}
+	pos := c.base + int64(j)<<6
 	if c.packed {
-		pos := c.base + int64(j)<<6
-		return readBitsAt(c.inBits.present, pos, n), readBitsAt(c.inBits.value, pos, n)
+		return c.w.in.readBitsAt(pos, n)
 	}
-	win := c.inboxWin[j<<6:]
-	for k := 0; k < n; k++ {
-		if m := win[k]; m != nil {
+	for k, m := range c.w.inbox[pos : pos+int64(n)] {
+		if m != nil {
 			present |= 1 << uint(k)
 			if len(m) > 0 && m[0]&1 != 0 {
 				value |= 1 << uint(k)
@@ -277,12 +287,12 @@ func (c *NodeCtx) InBitWord(j int) (present, value uint64) {
 // InBit returns the payload bit received on port p this round and whether a
 // message arrived there — the single-port convenience over InBitWord.
 func (c *NodeCtx) InBit(p int) (bit uint64, ok bool) {
+	i := c.base + int64(p)
 	if c.packed {
-		i := c.base + int64(p)
-		w, s := int(i>>6), uint(i)&63
-		return c.inBits.value[w] >> s & 1, c.inBits.present[w]>>s&1 != 0
+		w, s := c.w.in[i>>6], uint(i)&63
+		return w.value >> s & 1, w.present>>s&1 != 0
 	}
-	m := c.inboxWin[p]
+	m := c.w.inbox[i]
 	if m == nil {
 		return 0, false
 	}

@@ -21,10 +21,13 @@ type parallelWorker struct {
 	// the nodes that computed this round, for the Result's ActivePerRound.
 	active  []int32
 	activeN int
-	// arena is the shard's per-round payload arena (see arena.go); it is
+	// wire is what the shard's contexts point at: its arena (see arena.go),
 	// rotated at the top of each compute phase, which recycles the buffer
-	// whose payloads were read in the previous round.
-	arena *arena
+	// whose payloads were read in the previous round; the inbox planes; and,
+	// on packed runs, the worker's out plane — the engine's own for worker 0
+	// and a private one for every other — harvested and cleared inside the
+	// compute phase, so workers never write a shared word.
+	wire *wire
 	// lanes[s] stages, during the compute phase, the messages this worker's
 	// nodes addressed to the word window of shard s; shard s delivers them
 	// during the scatter phase. An entry is a uint32 on either plane kind:
@@ -33,11 +36,6 @@ type parallelWorker struct {
 	// payload bit at bit 31 on packed ones. Each lane is sized once per run
 	// (sizeLanes) and truncated, not freed, across rounds.
 	lanes [][]uint32
-	// out is a packed run's out plane for this worker's nodes — the engine's
-	// own for worker 0 and a private one for every other — harvested and
-	// cleared inside the compute phase, so workers never write a shared word
-	// (nil on unpacked runs).
-	out *bitPlane
 	// wlo/whi is this shard's exclusive word window [wlo, whi) of the inbox
 	// plane — word-rounded shard bounds (graph.ShardWordBounds), 64 slots a
 	// word on either plane kind — which makes scatter race-free without
@@ -114,7 +112,7 @@ func (w *parallelWorker) compute(st *engineStateCore, r int) {
 		// Not before round 0: Init-time carves (which land in the engine
 		// arena, wired before the shards override it) and round-0 carves
 		// must both survive into round 1.
-		w.arena.rotate()
+		w.wire.arena.rotate()
 	}
 	for s := range w.lanes {
 		w.lanes[s] = w.lanes[s][:0]
@@ -130,13 +128,18 @@ func (w *parallelWorker) compute(st *engineStateCore, r int) {
 			live = append(live, v32)
 			continue
 		}
+		// The node's slot window comes from its context, read before Round
+		// so that the context's line is fetched alongside the program's
+		// rather than after it.
+		c := &st.ctxs[v]
+		lo, hi := c.base, c.base+int64(c.Degree)
 		out, nodeDone := st.round(v, r)
 		if st.packed {
 			// The program wrote its bits into this worker's private out
 			// plane; harvest them into the per-destination-shard lanes (no
 			// bandwidth/poison/degree checks — the representation cannot
 			// express a violation).
-			w.stagePacked(st, v, r)
+			w.stagePacked(st, lo, hi, r)
 		} else if !w.stage(st, v, r, out) {
 			live = append(live, v32)
 			continue
@@ -195,20 +198,22 @@ func (w *parallelWorker) stage(st *engineStateCore, v, r int, out []Message) boo
 	return true
 }
 
-// stagePacked harvests node v's freshly written out-plane window: per present
-// bit it resolves the destination slot, consults the adversary and stages
-// slot|bit<<31, then clears the window. There is no bandwidth or poison
-// check: the representation cannot express a payload over 1 bit or an unset
-// port.
-func (w *parallelWorker) stagePacked(st *engineStateCore, v, r int) {
-	lo, hi := st.off[v], st.off[v+1]
+// stagePacked harvests a node's freshly written window [lo, hi) of the
+// worker's out plane — [base, base+Degree) from its context, not off[v],
+// whose line the step would otherwise fetch for nothing: per present bit it
+// resolves the destination slot, consults the adversary and stages
+// slot|bit<<31, then clears the window. A window without a present bit needs
+// no clear, since value ⊆ present. There is no bandwidth or poison check:
+// the representation cannot express a payload over 1 bit or an unset port.
+func (w *parallelWorker) stagePacked(st *engineStateCore, lo, hi int64, r int) {
 	if lo == hi {
 		return
 	}
-	out := w.out
+	out := w.wire.out
+	var sent uint64
 	whi := int((hi - 1) >> 6)
 	for wd := int(lo >> 6); wd <= whi; wd++ {
-		pw := out.present[wd]
+		pw := out[wd].present
 		if pw == 0 {
 			continue
 		}
@@ -219,7 +224,8 @@ func (w *parallelWorker) stagePacked(st *engineStateCore, v, r int) {
 		if base+64 > hi {
 			pw &= ^uint64(0) >> (63 - uint(hi-1)&63)
 		}
-		vv := out.value[wd]
+		sent |= pw
+		vv := out[wd].value
 		for pw != 0 {
 			k := mathbits.TrailingZeros64(pw)
 			pw &= pw - 1
@@ -231,7 +237,9 @@ func (w *parallelWorker) stagePacked(st *engineStateCore, v, r int) {
 			w.push(st, slot, uint32(slot)|uint32(bit)<<31, 8)
 		}
 	}
-	out.clearBitRange(lo, hi)
+	if sent != 0 {
+		out.clearBitRange(lo, hi)
+	}
 }
 
 // lost applies the adversary's fate to a message bound for slot: it reports
@@ -322,7 +330,7 @@ func deliverMsgs(inbox, outbox []Message, rev []int32, lane []uint32, slots []in
 
 // deliverBits ORs every staged slot|bit<<31 entry into the packed inbox
 // plane, appending the slots to slots when record is set.
-func deliverBits(ib *bitPlane, lane []uint32, slots []int32, record bool) []int32 {
+func deliverBits(ib bitPlane, lane []uint32, slots []int32, record bool) []int32 {
 	if !record {
 		for _, e := range lane {
 			ib.set(int32(e&0x7fffffff), uint64(e>>31))
@@ -343,6 +351,7 @@ type engineStateCore struct {
 	off  []int64 // CSR offsets
 	rev  []int32 // CSR reverse half-edge table
 	done []bool
+	ctxs []NodeCtx
 	// in is the inbox plane, of whichever kind the run allocated; outbox is
 	// the Message out plane unpacked lanes index (nil on packed runs).
 	in     inboxView
@@ -438,6 +447,7 @@ func runPool[T any](cfg Config, factory func(v int) NodeProgram[T], workers int,
 		off:            st.off,
 		rev:            st.rev,
 		done:           st.done,
+		ctxs:           st.ctxs,
 		in:             inboxView{msgs: st.inbox, bits: st.inBits},
 		outbox:         st.outbox,
 		maxMessageBits: cfg.MaxMessageBits,
@@ -450,14 +460,12 @@ func runPool[T any](cfg Config, factory func(v int) NodeProgram[T], workers int,
 	for i, w := range pool {
 		w.lo, w.hi = bounds[i], bounds[i+1]
 		w.active = st.active[w.lo:w.hi:w.hi]
-		if workers == 1 {
-			break
+		if i == 0 {
+			continue
 		}
+		w.wire.in, w.wire.inbox = st.inBits, st.inbox
 		for v := w.lo; v < w.hi; v++ {
-			st.ctxs[v].arena = w.arena
-			if st.packed {
-				st.ctxs[v].outBits = w.out
-			}
+			st.ctxs[v].w = w.wire
 		}
 	}
 	// Word-rounded scatter windows on either plane kind: worker s holds the

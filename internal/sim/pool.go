@@ -121,12 +121,14 @@ type engineSlab struct {
 	inbox, outbox []Message
 	nids          []uint64
 	// Packed bit planes; outBits doubles as worker 0's out plane.
-	inBits, outBits *bitPlane
+	inBits, outBits bitPlane
 	// activeTrace is the run's active trace (length 0 parked).
 	activeTrace []int
 	// arena is the engine arena: Init carves land here, and worker 0 keeps
-	// using it for its rounds.
+	// using it for its rounds. wire is worker 0's wire, through which every
+	// context reaches the arena and planes from Init on.
 	arena arena
+	wire  wire
 
 	// Persistent workers (usedWorkers marks how many the last run wired)
 	// and the word-ownership table of multi-worker runs.
@@ -144,7 +146,7 @@ func (s *engineSlab) msgPlane(p *[]Message) []Message {
 }
 
 // plane materializes one of the slab's bit planes.
-func (s *engineSlab) plane(p **bitPlane) *bitPlane {
+func (s *engineSlab) plane(p *bitPlane) bitPlane {
 	if *p == nil {
 		*p = newBitPlane(s.key.h)
 	}
@@ -170,27 +172,24 @@ func (s *engineSlab) wordShardTable() []int32 {
 }
 
 // parWorkers hands out `workers` reset parallelWorker structs, growing the
-// persistent set as needed. Worker 0 runs on the engine arena and (packed)
-// the engine's out plane; every other worker keeps its own arena and private
-// out plane warm across runs. The caller re-wires shard bounds, worklists,
-// staging capacity and context ownership per run.
+// persistent set as needed. Worker 0 runs on the slab's wire (the engine
+// arena and, packed, the engine's out plane); every other worker keeps its
+// own wire, with its own arena and private out plane, warm across runs. The
+// caller re-wires shard bounds, worklists, staging capacity, the shared
+// inbox planes and context ownership per run.
 func (s *engineSlab) parWorkers(workers int, packed bool) []*parallelWorker {
 	for len(s.workers) < workers {
-		w := &parallelWorker{arena: &s.arena}
+		w := &parallelWorker{wire: &s.wire}
 		if len(s.workers) > 0 {
-			w.arena = &arena{}
+			w.wire = &wire{arena: &arena{}}
 		}
 		s.workers = append(s.workers, w)
 	}
 	s.usedWorkers = workers
 	out := s.workers[:workers]
 	for i, w := range out {
-		if packed {
-			if i == 0 {
-				w.out = s.outBits
-			} else if w.out == nil {
-				w.out = newBitPlane(s.key.h)
-			}
+		if packed && i > 0 && w.wire.out == nil {
+			w.wire.out = newBitPlane(s.key.h)
 		}
 		w.lanes = resizeStaging(w.lanes, workers)
 	}
@@ -218,15 +217,11 @@ func (s *engineSlab) scrub() {
 	clear(s.done)
 	clear(s.inbox)
 	clear(s.outbox)
-	for _, b := range []*bitPlane{s.inBits, s.outBits} {
-		if b != nil {
-			clear(b.present)
-			clear(b.value)
-		}
-	}
+	clear(s.inBits)
+	clear(s.outBits)
 	s.activeTrace = s.activeTrace[:0]
 	s.arena.reset()
-	for _, w := range s.workers[:s.usedWorkers] {
+	for wi, w := range s.workers[:s.usedWorkers] {
 		w.active = nil
 		w.inboxSlots = w.inboxSlots[:0]
 		w.held = nil
@@ -235,11 +230,10 @@ func (s *engineSlab) scrub() {
 		for i := range w.lanes {
 			w.lanes[i] = w.lanes[i][:0]
 		}
-		if w.out != nil && w.out != s.outBits {
-			clear(w.out.present)
-			clear(w.out.value)
+		if wi > 0 {
+			clear(w.wire.out) // worker 0's is s.outBits
 		}
-		w.arena.reset()
+		w.wire.arena.reset()
 	}
 	s.usedWorkers = 0
 }

@@ -361,10 +361,13 @@ func (c *constBitFlood) Round(r int, _ []Message) ([]Message, bool) {
 // half-edge, graph and programs excluded, on one GNPConnected shape (n=2^14,
 // p=16/n). An unpacked run holds two Message planes (24 B each), the
 // neighbor IDs (8 B), one uint32 lane entry (4 B), the sparse slot list
-// (0.5 B) and per-node state spread over ~16 half-edges: about 73 B. A
-// packed run swaps the Message planes for two bit planes: about 25 B. The
-// unpacked bound sits below 73 + 28, so a lane entry that carried the
-// message again (32 B) fails it.
+// (0.5 B) and per-node state spread over ~16 half-edges, the 128-byte
+// NodeCtx among it: about 70 B. A packed run swaps the Message planes for
+// two bit planes: about 22 B. The unpacked bound sits below 70 + 28, so a
+// lane entry that carried the message again (32 B) fails it. A program's
+// per-node state is pinned where the program lives, since this package
+// cannot import it: TestLubyBitBytesPerNode in internal/mis pins a cold
+// LubyBit run per node.
 func TestEngineBytesPerHalfEdge(t *testing.T) {
 	n := 1 << 14
 	g := graph.GNPConnected(n, 16.0/float64(n), prng.New(7))

@@ -34,14 +34,18 @@ func runReference[T any](cfg Config, factory func(v int) NodeProgram[T]) (*Resul
 	}
 	defer st.release()
 	n, maxRounds := st.n, st.maxRounds()
-	freshInboxes := func() [][]Message {
+	// Each round's inboxes are windows of one fresh flat plane, which the
+	// unpacked bit accessors read through the contexts' wire.
+	freshInboxes := func() ([]Message, [][]Message) {
+		flat := make([]Message, len(st.adjf))
 		in := make([][]Message, n)
 		for v := range in {
-			in[v] = make([]Message, st.off[v+1]-st.off[v])
+			lo, hi := st.off[v], st.off[v+1]
+			in[v] = flat[lo:hi:hi]
 		}
-		return in
+		return flat, in
 	}
-	inbox := freshInboxes()
+	flat, inbox := freshInboxes()
 	halted := make([]bool, n)
 	res := &Result[T]{Outputs: make([]T, n)}
 	var ra *refAdversary
@@ -64,13 +68,13 @@ func runReference[T any](cfg Config, factory func(v int) NodeProgram[T]) (*Resul
 			active -= ra.stalledN
 		}
 		res.ActivePerRound = append(res.ActivePerRound, active)
-		next := freshInboxes()
+		st.slab.wire.inbox = flat
+		nextFlat, next := freshInboxes()
 		var sent refSends
 		for v := 0; v < n; v++ {
 			if halted[v] || ra != nil && ra.stalled[v] {
 				continue
 			}
-			st.ctxs[v].inboxWin = inbox[v]
 			out, done := st.progs[v].Round(r, inbox[v])
 			if len(out) > len(inbox[v]) {
 				return nil, fmt.Errorf("sim: node %d produced %d outbox entries for degree %d", v, len(out), len(inbox[v]))
@@ -98,7 +102,7 @@ func runReference[T any](cfg Config, factory func(v int) NodeProgram[T]) (*Resul
 				live--
 			}
 		}
-		inbox = next
+		flat, inbox = nextFlat, next
 		if ra != nil {
 			live -= ra.boundary(r, sent, inbox, halted, tally, &res.Telemetry.Injected)
 		}
