@@ -39,9 +39,10 @@ import (
 // summary line above it keeps carrying the detail.
 var errRejected = errors.New("run rejected (INVALID or INCOMPLETE under faults)")
 
-// exactDiameterMaxN is the largest graph whose exact diameter locsim prints:
-// graph.Diameter runs one BFS per node, O(n·m). Larger graphs get a
-// double-sweep lower bound.
+// exactDiameterMaxN is the largest graph whose exact diameter locsim prints.
+// graph.Diameter usually needs a handful of BFS passes, but one per node in
+// the worst case (a ring), O(n·m). Larger graphs get a double-sweep lower
+// bound, so the printed line for a given graph never changes form.
 const exactDiameterMaxN = 1 << 12
 
 func main() {

@@ -16,6 +16,7 @@ package decomp
 
 import (
 	"fmt"
+	"slices"
 
 	"randlocal/internal/graph"
 )
@@ -30,57 +31,81 @@ type Decomposition struct {
 
 // NumColors returns the number of distinct colors used.
 func (d *Decomposition) NumColors() int {
-	seen := map[int]bool{}
-	for _, c := range d.Color {
-		seen[c] = true
-	}
-	return len(seen)
+	_, sizes := labelIndex(d.Color)
+	return len(sizes)
 }
 
 // NumClusters returns the number of distinct clusters.
 func (d *Decomposition) NumClusters() int {
-	seen := map[int]bool{}
-	for _, c := range d.Cluster {
-		seen[c] = true
-	}
-	return len(seen)
+	_, sizes := labelIndex(d.Cluster)
+	return len(sizes)
 }
 
 // MaxClusterDiameter returns the maximum, over clusters, of the diameter of
 // the cluster's induced subgraph (the strong diameter of the decomposition).
-// A disconnected cluster yields an error via Validate; here it reports the
-// diameter of the largest piece reachable within the cluster.
+// A disconnected cluster yields an error via Validate; here it counts with
+// the largest diameter of its connected pieces.
 func (d *Decomposition) MaxClusterDiameter(g *graph.Graph) int {
-	clusters := d.clusterMembers()
-	maxDiam := 0
-	for _, members := range clusters {
-		sub, _ := graph.InducedSubgraph(g, members)
-		if diam := graph.Diameter(sub); diam > maxDiam {
-			maxDiam = diam
-		}
-	}
-	return maxDiam
+	idx, _ := labelIndex(d.Cluster)
+	return maxPieceDiameter(g, idx)
 }
 
 // MaxClusterSize returns the size of the largest cluster.
 func (d *Decomposition) MaxClusterSize() int {
-	sizes := map[int]int{}
-	best := 0
-	for _, c := range d.Cluster {
-		sizes[c]++
-		if sizes[c] > best {
-			best = sizes[c]
-		}
-	}
-	return best
+	_, sizes := labelIndex(d.Cluster)
+	return int(slices.Max(append(sizes, 0)))
 }
 
-func (d *Decomposition) clusterMembers() map[int][]int {
-	m := map[int][]int{}
-	for v, c := range d.Cluster {
-		m[c] = append(m[c], v)
+// labelIndex numbers the distinct labels 0..k-1 in increasing label order.
+// It returns each node's number and the node count per number. Labels in
+// [0, n) are numbered by a counting pass; any other label set is sorted.
+func labelIndex(labels []int) (idx, sizes []int32) {
+	n := len(labels)
+	idx = make([]int32, n)
+	dense := true
+	for _, c := range labels {
+		if c < 0 || c >= n {
+			dense = false
+			break
+		}
 	}
-	return m
+	if dense {
+		rank := make([]int32, n)
+		for _, c := range labels {
+			rank[c] = 1
+		}
+		k := int32(0)
+		for c, seen := range rank {
+			if seen != 0 {
+				rank[c] = k
+				k++
+			}
+		}
+		sizes = make([]int32, k)
+		for v, c := range labels {
+			idx[v] = rank[c]
+			sizes[idx[v]]++
+		}
+		return idx, sizes
+	}
+	sorted := slices.Compact(slices.Sorted(slices.Values(labels)))
+	sizes = make([]int32, len(sorted))
+	for v, c := range labels {
+		i, _ := slices.BinarySearch(sorted, c)
+		idx[v] = int32(i)
+		sizes[i]++
+	}
+	return idx, sizes
+}
+
+// maxPieceDiameter returns the largest exact diameter of a connected piece
+// of a cluster, the clusters given by their label numbers.
+func maxPieceDiameter(g *graph.Graph, idx []int32) int {
+	s, diam := graph.NewPieces(g, idx), 0
+	for piece := s.Next(); piece != nil; piece = s.Next() {
+		diam = max(diam, s.Diameter())
+	}
+	return diam
 }
 
 // Validate checks that d is a valid strong-diameter network decomposition of
@@ -91,6 +116,8 @@ func (d *Decomposition) clusterMembers() map[int][]int {
 //  2. color is constant on every cluster,
 //  3. adjacent nodes in different clusters have different cluster colors,
 //  4. every cluster's induced subgraph is connected with diameter <= maxDiam.
+//
+// Clusters are checked in order of their smallest node.
 func (d *Decomposition) Validate(g *graph.Graph, maxColors, maxDiam int) error {
 	n := g.N()
 	if len(d.Cluster) != n || len(d.Color) != n {
@@ -101,15 +128,14 @@ func (d *Decomposition) Validate(g *graph.Graph, maxColors, maxDiam int) error {
 			return fmt.Errorf("decomp: node %d is unclustered", v)
 		}
 	}
-	clusterColor := map[int]int{}
+	idx, sizes := labelIndex(d.Cluster)
+	colorOf := make([]int32, len(sizes)) // first node of each cluster, plus one
 	for v := 0; v < n; v++ {
-		c := d.Cluster[v]
-		if col, ok := clusterColor[c]; ok {
-			if col != d.Color[v] {
-				return fmt.Errorf("decomp: cluster %d carries colors %d and %d", c, col, d.Color[v])
-			}
-		} else {
-			clusterColor[c] = d.Color[v]
+		first := colorOf[idx[v]] - 1
+		if first < 0 {
+			colorOf[idx[v]] = int32(v) + 1
+		} else if d.Color[first] != d.Color[v] {
+			return fmt.Errorf("decomp: cluster %d carries colors %d and %d", d.Cluster[v], d.Color[first], d.Color[v])
 		}
 	}
 	var adjErr error
@@ -130,13 +156,14 @@ func (d *Decomposition) Validate(g *graph.Graph, maxColors, maxDiam int) error {
 			return fmt.Errorf("decomp: %d colors exceed the bound %d", got, maxColors)
 		}
 	}
-	for c, members := range d.clusterMembers() {
-		sub, _ := graph.InducedSubgraph(g, members)
-		if !graph.IsConnected(sub) {
+	s := graph.NewPieces(g, idx)
+	for piece := s.Next(); piece != nil; piece = s.Next() {
+		c := d.Cluster[piece[0]]
+		if len(piece) < int(sizes[idx[piece[0]]]) {
 			return fmt.Errorf("decomp: cluster %d induces a disconnected subgraph", c)
 		}
 		if maxDiam > 0 {
-			if diam := graph.Diameter(sub); diam > maxDiam {
+			if diam := s.Diameter(); diam > maxDiam {
 				return fmt.Errorf("decomp: cluster %d has strong diameter %d > bound %d", c, diam, maxDiam)
 			}
 		}
@@ -154,10 +181,11 @@ type Stats struct {
 
 // StatsOf computes the decomposition's quality parameters on g.
 func (d *Decomposition) StatsOf(g *graph.Graph) Stats {
+	idx, sizes := labelIndex(d.Cluster)
 	return Stats{
 		Colors:      d.NumColors(),
-		Clusters:    d.NumClusters(),
-		MaxDiameter: d.MaxClusterDiameter(g),
-		MaxSize:     d.MaxClusterSize(),
+		Clusters:    len(sizes),
+		MaxDiameter: maxPieceDiameter(g, idx),
+		MaxSize:     int(slices.Max(append(sizes, 0))),
 	}
 }

@@ -110,18 +110,13 @@ func MPXPartition(g *graph.Graph, src randomness.Source, ids []uint64, exec sim.
 		}
 	})
 	// Strong diameter per cluster.
-	members := map[int][]int{}
-	for v, c := range out.Cluster {
-		members[c] = append(members[c], v)
-	}
-	for _, ms := range members {
-		sub, _ := graph.InducedSubgraph(g, ms)
-		if !graph.IsConnected(sub) {
+	idx, sizes := labelIndex(out.Cluster)
+	pieces := graph.NewPieces(g, idx)
+	for piece := pieces.Next(); piece != nil; piece = pieces.Next() {
+		if len(piece) < int(sizes[idx[piece[0]]]) {
 			return nil, fmt.Errorf("decomp: MPX produced a disconnected cluster")
 		}
-		if d := graph.Diameter(sub); d > out.MaxClusterDiameter {
-			out.MaxClusterDiameter = d
-		}
+		out.MaxClusterDiameter = max(out.MaxClusterDiameter, pieces.Diameter())
 	}
 	return out, nil
 }

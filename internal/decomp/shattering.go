@@ -192,13 +192,10 @@ func (d *Decomposition) ValidateWeak(g *graph.Graph, maxColors, maxWeakDiam int)
 		return fmt.Errorf("decomp: %d colors exceed the bound %d", d.NumColors(), maxColors)
 	}
 	if maxWeakDiam > 0 {
-		for c, members := range d.clusterMembers() {
-			for _, u := range members {
-				dist := g.BFS(u)
-				for _, v := range members {
-					if dist[v] == graph.Unreachable || dist[v] > maxWeakDiam {
-						return fmt.Errorf("decomp: cluster %d has weak diameter > %d (pair %d,%d)", c, maxWeakDiam, u, v)
-					}
+		for u := 0; u < n; u++ {
+			for v, dist := range g.BFS(u) {
+				if d.Cluster[v] == d.Cluster[u] && (dist == graph.Unreachable || dist > maxWeakDiam) {
+					return fmt.Errorf("decomp: cluster %d has weak diameter > %d (pair %d,%d)", d.Cluster[u], maxWeakDiam, u, v)
 				}
 			}
 		}

@@ -94,3 +94,16 @@ func TestRandomRegularDigestPins(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomRegularUnrepairablePanics runs a draw whose swap repair does
+// not converge (n = 64, d = 40, seed 1) to its panic: all 1000·pairs steps,
+// which a rescan per step made take seconds.
+func TestRandomRegularUnrepairablePanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "graph: RandomRegular repair did not converge" {
+			t.Errorf("RandomRegular(64, 40) panicked with %v", r)
+		}
+	}()
+	RandomRegular(64, 40, prng.New(1))
+	t.Error("RandomRegular(64, 40) returned")
+}

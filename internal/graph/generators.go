@@ -271,68 +271,6 @@ func RingOfCliques(k, s int) *Graph {
 	return b.Graph()
 }
 
-// RandomRegular returns a random d-regular graph on n nodes via the
-// configuration model with edge-swap repair: a random stub pairing is
-// drawn, and any self-loop or parallel edge is removed by switching it with
-// a uniformly chosen good pair (the standard repair that keeps the
-// distribution close to uniform and, unlike whole-sample rejection, stays
-// fast for all constant d). It requires n·d even and d < n.
-func RandomRegular(n, d int, rng *prng.SplitMix64) *Graph {
-	if d >= n || n*d%2 != 0 {
-		panic(fmt.Sprintf("graph: RandomRegular(%d, %d) infeasible", n, d))
-	}
-	if d == 0 {
-		return NewBuilder(n).Graph()
-	}
-	stubs := make([]int, n*d)
-	for i := range stubs {
-		stubs[i] = i / d
-	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	// pairs[p] = {stubs[2p], stubs[2p+1]}.
-	numPairs := len(stubs) / 2
-	u := func(p int) int { return stubs[2*p] }
-	v := func(p int) int { return stubs[2*p+1] }
-	key := func(a, b int) [2]int { return [2]int{min(a, b), max(a, b)} }
-	count := make(map[[2]int]int, numPairs)
-	for p := 0; p < numPairs; p++ {
-		count[key(u(p), v(p))]++
-	}
-	bad := func(p int) bool {
-		return u(p) == v(p) || count[key(u(p), v(p))] > 1
-	}
-	for guard := 0; ; guard++ {
-		if guard > 1000*numPairs {
-			panic("graph: RandomRegular repair did not converge")
-		}
-		p := -1
-		for q := 0; q < numPairs; q++ {
-			if bad(q) {
-				p = q
-				break
-			}
-		}
-		if p < 0 {
-			break
-		}
-		// Swap one endpoint of the bad pair with a random pair's endpoint.
-		q := rng.Intn(numPairs)
-		if q == p {
-			continue
-		}
-		count[key(u(p), v(p))]--
-		count[key(u(q), v(q))]--
-		stubs[2*p+1], stubs[2*q+1] = stubs[2*q+1], stubs[2*p+1]
-		count[key(u(p), v(p))]++
-		count[key(u(q), v(q))]++
-	}
-	b := NewBuilder(n)
-	for p := 0; p < numPairs; p++ {
-		b.AddEdge(u(p), v(p))
-	}
-	return b.Graph()
-}
-
 // PowerLaw returns a Barabási–Albert preferential-attachment graph: nodes
 // arrive one at a time and attach m edges to existing nodes chosen with
 // probability proportional to their current degree (sampled as a uniform

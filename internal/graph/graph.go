@@ -340,10 +340,15 @@ func fromHalfEdges(n int, pairs []uint64) *Graph {
 	for v := 1; v <= n; v++ {
 		off[v] += off[v-1]
 	}
-	// Reverse-port table in O(m): scanning half-edges (u → w) in global
-	// order visits, for each fixed w, the sources u in ascending order —
-	// exactly w's own row order — so a per-node cursor hands out the
-	// reverse positions.
+	return &Graph{off: off, adj: adj, rev: reversePorts(off, adj), edges: len(adj) / 2}
+}
+
+// reversePorts computes the reverse-port table of CSR rows that are sorted
+// and free of duplicates, in O(m): scanning half-edges (u → w) in global
+// order visits, for each fixed w, the sources u in ascending order — exactly
+// w's own row order — so a per-node cursor hands out the reverse positions.
+func reversePorts(off []int64, adj []int32) []int32 {
+	n := len(off) - 1
 	rev := make([]int32, len(adj))
 	cur := make([]int32, n)
 	for u := 0; u < n; u++ {
@@ -353,7 +358,7 @@ func fromHalfEdges(n int, pairs []uint64) *Graph {
 			cur[w]++
 		}
 	}
-	return &Graph{off: off, adj: adj, rev: rev, edges: len(adj) / 2}
+	return rev
 }
 
 // FromEdges builds a graph on n nodes from an explicit edge list.

@@ -124,16 +124,15 @@ func (g *Graph) Eccentricity(v int) int {
 	return ecc
 }
 
-// Diameter returns the exact diameter of the graph: the maximum eccentricity
-// over all nodes, computed per connected component (unreachable pairs are
-// ignored). It costs one BFS per node, O(n(n+m)); fine for the experiment
-// sizes in this repository. The empty graph has diameter 0.
+// Diameter returns the exact diameter of the graph: the largest
+// eccentricity within any connected component (unreachable pairs are
+// ignored). It runs BoundingDiameters per component (see Pieces), so a
+// typical graph costs a handful of BFS passes; the worst case, a ring, is
+// still one BFS per node, O(n(n+m)). The empty graph has diameter 0.
 func Diameter(g *Graph) int {
-	diam := 0
-	for v := 0; v < g.N(); v++ {
-		if e := g.Eccentricity(v); e > diam {
-			diam = e
-		}
+	s, diam := NewPieces(g, nil), 0
+	for piece := s.Next(); piece != nil; piece = s.Next() {
+		diam = max(diam, s.Diameter())
 	}
 	return diam
 }

@@ -51,7 +51,10 @@ type RNG = prng.SplitMix64
 // NewRNG returns a seeded generator.
 func NewRNG(seed uint64) *RNG { return prng.New(seed) }
 
-// Generators for the graph families used throughout the experiments.
+// Generators for the graph families used throughout the experiments, and
+// the exact diameter. GraphDiameter bounds eccentricities as it goes
+// (BoundingDiameters), so a typical graph costs a handful of BFS passes;
+// the worst case, a ring, is still one BFS per node.
 var (
 	GNP           = graph.GNP
 	GNPConnected  = graph.GNPConnected
