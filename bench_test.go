@@ -363,22 +363,32 @@ func skipHeavy(b *testing.B, n int) {
 }
 
 // BenchmarkENDecomp runs the full Elkin–Neiman construction — the paper's
-// central workload — at engine scale. RadiusCap 8 keeps a phase at 10 rounds
-// so the 2^20-node run stays in benchmark territory while the message
-// pattern (top-2 candidate floods on every live port, decoded at every
-// receiver) matches the real construction; this is the row that measures
-// whether the *algorithm programs*, not just the engines, allocate per
-// message.
+// central workload. The n=2048 row is the daemon's en-file shape:
+// gnp(2048, 4/n) with the default RadiusCap, so phases are as long as a
+// real run's and most flood rounds re-send an unchanged top-2. The engine-
+// scale rows use RadiusCap 8, keeping a phase at 10 rounds so the 2^20-node
+// run stays in benchmark territory while the message pattern (top-2
+// candidate floods on every live port) matches the real construction; they
+// measure whether the *algorithm programs*, not just the engines, allocate
+// per message.
 func BenchmarkENDecomp(b *testing.B) {
-	for _, n := range []int{1 << 16, 1 << 20} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			skipHeavy(b, n)
-			g := benchEngineGraph(n)
+	rows := []struct {
+		n, radiusCap int
+		g            func(n int) *Graph
+	}{
+		{1 << 11, 0, func(n int) *Graph { return GNPConnected(n, 4.0/float64(n), NewRNG(uint64(n))) }},
+		{1 << 16, 8, benchEngineGraph},
+		{1 << 20, 8, benchEngineGraph},
+	}
+	for _, row := range rows {
+		b.Run(fmt.Sprintf("n=%d", row.n), func(b *testing.B) {
+			skipHeavy(b, row.n)
+			g := row.g(row.n)
 			b.ResetTimer()
 			var msgs int64
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				_, res, err := ElkinNeiman(g, NewFullRandomness(uint64(i)+1), nil, ENConfig{RadiusCap: 8})
+				_, res, err := ElkinNeiman(g, NewFullRandomness(uint64(i)+1), nil, ENConfig{RadiusCap: row.radiusCap})
 				if err != nil {
 					b.Fatal(err)
 				}

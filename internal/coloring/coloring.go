@@ -41,7 +41,7 @@ type Config struct {
 // neighbor drew the same one and has a higher identifier. Finalized nodes
 // announce their color, which neighbors strike from their palettes.
 type program struct {
-	cfg       Config
+	cfg       *Config // resolved; Randomized's programs share one
 	ctx       *sim.NodeCtx
 	palette   []int
 	active    []bool
@@ -50,25 +50,58 @@ type program struct {
 	decided   bool
 }
 
+// Init resolves the config and sizes the palette and port mask of a program
+// built outside newSlab; a slab-built program arrives with all three.
 func (p *program) Init(ctx *sim.NodeCtx) {
 	p.ctx = ctx
 	if p.cfg.MaxPhases == 0 {
-		lg := 0
-		for 1<<lg < ctx.N {
-			lg++
-		}
-		p.cfg.MaxPhases = 24*lg + 24
+		c := p.cfg.withDefaults(ctx.N)
+		p.cfg = &c
 	}
 	// deg+1 colors always suffice for this node.
-	p.palette = make([]int, ctx.Degree+1)
+	if p.palette == nil {
+		p.palette = make([]int, ctx.Degree+1)
+		p.active = make([]bool, ctx.Degree)
+	}
 	for i := range p.palette {
 		p.palette[i] = i
 	}
-	p.active = make([]bool, ctx.Degree)
 	for i := range p.active {
 		p.active[i] = true
 	}
 	p.color = -1
+}
+
+func (c Config) withDefaults(n int) Config {
+	if c.MaxPhases == 0 {
+		lg := 0
+		for 1<<lg < n {
+			lg++
+		}
+		c.MaxPhases = 24*lg + 24
+	}
+	return c
+}
+
+// newSlab returns a factory that carves a run's programs from one slab and
+// their palettes and port masks from two more, all sharing one resolved
+// config.
+func newSlab(g *graph.Graph, cfg Config) func(int) sim.NodeProgram[int] {
+	n := g.N()
+	rc := cfg.withDefaults(n)
+	off, _, _ := g.CSR()
+	progs := make([]program, n)
+	palettes := make([]int, int64(n)+off[n])
+	active := make([]bool, off[n])
+	return func(v int) sim.NodeProgram[int] {
+		lo, hi := off[v], off[v+1]
+		progs[v] = program{
+			cfg:     &rc,
+			palette: palettes[lo+int64(v) : hi+int64(v)+1 : hi+int64(v)+1],
+			active:  active[lo:hi:hi],
+		}
+		return &progs[v]
+	}
 }
 
 func (p *program) strike(color int) {
@@ -158,9 +191,7 @@ func Randomized(g *graph.Graph, src randomness.Source, ids []uint64, cfg Config)
 		Adversary:      cfg.Adversary,
 	}
 	cfg.Exec.Apply(&simCfg)
-	res, err := sim.Execute(simCfg, func(int) sim.NodeProgram[int] {
-		return &program{cfg: cfg}
-	})
+	res, err := sim.Execute(simCfg, newSlab(g, cfg))
 	if err != nil {
 		return nil, nil, err
 	}

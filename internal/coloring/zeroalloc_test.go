@@ -4,6 +4,9 @@ import (
 	"os"
 	"testing"
 
+	"randlocal/internal/graph"
+	"randlocal/internal/prng"
+	"randlocal/internal/randomness"
 	"randlocal/internal/sim"
 )
 
@@ -24,7 +27,7 @@ func TestColoringSteadyStateRoundsAllocNothing(t *testing.T) {
 	const deg = 5
 	nids := []uint64{100, 101, 102, 103, 104}
 	ctx, rotate := sim.NewBenchCtx(deg, 42, 1024, nids)
-	prog := &program{cfg: Config{Candidate: func(v, phase, paletteSize int) int { return 0 }}}
+	prog := &program{cfg: &Config{Candidate: func(v, phase, paletteSize int) int { return 0 }}}
 	prog.Init(ctx)
 
 	// Candidate round: one FINAL announcement in the inbox (struck and its
@@ -51,5 +54,29 @@ func TestColoringSteadyStateRoundsAllocNothing(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("resolution round allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestRandomizedRunAllocs pins per-node setup of a trial-coloring run at
+// (near) zero allocations: programs, palettes and port masks come from
+// per-run slabs, so a run gains at most 1 allocation per 64 nodes added
+// when the network doubles from 1024 nodes (one per node would be 1024).
+func TestRandomizedRunAllocs(t *testing.T) {
+	runAllocs := func(n int) float64 {
+		g := graph.GNPConnected(n, 6.0/float64(n), prng.New(67))
+		seed := uint64(0)
+		return testing.AllocsPerRun(2, func() {
+			seed++
+			if _, _, err := Randomized(g, randomness.NewFull(seed), nil, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 1024
+	small, large := runAllocs(n), runAllocs(2*n)
+	t.Logf("coloring allocations per run: %.0f at %d nodes, %.0f at %d nodes", small, n, large, 2*n)
+	if large-small > n/64 {
+		t.Errorf("doubling the network from %d nodes adds %.0f allocations per run, want at most %d (1 per 64 nodes)",
+			n, large-small, n/64)
 	}
 }

@@ -1,7 +1,11 @@
 package decomp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"randlocal/internal/graph"
 	"randlocal/internal/randomness"
@@ -91,19 +95,84 @@ func (a enEntry) better(b enEntry) bool {
 // joins the maximising center iff the top measure beats the runner-up by
 // more than 1. Clustered nodes halt, which removes them from later phases
 // exactly as the construction removes colored clusters from the graph.
+//
+// The flood sends and decodes only what changed, in the varints sim.Uints
+// writes:
+//   - A node owns two payload halves of buf. It re-sends the half in flight
+//     while its top-2 is unchanged and encodes a changed top-2 into the
+//     other half, so it never rewrites a payload a receiver may still be
+//     reading (see the NodeProgram retention rule).
+//   - A receiver keeps, per port, the identity (&m[0]) of the payload it
+//     merged there in the previous round, and skips a port whose payload is
+//     that one again. Merging is idempotent and the top-2 only improves
+//     between resets, so a skipped payload cannot change it. Every port is
+//     decoded in a phase's first flood round and after a round the node
+//     missed (stalled).
+//
+// The struct is 128 bytes, two cache lines; ElkinNeiman carves the programs,
+// their payload halves and their port identities from per-run slabs.
 type enProgram struct {
-	cfg      ENConfig
-	ctx      *sim.NodeCtx
-	phaseLen int
-	top      []enEntry // at most 2, distinct centers, sorted best-first
-	scratch  [5]uint64 // encode buffer: count + two (center, value) pairs
-	out      enOutput
+	cfg  *ENConfig // the run's resolved config, shared by every program
+	ctx  *sim.NodeCtx
+	top  [2]enEntry // best-first, distinct centers; the first ntop are set
+	buf  []byte     // two payload halves of len(buf)/2 bytes each
+	seen []*byte    // per port: the payload merged there last round, or nil
+	last int        // the round of the previous Round call
+	out  enOutput
+	sent int32 // length of the payload in flight
+	ntop uint8
+	half uint8 // which half of buf is in flight
+	// dirty is set when top has changed since it was last encoded.
+	dirty bool
 }
 
+// enPayloadLen is the largest encoding of a top-2 list whose centers are at
+// most maxID and whose values are at most radiusCap: the count, then two
+// (center, value) pairs.
+func enPayloadLen(maxID uint64, radiusCap int) int {
+	varintLen := func(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+	return 1 + 2*(varintLen(maxID)+varintLen(uint64(max(radiusCap, 0))))
+}
+
+// newENSlab returns a factory that carves a run's programs from one slab,
+// with their payload halves and port identities from two more and one
+// resolved config shared by all; each half fits the run's largest encoding.
+func newENSlab(g *graph.Graph, ids []uint64, cfg ENConfig) func(int) sim.NodeProgram[enOutput] {
+	n := g.N()
+	rc := cfg.withDefaults(n)
+	maxID := uint64(max(n-1, 0)) // the default IDs are the node indices
+	if len(ids) > 0 {
+		maxID = slices.Max(ids)
+	}
+	size := 2 * enPayloadLen(maxID, rc.RadiusCap)
+	off, _, _ := g.CSR()
+	progs := make([]enProgram, n)
+	bufs := make([]byte, size*n)
+	seen := make([]*byte, off[n])
+	return func(v int) sim.NodeProgram[enOutput] {
+		progs[v] = enProgram{
+			cfg:  &rc,
+			buf:  bufs[size*v : size*(v+1) : size*(v+1)],
+			seen: seen[off[v]:off[v+1]:off[v+1]],
+		}
+		return &progs[v]
+	}
+}
+
+// Init resolves the config and sizes the buffers of a program built outside
+// newENSlab; a slab-built program arrives with all three.
 func (p *enProgram) Init(ctx *sim.NodeCtx) {
 	p.ctx = ctx
-	p.cfg = p.cfg.withDefaults(ctx.N)
-	p.phaseLen = p.cfg.RadiusCap + 2
+	if p.cfg.MaxPhases == 0 || p.cfg.RadiusCap == 0 {
+		c := p.cfg.withDefaults(ctx.N)
+		p.cfg = &c
+	}
+	if p.buf == nil {
+		p.buf = make([]byte, 2*enPayloadLen(math.MaxUint64, p.cfg.RadiusCap))
+	}
+	if p.seen == nil {
+		p.seen = make([]*byte, ctx.Degree)
+	}
 	p.out = enOutput{Cluster: -1, Color: -1}
 }
 
@@ -122,83 +191,132 @@ func (p *enProgram) drawRadius(phase int) int {
 	return r
 }
 
-// merge inserts a candidate into the top-2 list, keeping centers distinct.
+// admits reports whether merging e could change the top-2 list: a negative
+// measure never enters, nor does anything no better than a full list's
+// runner-up (it is worse than both entries, whatever its center).
+func (p *enProgram) admits(e enEntry) bool {
+	return e.val >= 0 && (p.ntop < 2 || e.better(p.top[1]))
+}
+
+// merge folds an admitted candidate into the top-2 list, keeping centers
+// distinct: the list is always the best two of the best entry per center
+// over everything merged since the last reset, so merging is idempotent and
+// order-independent.
 func (p *enProgram) merge(e enEntry) {
-	if e.val < 0 {
-		return
-	}
-	for i, cur := range p.top {
-		if cur.id == e.id {
-			if e.better(cur) {
-				p.top[i] = e
-				p.sortTop()
-			}
+	switch {
+	case p.ntop > 0 && p.top[0].id == e.id:
+		if !e.better(p.top[0]) {
 			return
 		}
+		p.top[0] = e
+	case p.ntop > 1 && p.top[1].id == e.id:
+		p.top[1] = e
+		if e.better(p.top[0]) {
+			p.top[0], p.top[1] = e, p.top[0]
+		}
+	case p.ntop == 0:
+		p.top[0], p.ntop = e, 1
+	default: // a new center that beats the runner-up, if there is one
+		if e.better(p.top[0]) {
+			p.top[0], p.top[1] = e, p.top[0]
+		} else {
+			p.top[1] = e
+		}
+		p.ntop = 2
 	}
-	p.top = append(p.top, e)
-	p.sortTop()
-	if len(p.top) > 2 {
-		p.top = p.top[:2]
-	}
+	p.dirty = true
 }
 
-func (p *enProgram) sortTop() {
-	for i := 1; i < len(p.top); i++ {
-		for j := i; j > 0 && p.top[j].better(p.top[j-1]); j-- {
-			p.top[j], p.top[j-1] = p.top[j-1], p.top[j]
+// absorb merges the candidates of one received payload: a count, then that
+// many (center, measure) pairs, each measure one hop further from its
+// center. A malformed payload contributes what decoded before the fault.
+func (p *enProgram) absorb(m sim.Message) {
+	k, i := uvarint(m, 0) // a malformed count reads as 0
+	for ; k > 0; k-- {
+		var id, val uint64
+		if id, i = uvarint(m, i); i == 0 {
+			return
+		}
+		if val, i = uvarint(m, i); i == 0 {
+			return
+		}
+		if e := (enEntry{id: id, val: int(val) - 1}); p.admits(e) {
+			p.merge(e)
 		}
 	}
 }
 
-// broadcast encodes the top-2 candidate list into the program's scratch
-// buffer, carves the payload from the engine's per-round arena and fills the
-// engine-owned outbox — the steady-state round loop allocates nothing.
-func (p *enProgram) broadcast() []sim.Message {
-	buf := append(p.scratch[:0], uint64(len(p.top)))
-	for _, e := range p.top {
-		buf = append(buf, e.id, uint64(e.val))
+// uvarint decodes the varint at m[i:], returning it and the index just past
+// it, or 0 for the index when the input is malformed. The one- and two-byte
+// forms, which carry every measure and the IDs below 2^14, are decoded
+// inline.
+func uvarint(m []byte, i int) (uint64, int) {
+	if i < len(m) && m[i] < 0x80 {
+		return uint64(m[i]), i + 1
 	}
-	return p.ctx.Broadcast(p.ctx.Uints(buf...))
+	if i+1 < len(m) && m[i+1] < 0x80 {
+		return uint64(m[i]&0x7f) | uint64(m[i+1])<<7, i + 2
+	}
+	x, n := binary.Uvarint(m[i:])
+	if n <= 0 {
+		return 0, 0
+	}
+	return x, i + n
+}
+
+// broadcast sends the top-2 list on every port: the payload in flight again
+// when the list is unchanged, else the list encoded into the other half of
+// buf, with the same varints sim.Uints writes.
+func (p *enProgram) broadcast() []sim.Message {
+	h := len(p.buf) / 2
+	if p.dirty {
+		p.half ^= 1
+		b := p.buf[int(p.half)*h : (int(p.half)+1)*h]
+		b[0] = p.ntop
+		n := 1
+		for _, e := range p.top[:p.ntop] {
+			n += binary.PutUvarint(b[n:], e.id)
+			n += binary.PutUvarint(b[n:], uint64(e.val))
+		}
+		p.sent = int32(n)
+		p.dirty = false
+	}
+	lo := int(p.half) * h
+	return p.ctx.Broadcast(p.buf[lo : lo+int(p.sent) : lo+int(p.sent)])
 }
 
 func (p *enProgram) Round(r int, inbox []sim.Message) ([]sim.Message, bool) {
-	phase := r / p.phaseLen
-	t := r % p.phaseLen
+	phase := r / (p.cfg.RadiusCap + 2)
+	t := r % (p.cfg.RadiusCap + 2)
+	missed := p.last != r-1
+	p.last = r
 	if phase >= p.cfg.MaxPhases {
 		return nil, true // give up; Cluster stays -1
 	}
 	switch {
 	case t == 0:
-		radius := p.drawRadius(phase)
-		p.top = p.top[:0]
-		p.merge(enEntry{id: p.ctx.ID, val: radius})
+		p.ntop, p.dirty = 0, true
+		if e := (enEntry{id: p.ctx.ID, val: p.drawRadius(phase)}); p.admits(e) {
+			p.merge(e)
+		}
 		return p.broadcast(), false
 	case t <= p.cfg.RadiusCap:
-		for _, m := range inbox {
-			if m == nil {
+		decodeAll := t == 1 || missed
+		for port, m := range inbox {
+			if len(m) == 0 {
+				p.seen[port] = nil
 				continue
 			}
-			k, rest, ok := sim.ReadUint(m)
-			if !ok {
-				continue
-			}
-			for i := uint64(0); i < k; i++ {
-				var id, val uint64
-				if id, rest, ok = sim.ReadUint(rest); !ok {
-					break
-				}
-				if val, rest, ok = sim.ReadUint(rest); !ok {
-					break
-				}
-				p.merge(enEntry{id: id, val: int(val) - 1})
+			if id := &m[0]; decodeAll || p.seen[port] != id {
+				p.seen[port] = id
+				p.absorb(m)
 			}
 		}
 		return p.broadcast(), false
 	default: // t == RadiusCap+1: decide
 		m1 := p.top[0].val
 		m2 := 0
-		if len(p.top) > 1 {
+		if p.ntop > 1 {
 			m2 = p.top[1].val
 		}
 		if m1-m2 > 1 {
@@ -227,15 +345,19 @@ func ElkinNeiman(g *graph.Graph, src randomness.Source, ids []uint64, cfg ENConf
 		Adversary:      cfg.Adversary,
 	}
 	cfg.Exec.Apply(&simCfg)
-	res, err := sim.Execute(simCfg, func(int) sim.NodeProgram[enOutput] {
-		return &enProgram{cfg: cfg}
-	})
+	res, err := sim.Execute(simCfg, newENSlab(g, ids, cfg))
 	if err != nil {
 		return nil, nil, err
 	}
+	return enDecomposition(res)
+}
+
+// enDecomposition unpacks the per-node outputs of an EN run.
+func enDecomposition(res *sim.Result[enOutput]) (*Decomposition, *sim.Result[enOutput], error) {
+	n := len(res.Outputs)
 	d := &Decomposition{
-		Cluster: make([]int, g.N()),
-		Color:   make([]int, g.N()),
+		Cluster: make([]int, n),
+		Color:   make([]int, n),
 	}
 	failed := 0
 	for v, out := range res.Outputs {

@@ -51,7 +51,7 @@ type LubyConfig struct {
 // IN/OUT announcements double as liveness tracking — a port that announced
 // either is removed from the active neighbor set.
 type lubyProgram struct {
-	cfg        LubyConfig
+	cfg        *LubyConfig // resolved; Luby's programs share one
 	ctx        *sim.NodeCtx
 	activePort []bool
 	priority   uint64
@@ -59,12 +59,33 @@ type lubyProgram struct {
 	decided    bool
 }
 
+// Init resolves the config and sizes the port mask of a program built by
+// NewProgram; a program from newLubySlab arrives with both.
 func (p *lubyProgram) Init(ctx *sim.NodeCtx) {
 	p.ctx = ctx
-	p.cfg = p.cfg.withDefaults(ctx.N)
-	p.activePort = make([]bool, ctx.Degree)
+	if p.cfg.PriorityBits == 0 || p.cfg.MaxPhases == 0 {
+		c := p.cfg.withDefaults(ctx.N)
+		p.cfg = &c
+	}
+	if p.activePort == nil {
+		p.activePort = make([]bool, ctx.Degree)
+	}
 	for i := range p.activePort {
 		p.activePort[i] = true
+	}
+}
+
+// newLubySlab returns a factory that carves a run's programs from one slab
+// and their port masks from another, all sharing one resolved config.
+func newLubySlab(g *graph.Graph, cfg LubyConfig) func(int) sim.NodeProgram[LubyOutput] {
+	n := g.N()
+	rc := cfg.withDefaults(n)
+	off, _, _ := g.CSR()
+	progs := make([]lubyProgram, n)
+	active := make([]bool, off[n])
+	return func(v int) sim.NodeProgram[LubyOutput] {
+		progs[v] = lubyProgram{cfg: &rc, activePort: active[off[v]:off[v+1]:off[v+1]]}
+		return &progs[v]
 	}
 }
 
@@ -181,7 +202,7 @@ type LubyOutput struct {
 // NewProgram returns one node's Luby state machine for direct use with the
 // sim engines (the Luby helper wraps this with validation and unpacking).
 func NewProgram(cfg LubyConfig) sim.NodeProgram[LubyOutput] {
-	return &lubyProgram{cfg: cfg}
+	return &lubyProgram{cfg: &cfg}
 }
 
 // Luby runs Luby's MIS algorithm on g in the CONGEST model and returns the
@@ -195,9 +216,7 @@ func Luby(g *graph.Graph, src randomness.Source, ids []uint64, cfg LubyConfig) (
 		Adversary:      cfg.Adversary,
 	}
 	cfg.Exec.Apply(&simCfg)
-	res, err := sim.Execute(simCfg, func(int) sim.NodeProgram[LubyOutput] {
-		return &lubyProgram{cfg: cfg}
-	})
+	res, err := sim.Execute(simCfg, newLubySlab(g, cfg))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -92,11 +92,12 @@ type NodeCtx struct {
 	// outbox every round. The engine consumes the returned outbox before
 	// the node's next Round call, but never clears it: a program that uses
 	// Outbox must set (or nil) every port it returns, every round, and
-	// must not mutate a payload after handing it to the engine. All nodes'
-	// Outbox windows are subslices of one flat cache-resident buffer, the
-	// out plane delivery reads from. A program may instead return a slice
-	// of its own; its entries are then copied into the Outbox window, so
-	// the window holds what was sent until the next Round call either way.
+	// must not rewrite a payload while it is in flight (see the retention
+	// rule on NodeProgram). All nodes' Outbox windows are subslices of one
+	// flat cache-resident buffer, the out plane delivery reads from. A
+	// program may instead return a slice of its own; its entries are then
+	// copied into the Outbox window, so the window holds what was sent
+	// until the next Round call either way.
 	Outbox []Message
 	// Shared is non-nil when running under the shared-randomness model and
 	// exposes the public seed (and its deterministic expansions).
@@ -316,6 +317,18 @@ func (c *NodeCtx) InBit(p int) (bit uint64, ok bool) {
 // backing memory is recycled two rounds after the carve — exactly one round
 // after delivery. A program that needs a received value beyond its round
 // must copy the decoded value, never keep the Message.
+//
+// A sender may also send payloads it owns and reuses, provided it never
+// rewrites one in flight. A payload returned from Round(r) is read only
+// during its receivers' Round(r+1) calls (the engine copies a message it
+// delays), so the sender may rewrite it from its own Round(r+2) call on.
+// Two buffers per node meet this: re-send the one in flight while its
+// content is unchanged, and encode a change into the other. Under that
+// discipline a receiver may compare identities (&m[0]): the same identity
+// on a port in two consecutive rounds means the same bytes, so a payload
+// already merged need not be decoded again (the Elkin–Neiman program does
+// this). It still must not keep a payload to read later, because the
+// sender may rewrite it from the round after next.
 type NodeProgram[T any] interface {
 	Init(ctx *NodeCtx)
 	Round(r int, inbox []Message) (outbox []Message, done bool)
