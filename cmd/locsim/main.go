@@ -154,16 +154,16 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 			return reportDecomp(w, g, res.Decomposition, "LowRand (Thm 3.1)",
-				fmt.Sprintf("holders=%d bitsGathered=%d preClusters=%d analyticRounds=%d",
-					len(holders), res.BitsGathered, res.DistinctPreClusters(), res.AnalyticRounds))
+				fmt.Sprintf("holders=%d bitsGathered=%d preClusters=%d analyticRounds=%d clusterGraph %s",
+					len(holders), res.BitsGathered, res.DistinctPreClusters(), res.AnalyticRounds, measured(res.Measured)))
 		}
 		res, err := decomp.StrongLowRand(g, src, holders, cfg)
 		if err != nil {
 			return err
 		}
 		return reportDecomp(w, g, res.Decomposition, "StrongLowRand (Thm 3.7)",
-			fmt.Sprintf("holders=%d bitsGathered=%d phases=%d analyticRounds=%d",
-				len(holders), res.BitsGathered, res.Phases, res.AnalyticRounds))
+			fmt.Sprintf("holders=%d bitsGathered=%d phases=%d analyticRounds=%d %s",
+				len(holders), res.BitsGathered, res.Phases, res.AnalyticRounds, measured(res.Measured)))
 	case "sharedrand":
 		shared := randomness.NewShared(300_000, prng.New(*seed))
 		res, err := decomp.SharedRand(g, shared, decomp.SharedRandConfig{})
@@ -171,8 +171,8 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		return reportDecomp(w, g, res.Decomposition, "SharedRand (Thm 3.6)",
-			fmt.Sprintf("seedBitsUsed=%d phases=%d analyticRounds=%d",
-				res.SeedBitsUsed, res.Phases, res.AnalyticRounds))
+			fmt.Sprintf("seedBitsUsed=%d phases=%d analyticRounds=%d %s",
+				res.SeedBitsUsed, res.Phases, res.AnalyticRounds, measured(res.Measured)))
 	case "shattering":
 		res, err := decomp.Shattering(g, randomness.NewFull(*seed), decomp.ShatteringConfig{ENPhases: 2, Exec: exec})
 		if err != nil {
@@ -230,6 +230,11 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
+}
+
+// measured formats the engine accounting of a construction's carving run.
+func measured(m decomp.Measured) string {
+	return fmt.Sprintf("rounds=%d messages=%d maxMsgBits=%d", m.Rounds, m.Messages, m.MaxMessageBits)
 }
 
 func reportDecomp(w io.Writer, g *graph.Graph, d *decomp.Decomposition, name, extra string) error {

@@ -17,11 +17,12 @@ type ENConfig struct {
 	// MaxPhases bounds the number of color phases; 0 means 12·⌈log₂ n⌉ + 8,
 	// mirroring the paper's 10·log n with margin. A node still unclustered
 	// after MaxPhases reports failure (Cluster = -1), which the runner
-	// surfaces as ErrUnclustered.
+	// surfaces as ErrUnclustered. Negative is an error.
 	MaxPhases int
 	// RadiusCap caps the geometric radius draw; 0 means 2·⌈log₂ n⌉ + 4, so
 	// the cap is exceeded with probability under 1/(16n²) per draw, the
-	// "w.h.p. at most O(log n) coins" budget of Lemma 3.3.
+	// "w.h.p. at most O(log n) coins" budget of Lemma 3.3. Negative is an
+	// error.
 	RadiusCap int
 	// Radius, when non-nil, overrides the private-coin geometric draw with
 	// an arbitrary radius function of (node index, phase). The k-wise
@@ -87,14 +88,76 @@ func (a enEntry) better(b enEntry) bool {
 	return a.id < b.id
 }
 
-// enProgram runs the Elkin–Neiman construction at one node: in each phase
-// every still-alive node draws a geometric radius r_v, the measure
-// r_v − dist(v, u) is top-2 flooded for RadiusCap rounds (each message
-// carries at most two (center, value) pairs — the CONGEST-sized "top two
-// cluster names and radii" the paper's Lemma 3.3 describes), and the node
-// joins the maximising center iff the top measure beats the runner-up by
-// more than 1. Clustered nodes halt, which removes them from later phases
-// exactly as the construction removes colored clusters from the graph.
+// schedule is the round structure every node of a ball-carving run follows.
+// A phase is len(base) epochs. Epoch e opens with a draw round: an alive node
+// asks center whether it is a center and, if so, for its radius draw
+// x ∈ [1, cap], and seeds its top-2 list with (ID, base[e] + x). It then
+// floods top-2 lists for base[e] + cap rounds and decides in the round after
+// that, so the epoch lasts base[e] + cap + 2 rounds. A node set aside in an
+// epoch stays silent until the next phase, and a node whose list is empty
+// sends nothing.
+//
+// Elkin–Neiman is the one-epoch schedule (base 0, cap RadiusCap) under which
+// every alive node is a center; the Theorem 3.6 carving has p epochs of
+// decreasing base radius (see carving).
+type schedule struct {
+	base      []int // per epoch: the base radius every center adds to its draw
+	cap       int   // the largest radius draw
+	maxPhases int
+	phaseLen  int // Σ_e base[e] + cap + 2
+	// counted leads every payload with the number of pairs that follow,
+	// Elkin–Neiman's wire format; a carving payload is read to its end.
+	counted bool
+	// center supplies each node's draw: its radius and whether it is a
+	// center in (phase, epoch), epochs counted from 0.
+	center func(ctx *sim.NodeCtx, phase, epoch int) (int, bool)
+}
+
+func newSchedule(base []int, cap, maxPhases int, counted bool, center func(*sim.NodeCtx, int, int) (int, bool)) *schedule {
+	s := &schedule{base: base, cap: cap, maxPhases: maxPhases, counted: counted, center: center}
+	for _, b := range base {
+		s.phaseLen += b + cap + 2
+	}
+	return s
+}
+
+// enSchedule resolves cfg on n nodes into Elkin–Neiman's schedule: every
+// alive node is a center and draws its radius from cfg.Radius or, by
+// default, from its private stream.
+func enSchedule(cfg ENConfig, n int) (*schedule, error) {
+	if cfg.RadiusCap < 0 || cfg.MaxPhases < 0 {
+		return nil, fmt.Errorf("decomp: ENConfig needs RadiusCap >= 0 and MaxPhases >= 0, got %d and %d",
+			cfg.RadiusCap, cfg.MaxPhases)
+	}
+	rc := cfg.withDefaults(n)
+	radius, cap := rc.Radius, rc.RadiusCap
+	return newSchedule([]int{0}, cap, rc.MaxPhases, true, func(ctx *sim.NodeCtx, phase, _ int) (int, bool) {
+		if radius != nil {
+			return radius(ctx.Index, phase), true
+		}
+		r, _ := ctx.Rand.Geometric(cap)
+		return r, true
+	}), nil
+}
+
+// run executes s on the engine and unpacks the per-node outputs.
+func (s *schedule) run(cfg sim.Config) (*Decomposition, *sim.Result[enOutput], error) {
+	res, err := sim.Execute(cfg, newCarveSlab(cfg.Graph, cfg.IDs, s))
+	if err != nil {
+		return nil, nil, err
+	}
+	return enDecomposition(res)
+}
+
+// enProgram runs a schedule's ball carving at one node. In each epoch the
+// centers' measures base + x − dist(center, u) are top-2 flooded through
+// the alive nodes (each message carries at most two (center, value) pairs —
+// the CONGEST-sized "top two cluster names and radii" the paper's Lemma 3.3
+// describes), and a node reached by some center joins the maximising center
+// iff the top measure beats the runner-up by more than 1; otherwise it is
+// set aside until the next phase. Clustered nodes halt, which removes them
+// from later epochs exactly as the construction removes colored clusters
+// from the graph.
 //
 // The flood sends and decodes only what changed, in the varints sim.Uints
 // writes:
@@ -106,52 +169,58 @@ func (a enEntry) better(b enEntry) bool {
 //     merged there in the previous round, and skips a port whose payload is
 //     that one again. Merging is idempotent and the top-2 only improves
 //     between resets, so a skipped payload cannot change it. Every port is
-//     decoded in a phase's first flood round and after a round the node
+//     decoded in an epoch's first flood round and after a round the node
 //     missed (stalled).
 //
-// The struct is 128 bytes, two cache lines; ElkinNeiman carves the programs,
+// The struct is 128 bytes, two cache lines; a run carves the programs,
 // their payload halves and their port identities from per-run slabs.
 type enProgram struct {
-	cfg  *ENConfig // the run's resolved config, shared by every program
+	s    *schedule // the run's schedule, shared by every program
 	ctx  *sim.NodeCtx
 	top  [2]enEntry // best-first, distinct centers; the first ntop are set
 	buf  []byte     // two payload halves of len(buf)/2 bytes each
 	seen []*byte    // per port: the payload merged there last round, or nil
-	last int        // the round of the previous Round call
 	out  enOutput
+	last int32 // the round of the previous Round call
 	sent int32 // length of the payload in flight
-	ntop uint8
-	half uint8 // which half of buf is in flight
+	// aside is one past the phase the node was last set aside in: it is
+	// silent while the phase is below it.
+	aside int32
+	ntop  uint8
+	half  uint8 // which half of buf is in flight
 	// dirty is set when top has changed since it was last encoded.
 	dirty bool
 }
 
 // enPayloadLen is the largest encoding of a top-2 list whose centers are at
-// most maxID and whose values are at most radiusCap: the count, then two
-// (center, value) pairs.
-func enPayloadLen(maxID uint64, radiusCap int) int {
+// most maxID and whose values are at most maxVal: two (center, value)
+// pairs, after a count when counted.
+func enPayloadLen(maxID uint64, maxVal int, counted bool) int {
 	varintLen := func(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-	return 1 + 2*(varintLen(maxID)+varintLen(uint64(max(radiusCap, 0))))
+	n := 2 * (varintLen(maxID) + varintLen(uint64(max(maxVal, 0))))
+	if counted {
+		n++
+	}
+	return n
 }
 
-// newENSlab returns a factory that carves a run's programs from one slab,
+// newCarveSlab returns a factory that carves a run's programs from one slab,
 // with their payload halves and port identities from two more and one
-// resolved config shared by all; each half fits the run's largest encoding.
-func newENSlab(g *graph.Graph, ids []uint64, cfg ENConfig) func(int) sim.NodeProgram[enOutput] {
+// schedule shared by all; each half fits the run's largest encoding.
+func newCarveSlab(g *graph.Graph, ids []uint64, s *schedule) func(int) sim.NodeProgram[enOutput] {
 	n := g.N()
-	rc := cfg.withDefaults(n)
 	maxID := uint64(max(n-1, 0)) // the default IDs are the node indices
 	if len(ids) > 0 {
 		maxID = slices.Max(ids)
 	}
-	size := 2 * enPayloadLen(maxID, rc.RadiusCap)
+	size := 2 * enPayloadLen(maxID, slices.Max(s.base)+s.cap, s.counted)
 	off, _, _ := g.CSR()
 	progs := make([]enProgram, n)
 	bufs := make([]byte, size*n)
 	seen := make([]*byte, off[n])
 	return func(v int) sim.NodeProgram[enOutput] {
 		progs[v] = enProgram{
-			cfg:  &rc,
+			s:    s,
 			buf:  bufs[size*v : size*(v+1) : size*(v+1)],
 			seen: seen[off[v]:off[v+1]:off[v+1]],
 		}
@@ -159,36 +228,17 @@ func newENSlab(g *graph.Graph, ids []uint64, cfg ENConfig) func(int) sim.NodePro
 	}
 }
 
-// Init resolves the config and sizes the buffers of a program built outside
-// newENSlab; a slab-built program arrives with all three.
+// Init sizes the buffers of a program built outside newCarveSlab; a
+// slab-built program arrives with both.
 func (p *enProgram) Init(ctx *sim.NodeCtx) {
 	p.ctx = ctx
-	if p.cfg.MaxPhases == 0 || p.cfg.RadiusCap == 0 {
-		c := p.cfg.withDefaults(ctx.N)
-		p.cfg = &c
-	}
 	if p.buf == nil {
-		p.buf = make([]byte, 2*enPayloadLen(math.MaxUint64, p.cfg.RadiusCap))
+		p.buf = make([]byte, 2*enPayloadLen(math.MaxUint64, slices.Max(p.s.base)+p.s.cap, p.s.counted))
 	}
 	if p.seen == nil {
 		p.seen = make([]*byte, ctx.Degree)
 	}
 	p.out = enOutput{Cluster: -1, Color: -1}
-}
-
-func (p *enProgram) drawRadius(phase int) int {
-	if p.cfg.Radius != nil {
-		r := p.cfg.Radius(p.ctx.Index, phase)
-		if r < 1 {
-			r = 1
-		}
-		if r > p.cfg.RadiusCap {
-			r = p.cfg.RadiusCap
-		}
-		return r
-	}
-	r, _ := p.ctx.Rand.Geometric(p.cfg.RadiusCap)
-	return r
 }
 
 // admits reports whether merging e could change the top-2 list: a negative
@@ -227,12 +277,16 @@ func (p *enProgram) merge(e enEntry) {
 	p.dirty = true
 }
 
-// absorb merges the candidates of one received payload: a count, then that
-// many (center, measure) pairs, each measure one hop further from its
-// center. A malformed payload contributes what decoded before the fault.
+// absorb merges the candidates of one received payload: (center, measure)
+// pairs, each measure one hop further from its center, after their count
+// when the schedule counts them. A malformed payload contributes what
+// decoded before the fault.
 func (p *enProgram) absorb(m sim.Message) {
-	k, i := uvarint(m, 0) // a malformed count reads as 0
-	for ; k > 0; k-- {
+	k, i := uint64(math.MaxUint64), 0 // uncounted: pairs to the end
+	if p.s.counted {
+		k, i = uvarint(m, 0) // a malformed count reads as 0
+	}
+	for ; k > 0 && i < len(m); k-- {
 		var id, val uint64
 		if id, i = uvarint(m, i); i == 0 {
 			return
@@ -264,16 +318,21 @@ func uvarint(m []byte, i int) (uint64, int) {
 	return x, i + n
 }
 
-// broadcast sends the top-2 list on every port: the payload in flight again
-// when the list is unchanged, else the list encoded into the other half of
-// buf, with the same varints sim.Uints writes.
+// broadcast sends a non-empty top-2 list on every port: the payload in
+// flight again when the list is unchanged, else the list encoded into the
+// other half of buf, with the same varints sim.Uints writes.
 func (p *enProgram) broadcast() []sim.Message {
+	if p.ntop == 0 {
+		return nil
+	}
 	h := len(p.buf) / 2
 	if p.dirty {
 		p.half ^= 1
 		b := p.buf[int(p.half)*h : (int(p.half)+1)*h]
-		b[0] = p.ntop
-		n := 1
+		n := 0
+		if p.s.counted {
+			b[0], n = p.ntop, 1
+		}
 		for _, e := range p.top[:p.ntop] {
 			n += binary.PutUvarint(b[n:], e.id)
 			n += binary.PutUvarint(b[n:], uint64(e.val))
@@ -286,21 +345,31 @@ func (p *enProgram) broadcast() []sim.Message {
 }
 
 func (p *enProgram) Round(r int, inbox []sim.Message) ([]sim.Message, bool) {
-	phase := r / (p.cfg.RadiusCap + 2)
-	t := r % (p.cfg.RadiusCap + 2)
-	missed := p.last != r-1
-	p.last = r
-	if phase >= p.cfg.MaxPhases {
+	s := p.s
+	phase, t := r/s.phaseLen, r%s.phaseLen
+	missed := p.last != int32(r-1)
+	p.last = int32(r)
+	if phase >= s.maxPhases {
 		return nil, true // give up; Cluster stays -1
+	}
+	if phase < int(p.aside) {
+		return nil, false // set aside: silent until the next phase
+	}
+	e := 0
+	for t >= s.base[e]+s.cap+2 {
+		t -= s.base[e] + s.cap + 2
+		e++
 	}
 	switch {
 	case t == 0:
 		p.ntop, p.dirty = 0, true
-		if e := (enEntry{id: p.ctx.ID, val: p.drawRadius(phase)}); p.admits(e) {
-			p.merge(e)
+		if x, ok := s.center(p.ctx, phase, e); ok {
+			if c := (enEntry{id: p.ctx.ID, val: s.base[e] + min(max(x, 1), s.cap)}); p.admits(c) {
+				p.merge(c)
+			}
 		}
 		return p.broadcast(), false
-	case t <= p.cfg.RadiusCap:
+	case t <= s.base[e]+s.cap:
 		decodeAll := t == 1 || missed
 		for port, m := range inbox {
 			if len(m) == 0 {
@@ -313,7 +382,9 @@ func (p *enProgram) Round(r int, inbox []sim.Message) ([]sim.Message, bool) {
 			}
 		}
 		return p.broadcast(), false
-	default: // t == RadiusCap+1: decide
+	case p.ntop == 0: // decide, unreached: still alive for the next epoch
+		return nil, false
+	default: // decide
 		m1 := p.top[0].val
 		m2 := 0
 		if p.ntop > 1 {
@@ -323,7 +394,8 @@ func (p *enProgram) Round(r int, inbox []sim.Message) ([]sim.Message, bool) {
 			p.out = enOutput{Cluster: int(p.top[0].id), Color: phase}
 			return nil, true
 		}
-		return nil, false // set aside; retry next phase
+		p.aside = int32(phase) + 1
+		return nil, false
 	}
 }
 
@@ -332,11 +404,16 @@ func (p *enProgram) Output() enOutput { return p.out }
 // ElkinNeiman runs the randomized (O(log n), O(log n)) strong-diameter
 // network decomposition of [EN16] on g under the given randomness source,
 // in the CONGEST model (messages carry two (center, radius) candidates,
-// O(log n) bits). It returns the decomposition and the engine accounting.
+// O(log n) bits). It returns the decomposition and the engine accounting,
+// or an error for a negative RadiusCap or MaxPhases.
 //
 // With src = randomness.NewFull this is the standard baseline of Section 2;
 // injecting cfg.Radius reproduces the limited-independence variants.
 func ElkinNeiman(g *graph.Graph, src randomness.Source, ids []uint64, cfg ENConfig) (*Decomposition, *sim.Result[enOutput], error) {
+	s, err := enSchedule(cfg, g.N())
+	if err != nil {
+		return nil, nil, err
+	}
 	simCfg := sim.Config{
 		Graph:          g,
 		IDs:            ids,
@@ -345,11 +422,7 @@ func ElkinNeiman(g *graph.Graph, src randomness.Source, ids []uint64, cfg ENConf
 		Adversary:      cfg.Adversary,
 	}
 	cfg.Exec.Apply(&simCfg)
-	res, err := sim.Execute(simCfg, newENSlab(g, ids, cfg))
-	if err != nil {
-		return nil, nil, err
-	}
-	return enDecomposition(res)
+	return s.run(simCfg)
 }
 
 // enDecomposition unpacks the per-node outputs of an EN run.
@@ -371,97 +444,4 @@ func enDecomposition(res *sim.Result[enOutput]) (*Decomposition, *sim.Result[enO
 		return d, res, &ErrUnclustered{Count: failed}
 	}
 	return d, res, nil
-}
-
-// ElkinNeimanReference is a centralized re-implementation of the same
-// construction used to cross-validate the message-passing program: given
-// the exact radius draws per (node, phase), both must produce identical
-// clusterings. It performs exact ball computations instead of flooding.
-func ElkinNeimanReference(g *graph.Graph, ids []uint64, maxPhases int, radius func(v, phase int) int) *Decomposition {
-	n := g.N()
-	d := &Decomposition{Cluster: make([]int, n), Color: make([]int, n)}
-	for v := range d.Cluster {
-		d.Cluster[v] = -1
-		d.Color[v] = -1
-	}
-	alive := make([]bool, n)
-	aliveCount := n
-	for v := range alive {
-		alive[v] = true
-	}
-	for phase := 0; phase < maxPhases && aliveCount > 0; phase++ {
-		// Exact measures on the subgraph induced by alive nodes.
-		type cand struct {
-			id  uint64
-			val int
-		}
-		top := make([][]cand, n) // top-2 per alive node
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			rv := radius(v, phase)
-			// BFS within the alive subgraph, rv hops.
-			dist := map[int]int{v: 0}
-			queue := []int{v}
-			for head := 0; head < len(queue); head++ {
-				u := queue[head]
-				if dist[u] == rv {
-					continue
-				}
-				for _, w32 := range g.Neighbors(u) {
-					w := int(w32)
-					if !alive[w] {
-						continue
-					}
-					if _, ok := dist[w]; !ok {
-						dist[w] = dist[u] + 1
-						queue = append(queue, w)
-					}
-				}
-			}
-			for u, du := range dist {
-				val := rv - du
-				if val < 0 {
-					continue
-				}
-				c := cand{id: ids[v], val: val}
-				lst := append(top[u], c)
-				// Keep top-2 by (val desc, id asc).
-				for i := 1; i < len(lst); i++ {
-					for j := i; j > 0; j-- {
-						a, b := lst[j], lst[j-1]
-						if a.val > b.val || (a.val == b.val && a.id < b.id) {
-							lst[j], lst[j-1] = lst[j-1], lst[j]
-						}
-					}
-				}
-				if len(lst) > 2 {
-					lst = lst[:2]
-				}
-				top[u] = lst
-			}
-		}
-		for u := 0; u < n; u++ {
-			if !alive[u] || len(top[u]) == 0 {
-				continue
-			}
-			m1 := top[u][0].val
-			m2 := 0
-			if len(top[u]) > 1 {
-				m2 = top[u][1].val
-			}
-			if m1-m2 > 1 {
-				d.Cluster[u] = int(top[u][0].id)
-				d.Color[u] = phase
-			}
-		}
-		for u := 0; u < n; u++ {
-			if alive[u] && d.Cluster[u] >= 0 {
-				alive[u] = false
-				aliveCount--
-			}
-		}
-	}
-	return d
 }

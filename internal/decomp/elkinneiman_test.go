@@ -21,6 +21,17 @@ func TestLog2Ceil(t *testing.T) {
 	}
 }
 
+// mustENSchedule resolves cfg on n nodes, for programs built outside a run's
+// slab.
+func mustENSchedule(t testing.TB, cfg ENConfig, n int) *schedule {
+	t.Helper()
+	s, err := enSchedule(cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestENEntryOrdering(t *testing.T) {
 	a := enEntry{id: 5, val: 3}
 	b := enEntry{id: 2, val: 3}
@@ -256,13 +267,14 @@ func TestElkinNeimanParallelEngineAgrees(t *testing.T) {
 	// decomposition as under the sequential scheduler.
 	g := graph.GNPConnected(64, 0.08, prng.New(33))
 	cfg := sim.Config{Graph: g, Source: randomness.NewFull(6), MaxMessageBits: sim.CongestBits(g.N())}
-	seq, err := sim.Run(cfg, func(int) sim.NodeProgram[enOutput] { return &enProgram{cfg: &ENConfig{}} })
+	s := mustENSchedule(t, ENConfig{}, g.N())
+	seq, err := sim.Run(cfg, func(int) sim.NodeProgram[enOutput] { return &enProgram{s: s} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
 	cfg2.Source = randomness.NewFull(6)
-	par, err := sim.RunParallel(cfg2, func(int) sim.NodeProgram[enOutput] { return &enProgram{cfg: &ENConfig{}} }, 3)
+	par, err := sim.RunParallel(cfg2, func(int) sim.NodeProgram[enOutput] { return &enProgram{s: s} }, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +306,8 @@ func TestElkinNeimanUnderKT0(t *testing.T) {
 	// EN never consults NeighborIDs, so KT0 must work identically.
 	g := graph.Ring(64)
 	cfg := sim.Config{Graph: g, Source: randomness.NewFull(2), MaxMessageBits: sim.CongestBits(64), KT0: true}
-	res, err := sim.Run(cfg, func(int) sim.NodeProgram[enOutput] { return &enProgram{cfg: &ENConfig{}} })
+	s := mustENSchedule(t, ENConfig{}, g.N())
+	res, err := sim.Run(cfg, func(int) sim.NodeProgram[enOutput] { return &enProgram{s: s} })
 	if err != nil {
 		t.Fatal(err)
 	}

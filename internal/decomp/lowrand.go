@@ -40,6 +40,9 @@ type LowRandResult struct {
 	AnalyticRounds int
 	// ENPhases is the number of phases the cluster-graph EN needed.
 	ENPhases int
+	// Measured is the engine accounting of that cluster-graph EN run, in
+	// cluster-graph rounds (zero when every pre-cluster is isolated).
+	Measured
 }
 
 // LowRand implements Theorem 3.1: given that the nodes listed in holders
@@ -53,80 +56,42 @@ type LowRandResult struct {
 // node with its nearest R-node, and upcast the holder bits inside each
 // cluster to its center — non-isolated clusters are guaranteed (and here
 // verified) to contain enough holders. Lemma 3.3: run the Elkin–Neiman
-// construction on the cluster graph, with each cluster-center drawing its
-// geometric radii from its gathered pool, and map colors back to nodes.
+// program on the engine over the cluster graph, with each cluster-center
+// drawing its geometric radii from its gathered pool, and map colors back to
+// nodes.
 func LowRand(g *graph.Graph, src *randomness.Sparse, holders []int, cfg LowRandConfig) (*LowRandResult, error) {
 	n := g.N()
 	if n == 0 {
 		return &LowRandResult{Decomposition: &Decomposition{}}, nil
 	}
-	if cfg.H < 1 {
-		return nil, fmt.Errorf("decomp: LowRand needs h >= 1, got %d", cfg.H)
-	}
-	lg := log2Ceil(n) + 1
-	k := cfg.BitsPerCluster
-	if k == 0 {
-		k = 64 * lg
-	}
-	factor := cfg.RulingAlphaFactor
-	if factor == 0 {
-		factor = 10
-	}
-	// Verify the model precondition: every node within h of a holder.
-	holderDist := g.MultiBFS(holders)
-	for v := 0; v < n; v++ {
-		if holderDist[v] == graph.Unreachable || holderDist[v] > cfg.H {
-			return nil, fmt.Errorf("decomp: node %d has no bit-holder within h=%d hops", v, cfg.H)
-		}
-	}
-
-	// --- Lemma 3.2: ruling set, pre-clusters, bit gathering. ---
-	hPrime := factor * k * cfg.H
-	rs, err := rulingset.Compute(g, nil, hPrime, nil)
+	pc, err := gatherPreClusters(g, src, holders, cfg, "LowRand")
 	if err != nil {
-		return nil, fmt.Errorf("decomp: ruling set: %w", err)
+		return nil, err
 	}
-	_, owner := g.MultiBFSOwner(rs.Set)
-	// Relabel pre-clusters densely.
-	centerIdx := map[int]int{}
-	for _, c := range rs.Set {
-		centerIdx[c] = len(centerIdx)
-	}
-	pre := make([]int, n)
-	for v := 0; v < n; v++ {
-		pre[v] = centerIdx[owner[v]]
-	}
-	numPre := len(rs.Set)
+	pre, pools := pc.pre, pc.pools
+	numPre := len(pools)
 	cg := graph.Contract(g, pre, numPre)
-
-	// Gather holder bits per pre-cluster (the upcast of Lemma 3.2).
-	pools := make([]*randomness.Pool, numPre)
-	for i := range pools {
-		pools[i] = &randomness.Pool{}
-	}
-	gathered := 0
-	for _, h := range holders {
-		stream := src.Stream(h)
-		for stream.Remaining() > 0 {
-			pools[pre[h]].Add(stream.Bit())
-			gathered++
-		}
-	}
+	// Isolated clusters stand alone with color 0 (they have no neighbors,
+	// so any color is safe — the paper colors them with color 1 up front);
+	// EN runs on the sub-cluster-graph induced by the others.
 	isolated := 0
+	var active []int
+	colorOfPre := make([]int, numPre)
+	clusterOfPre := make([]int, numPre)
 	for c := 0; c < numPre; c++ {
+		clusterOfPre[c] = c
 		if cg.Degree(c) == 0 {
 			isolated++
 			continue
 		}
-		if pools[c].Size() < k {
+		if pools[c].Size() < pc.k {
 			return nil, fmt.Errorf("decomp: non-isolated pre-cluster %d gathered %d bits < k=%d (h' too small for this graph)",
-				c, pools[c].Size(), k)
+				c, pools[c].Size(), pc.k)
 		}
+		active = append(active, c)
 	}
 
 	// --- Lemma 3.3: Elkin–Neiman on the cluster graph, radii from pools. ---
-	// Isolated clusters take color 0 directly (they have no neighbors, so
-	// any color is safe — the paper colors them with color 1 up front).
 	cap := 2*log2Ceil(numPre+1) + 4
 	maxPhases := 12*log2Ceil(numPre+1) + 8
 	var poolErr error
@@ -148,42 +113,28 @@ func LowRand(g *graph.Graph, src *randomness.Sparse, holders []int, cfg LowRandC
 		}
 		return r
 	}
-	// Run EN on the sub-cluster-graph induced by non-isolated clusters.
-	var active []int
-	for c := 0; c < numPre; c++ {
-		if cg.Degree(c) > 0 {
-			active = append(active, c)
-		}
-	}
-	colorOfPre := make([]int, numPre)
-	clusterOfPre := make([]int, numPre)
-	for c := 0; c < numPre; c++ {
-		colorOfPre[c] = 0
-		clusterOfPre[c] = c // isolated clusters stand alone
-	}
 	phases := 0
+	var measured Measured
 	if len(active) > 0 {
+		// The engine run draws each cluster's radii phase by phase, on one
+		// worker and with no private randomness: the pools are its only
+		// coins.
 		sub, orig := graph.InducedSubgraph(cg, active)
 		subRadius := func(v, phase int) int { return radius(orig[v], phase) }
-		ids := make([]uint64, sub.N())
-		for i := range ids {
-			ids[i] = uint64(i)
-		}
-		subDecomp := ElkinNeimanReference(sub, ids, maxPhases, subRadius)
+		subDecomp, res, err := ElkinNeiman(sub, nil, nil, ENConfig{Radius: subRadius, RadiusCap: cap, MaxPhases: maxPhases})
 		if poolErr != nil {
 			return nil, poolErr
 		}
+		if err != nil {
+			return nil, err
+		}
+		measured = Measured{res.Rounds, res.Messages, res.MaxMessageBits}
 		for i := range orig {
-			if subDecomp.Cluster[i] < 0 {
-				return nil, &ErrUnclustered{Count: 1}
-			}
 			// Offset non-isolated labels past the isolated ones and bump
 			// colors by 1 so isolated clusters (color 0) never collide.
 			clusterOfPre[orig[i]] = numPre + subDecomp.Cluster[i]
 			colorOfPre[orig[i]] = 1 + subDecomp.Color[i]
-			if subDecomp.Color[i]+1 > phases {
-				phases = subDecomp.Color[i] + 1
-			}
+			phases = max(phases, subDecomp.Color[i]+1)
 		}
 	}
 
@@ -197,11 +148,81 @@ func LowRand(g *graph.Graph, src *randomness.Sparse, holders []int, cfg LowRandC
 		Decomposition:  d,
 		PreClusters:    pre,
 		Isolated:       isolated,
-		BitsGathered:   gathered,
+		BitsGathered:   pc.gathered,
 		ENPhases:       phases,
-		AnalyticRounds: rs.AnalyticRounds + 2*hPrime*lg + enRounds*(2*hPrime*lg+1),
+		AnalyticRounds: pc.rulingRounds + 2*pc.hPrime*pc.lg + enRounds*(2*pc.hPrime*pc.lg+1),
+		Measured:       measured,
 	}
 	return res, nil
+}
+
+// preClustering is the outcome of Lemma 3.2: every node's pre-cluster,
+// numbered densely, and the holder bits each pre-cluster gathered.
+type preClustering struct {
+	pre      []int
+	pools    []*randomness.Pool
+	gathered int
+	lg       int // ⌈log₂ n⌉ + 1
+	k        int // the bits each non-isolated pre-cluster must gather
+	hPrime   int // the ruling-set separation factor·k·h
+	// rulingRounds is the ruling set's AnalyticRounds.
+	rulingRounds int
+}
+
+// gatherPreClusters runs Lemma 3.2 for the construction named who on a
+// non-empty g: it checks that every node has a bit-holder within cfg.H
+// hops, computes an (h', h'·log n)-ruling set with h' = factor·k·h,
+// clusters every node with its nearest ruling node, and upcasts every
+// holder's bits to its pre-cluster's pool.
+func gatherPreClusters(g *graph.Graph, src *randomness.Sparse, holders []int, cfg LowRandConfig, who string) (*preClustering, error) {
+	n := g.N()
+	if cfg.H < 1 {
+		return nil, fmt.Errorf("decomp: %s needs h >= 1, got %d", who, cfg.H)
+	}
+	lg := log2Ceil(n) + 1
+	k := cfg.BitsPerCluster
+	if k == 0 {
+		k = 64 * lg
+	}
+	factor := cfg.RulingAlphaFactor
+	if factor == 0 {
+		factor = 10
+	}
+	// Verify the model precondition: every node within h of a holder.
+	holderDist := g.MultiBFS(holders)
+	for v := 0; v < n; v++ {
+		if holderDist[v] == graph.Unreachable || holderDist[v] > cfg.H {
+			return nil, fmt.Errorf("decomp: node %d has no bit-holder within h=%d hops", v, cfg.H)
+		}
+	}
+	hPrime := factor * k * cfg.H
+	rs, err := rulingset.Compute(g, nil, hPrime, nil)
+	if err != nil {
+		return nil, fmt.Errorf("decomp: ruling set: %w", err)
+	}
+	_, owner := g.MultiBFSOwner(rs.Set)
+	// Relabel pre-clusters densely.
+	centerIdx := map[int]int{}
+	for _, c := range rs.Set {
+		centerIdx[c] = len(centerIdx)
+	}
+	pc := &preClustering{pre: make([]int, n), pools: make([]*randomness.Pool, len(rs.Set)),
+		lg: lg, k: k, hPrime: hPrime, rulingRounds: rs.AnalyticRounds}
+	for v := 0; v < n; v++ {
+		pc.pre[v] = centerIdx[owner[v]]
+	}
+	// Gather holder bits per pre-cluster (the upcast of Lemma 3.2).
+	for i := range pc.pools {
+		pc.pools[i] = &randomness.Pool{}
+	}
+	for _, h := range holders {
+		stream := src.Stream(h)
+		for stream.Remaining() > 0 {
+			pc.pools[pc.pre[h]].Add(stream.Bit())
+			pc.gathered++
+		}
+	}
+	return pc, nil
 }
 
 // DistinctPreClusters counts the distinct Lemma 3.2 pre-clusters.

@@ -7,6 +7,7 @@ import (
 	"randlocal/internal/graph"
 	"randlocal/internal/prng"
 	"randlocal/internal/randomness"
+	"randlocal/internal/sim"
 )
 
 // lowRandSetup builds the sparse-randomness world of Theorem 3.1 on g:
@@ -60,6 +61,11 @@ func TestLowRandOnLongRing(t *testing.T) {
 	}
 	if res.AnalyticRounds <= 0 {
 		t.Error("analytic rounds not reported")
+	}
+	// The cluster-graph EN runs on the engine: ENPhases phases of at most
+	// RadiusCap + 2 cluster rounds each, the cap being 2·⌈log₂(clusters+1)⌉ + 4.
+	if enCap := 2*log2Ceil(res.DistinctPreClusters()+1) + 4; res.Rounds <= 0 || res.Rounds > res.ENPhases*(enCap+2) {
+		t.Errorf("cluster-graph EN measured %d rounds for %d phases", res.Rounds, res.ENPhases)
 	}
 	t.Logf("ring2000: %d pre-clusters (%d isolated), colors=%d maxDiam=%d",
 		res.DistinctPreClusters(), res.Isolated, d.NumColors(), d.MaxClusterDiameter(g))
@@ -190,8 +196,15 @@ func TestSharedRandDecomposition(t *testing.T) {
 			if got := shared.Ledger().TrueBits(); got != 200_000 {
 				t.Errorf("true bits = %d (seed only)", got)
 			}
-			t.Logf("%s: colors=%d maxDiam=%d phases=%d seedBits=%d",
-				tc.name, d.NumColors(), d.MaxClusterDiameter(tc.g), res.Phases, res.SeedBitsUsed)
+			if res.Rounds <= 0 || res.Rounds > res.AnalyticRounds {
+				t.Errorf("measured rounds %d outside (0, analytic %d]", res.Rounds, res.AnalyticRounds)
+			}
+			if res.MaxMessageBits > sim.CongestBits(n) {
+				t.Errorf("CONGEST violated: %d bits", res.MaxMessageBits)
+			}
+			t.Logf("%s: colors=%d maxDiam=%d phases=%d seedBits=%d rounds=%d/%d messages=%d",
+				tc.name, d.NumColors(), d.MaxClusterDiameter(tc.g), res.Phases, res.SeedBitsUsed,
+				res.Rounds, res.AnalyticRounds, res.Messages)
 		})
 	}
 }
@@ -253,6 +266,9 @@ func TestStrongLowRand(t *testing.T) {
 	// factor; and only the holders' bits were ever drawn.
 	if got := src.Ledger().TrueBits(); got != int64(res.BitsGathered) {
 		t.Errorf("ledger %d != gathered %d", got, res.BitsGathered)
+	}
+	if res.Rounds <= 0 || res.Rounds > res.AnalyticRounds {
+		t.Errorf("measured rounds %d outside (0, analytic %d]", res.Rounds, res.AnalyticRounds)
 	}
 	t.Logf("strong: colors=%d maxDiam=%d phases=%d gathered=%d",
 		d.NumColors(), d.MaxClusterDiameter(g), res.Phases, res.BitsGathered)

@@ -5,6 +5,7 @@ import (
 
 	"randlocal/internal/graph"
 	"randlocal/internal/randomness"
+	"randlocal/internal/sim"
 )
 
 // SharedRandConfig parameterizes the Theorem 3.6 construction.
@@ -22,6 +23,13 @@ type SharedRandConfig struct {
 	MaxPhases int
 }
 
+// Measured is the engine accounting of a construction's ball-carving run.
+type Measured struct {
+	Rounds         int
+	Messages       int64
+	MaxMessageBits int
+}
+
 // SharedRandResult carries the Theorem 3.6 decomposition and accounting.
 type SharedRandResult struct {
 	Decomposition *Decomposition
@@ -29,29 +37,23 @@ type SharedRandResult struct {
 	// SeedBitsUsed is the number of shared seed bits consumed to build the
 	// two k-wise families (the construction's entire randomness budget).
 	SeedBitsUsed int
-	// AnalyticRounds sums the CONGEST budget over phases and epochs: each
-	// epoch i costs Ri + cap + 2 rounds of bounded top-2 flooding.
+	// AnalyticRounds is the CONGEST round budget every node follows:
+	// Phases phases of p epochs, epoch i lasting Ri + cap + 2 rounds of
+	// bounded top-2 flooding. The measured Rounds stay within it.
 	AnalyticRounds int
+	Measured
 }
 
-// sharedRandCore runs the phase/epoch ball-carving of Theorem 3.6 given
-// abstract randomness accessors: sample(v, phase, epoch) decides whether an
-// active node becomes a center, and radius(v, phase, epoch) draws its
-// geometric radius X_u ∈ [1, cap]. Both Theorem 3.6 (global shared seed)
-// and Theorem 3.7 (per-cluster gathered seeds) instantiate this core.
-//
-// Epochs i = 1..p use base radius Ri = (p−i)·c·lg and sampling probability
-// min(1, 2^i·lg/n) — except that sample() already encapsulates the
-// probability, so the core only supplies (phase, epoch) coordinates. The
-// final epoch must sample every active node (guaranteed by callers), which
-// makes every phase decide every active node (join or set-aside).
-func sharedRandCore(
-	g *graph.Graph,
-	cfg SharedRandConfig,
-	sample func(v, phase, epoch int) bool,
-	radius func(v, phase, epoch int) int,
-) (*Decomposition, int, int, error) {
-	n := g.N()
+// carving is the shape of the Theorem 3.6 ball carving on n nodes. A phase
+// has p epochs; epoch i = 1..p has base radius Ri = (p−i)·c·lg, radius draws
+// X_u ∈ [1, cap] with cap = c·lg, and sampling probability min(1, 2^i·lg/n),
+// which reaches 1 in epoch p, so every phase decides every active node
+// (join or set aside).
+type carving struct {
+	n, lg, p, cap, maxPhases int
+}
+
+func newCarving(n int, cfg SharedRandConfig) carving {
 	lg := log2Ceil(n) + 1
 	c := cfg.C
 	if c == 0 {
@@ -61,140 +63,76 @@ func sharedRandCore(
 	if maxPhases == 0 {
 		maxPhases = 8*lg + 8
 	}
-	// p epochs: sampling probability 2^i·lg/n reaches 1.
 	p := 1
 	for (1<<p)*lg < n {
 		p++
 	}
-	cap := c * lg
+	return carving{n: n, lg: lg, p: p, cap: c * lg, maxPhases: maxPhases}
+}
 
-	d := &Decomposition{Cluster: make([]int, n), Color: make([]int, n)}
-	for v := range d.Cluster {
-		d.Cluster[v] = -1
-		d.Color[v] = -1
+// kwiseField is the degree of the field the carving's k-wise families work
+// over; a point packs (node, phase, epoch, flip).
+const kwiseField = 32
+
+// kwiseCenters returns the carving's supplier over k-wise families, in which
+// fams(v) names node v's sampling and radius families: v is a center in
+// (phase, epoch) with the sampling probability, and its radius is one plus
+// the number of leading 1-bits of its radius family, capped at cap.
+func (c carving) kwiseCenters(fams func(v int) (sample, radius *randomness.KWise)) (func(v, phase, epoch int) (int, bool), error) {
+	if top := c.point(c.n-1, c.maxPhases, c.p, c.cap); top >= 1<<kwiseField {
+		return nil, fmt.Errorf("decomp: point space %d overflows GF(2^%d); reduce n or enlarge the field", top, kwiseField)
 	}
-	unclustered := n
-	analyticRounds := 0
-	phases := 0
-	for phase := 0; phase < maxPhases && unclustered > 0; phase++ {
-		phases++
-		setAside := make([]bool, n)
-		for epoch := 1; epoch <= p; epoch++ {
-			ri := (p - epoch) * c * lg
-			analyticRounds += ri + cap + 2
-			// Active subgraph for this epoch.
-			active := make([]bool, n)
-			anyActive := false
-			for v := 0; v < n; v++ {
-				if d.Cluster[v] < 0 && !setAside[v] {
-					active[v] = true
-					anyActive = true
-				}
-			}
-			if !anyActive {
-				break
-			}
-			// Sample centers among active nodes and draw radii.
-			type reach struct {
-				center uint64 // center id = node index
-				val    int
-			}
-			best := make([][]reach, n) // top-2 per node, distinct centers
-			merge := func(u int, r reach) {
-				lst := best[u]
-				for i := range lst {
-					if lst[i].center == r.center {
-						if r.val > lst[i].val {
-							lst[i] = r
-						}
-						goto sorted
-					}
-				}
-				lst = append(lst, r)
-			sorted:
-				for i := 1; i < len(lst); i++ {
-					for j := i; j > 0; j-- {
-						a, b := lst[j], lst[j-1]
-						if a.val > b.val || (a.val == b.val && a.center < b.center) {
-							lst[j], lst[j-1] = lst[j-1], lst[j]
-						}
-					}
-				}
-				if len(lst) > 2 {
-					lst = lst[:2]
-				}
-				best[u] = lst
-			}
-			for v := 0; v < n; v++ {
-				if !active[v] || !sample(v, phase, epoch) {
-					continue
-				}
-				xu := radius(v, phase, epoch)
-				if xu < 1 {
-					xu = 1
-				}
-				if xu > cap {
-					xu = cap
-				}
-				total := ri + xu
-				// BFS in the active subgraph to depth total.
-				dist := map[int]int{v: 0}
-				queue := []int{v}
-				for head := 0; head < len(queue); head++ {
-					u := queue[head]
-					if dist[u] == total {
-						continue
-					}
-					for _, w32 := range g.Neighbors(u) {
-						w := int(w32)
-						if !active[w] {
-							continue
-						}
-						if _, ok := dist[w]; !ok {
-							dist[w] = dist[u] + 1
-							queue = append(queue, w)
-						}
-					}
-				}
-				for u, du := range dist {
-					merge(u, reach{center: uint64(v), val: total - du})
-				}
-			}
-			// Decide.
-			for u := 0; u < n; u++ {
-				if !active[u] || len(best[u]) == 0 {
-					continue
-				}
-				m1 := best[u][0].val
-				m2 := 0
-				if len(best[u]) > 1 {
-					m2 = best[u][1].val
-				}
-				if m1-m2 > 1 {
-					d.Cluster[u] = int(best[u][0].center)
-					d.Color[u] = phase
-					unclustered--
-				} else {
-					setAside[u] = true
-				}
+	return func(v, phase, epoch int) (int, bool) {
+		sample, radius := fams(v)
+		if prob := float64(int64(1)<<uint(epoch)) * float64(c.lg) / float64(c.n); prob < 1 {
+			const t = 20
+			numer := uint64(prob * float64(uint64(1)<<t))
+			if !sample.Bernoulli(c.point(v, phase, epoch, 0), numer, t) {
+				return 0, false
 			}
 		}
+		for j := 0; j < c.cap; j++ {
+			if radius.Bit(c.point(v, phase, epoch, j)) == 0 {
+				return j + 1, true
+			}
+		}
+		return c.cap, true
+	}, nil
+}
+
+// carve runs the carving on g through the engine, on one worker and with no
+// private randomness: center(v, phase, epoch) supplies node v's draw, epochs
+// counted from 1. Clusters are labelled densely by (center, phase), since a
+// center set aside in one phase may be a center again in a later one. The
+// result's SeedBitsUsed is left to the caller.
+func (c carving) carve(g *graph.Graph, center func(v, phase, epoch int) (int, bool)) (*SharedRandResult, error) {
+	base := make([]int, c.p)
+	for i := range base {
+		base[i] = (c.p - 1 - i) * c.cap
 	}
-	if unclustered > 0 {
-		return d, phases, analyticRounds, &ErrUnclustered{Count: unclustered}
+	s := newSchedule(base, c.cap, c.maxPhases, false, func(ctx *sim.NodeCtx, phase, epoch int) (int, bool) {
+		return center(ctx.Index, phase, epoch+1)
+	})
+	d, res, err := s.run(sim.Config{
+		Graph:          g,
+		MaxMessageBits: sim.CongestBits(g.N()),
+		MaxRounds:      c.maxPhases*s.phaseLen + 1,
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Relabel clusters (center, color) — centers are unique per phase but a
-	// set-aside center index could recur in a later phase, so qualify the
-	// label with the color.
+	phases := 0
 	labels := map[[2]int]int{}
-	for v := 0; v < n; v++ {
+	for v := range d.Cluster {
+		phases = max(phases, d.Color[v]+1)
 		key := [2]int{d.Cluster[v], d.Color[v]}
 		if _, ok := labels[key]; !ok {
 			labels[key] = len(labels)
 		}
 		d.Cluster[v] = labels[key]
 	}
-	return d, phases, analyticRounds, nil
+	return &SharedRandResult{Decomposition: d, Phases: phases, AnalyticRounds: phases * s.phaseLen,
+		Measured: Measured{res.Rounds, res.Messages, res.MaxMessageBits}}, nil
 }
 
 // SharedRand implements Theorem 3.6: an (O(log n), O(log² n)) strong-
@@ -202,85 +140,48 @@ func sharedRandCore(
 // globally shared randomness and no private randomness, in poly(log n)
 // CONGEST rounds. Center sampling and radius draws come from two
 // Θ(log² n)-wise independent families expanded deterministically from the
-// shared seed, exactly as the paper's randomness argument prescribes.
+// shared seed, exactly as the paper's randomness argument prescribes. The
+// phase/epoch ball carving runs on the engine as the bounded top-2 flooding
+// program Elkin–Neiman uses, so its rounds, messages and largest message
+// are measured; AnalyticRounds is the schedule's budget.
 func SharedRand(g *graph.Graph, shared *randomness.Shared, cfg SharedRandConfig) (*SharedRandResult, error) {
 	n := g.N()
 	if n == 0 {
 		return &SharedRandResult{Decomposition: &Decomposition{}}, nil
 	}
-	lg := log2Ceil(n) + 1
-	k := cfg.K
+	c := newCarving(n, cfg)
+	center, seedBits, err := sharedCenters(c, shared, cfg.K)
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.carve(g, center)
+	if err != nil {
+		return nil, err
+	}
+	res.SeedBitsUsed = seedBits
+	return res, nil
+}
+
+// sharedCenters builds the Theorem 3.6 supplier: two k-wise families (k = 0
+// means lg²) expanded from the shared seed and used by every node. It also
+// returns the seed bits the families consumed.
+func sharedCenters(c carving, shared *randomness.Shared, k int) (func(v, phase, epoch int) (int, bool), int, error) {
 	if k == 0 {
-		k = lg * lg
+		k = c.lg * c.lg
 	}
-	const m = 32 // field degree; points pack (v, phase, epoch, flip)
-	famSample, off, err := shared.KWiseFamily(k, m, 0)
+	famSample, off, err := shared.KWiseFamily(k, kwiseField, 0)
 	if err != nil {
-		return nil, fmt.Errorf("decomp: sampling family: %w", err)
+		return nil, 0, fmt.Errorf("decomp: sampling family: %w", err)
 	}
-	famRadius, off, err := shared.KWiseFamily(k, m, off)
+	famRadius, off, err := shared.KWiseFamily(k, kwiseField, off)
 	if err != nil {
-		return nil, fmt.Errorf("decomp: radius family: %w", err)
+		return nil, 0, fmt.Errorf("decomp: radius family: %w", err)
 	}
-	c := cfg.C
-	if c == 0 {
-		c = 4
-	}
-	cap := c * lg
-	p := 1
-	for (1<<p)*lg < n {
-		p++
-	}
-	maxPhases := cfg.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = 8*lg + 8
-	}
-	if err := checkPointBounds(n, maxPhases, p, cap, m); err != nil {
-		return nil, err
-	}
-	sample := func(v, phase, epoch int) bool {
-		prob := float64(int64(1)<<uint(epoch)) * float64(lg) / float64(n)
-		if prob >= 1 {
-			return true
-		}
-		const t = 20
-		numer := uint64(prob * float64(uint64(1)<<t))
-		return famSample.Bernoulli(packPoint(v, phase, epoch, 0, maxPhases, p, cap), numer, t)
-	}
-	radius := func(v, phase, epoch int) int {
-		for j := 0; j < cap; j++ {
-			if famRadius.Bit(packPoint(v, phase, epoch, j, maxPhases, p, cap)) == 0 {
-				return j + 1
-			}
-		}
-		return cap
-	}
-	d, phases, rounds, err := sharedRandCore(g, cfg, sample, radius)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedRandResult{
-		Decomposition:  d,
-		Phases:         phases,
-		SeedBitsUsed:   off,
-		AnalyticRounds: rounds,
-	}, nil
+	center, err := c.kwiseCenters(func(int) (*randomness.KWise, *randomness.KWise) { return famSample, famRadius })
+	return center, off, err
 }
 
-// packPoint injectively encodes (node, phase, epoch, flip) as a field point.
-func packPoint(v, phase, epoch, flip, maxPhases, maxEpochs, cap int) uint64 {
-	x := uint64(v)
-	x = x*uint64(maxPhases+1) + uint64(phase)
-	x = x*uint64(maxEpochs+1) + uint64(epoch)
-	x = x*uint64(cap+1) + uint64(flip)
-	return x
-}
-
-// checkPointBounds verifies the packed points fit the field.
-func checkPointBounds(n, maxPhases, maxEpochs, cap int, m uint) error {
-	max := packPoint(n-1, maxPhases, maxEpochs, cap, maxPhases, maxEpochs, cap)
-	if m < 64 && max >= uint64(1)<<m {
-		return fmt.Errorf("decomp: point space %d overflows GF(2^%d); reduce n or enlarge the field", max, m)
-	}
-	return nil
+// point injectively encodes (node, phase, epoch, flip) as a field point.
+func (c carving) point(v, phase, epoch, flip int) uint64 {
+	return ((uint64(v)*uint64(c.maxPhases+1)+uint64(phase))*uint64(c.p+1)+uint64(epoch))*uint64(c.cap+1) + uint64(flip)
 }

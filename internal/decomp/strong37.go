@@ -5,7 +5,6 @@ import (
 
 	"randlocal/internal/graph"
 	"randlocal/internal/randomness"
-	"randlocal/internal/rulingset"
 )
 
 // StrongLowRandResult carries the Theorem 3.7 decomposition and accounting.
@@ -14,8 +13,12 @@ type StrongLowRandResult struct {
 	Phases        int
 	// BitsGathered is the number of holder bits collected by the Lemma 3.2
 	// upcast (the construction's entire randomness budget).
-	BitsGathered   int
+	BitsGathered int
+	// AnalyticRounds adds the ruling set's and the upcast's formula budgets
+	// to the carving's schedule (see SharedRandResult.AnalyticRounds).
 	AnalyticRounds int
+	// Measured is the engine accounting of the carving run.
+	Measured
 }
 
 // StrongLowRand implements Theorem 3.7: under the same sparse-randomness
@@ -27,132 +30,59 @@ type StrongLowRandResult struct {
 // Following the paper's proof sketch: gather poly(log n) bits per
 // pre-cluster exactly as in Lemma 3.2, treat each pre-cluster's bits as a
 // seed shared by that cluster's nodes, expand each seed into k-wise
-// independent families, and run the Theorem 3.6 phase/epoch construction on
-// the *original* graph with every node drawing from its own pre-cluster's
-// families. Bits are fully independent across pre-clusters and k-wise
-// within, which is all the Theorem 3.6 analysis needs.
+// independent families, and run the Theorem 3.6 phase/epoch carving on the
+// engine over the *original* graph with every node drawing from its own
+// pre-cluster's families. Bits are fully independent across pre-clusters
+// and k-wise within, which is all the Theorem 3.6 analysis needs.
 func StrongLowRand(g *graph.Graph, src *randomness.Sparse, holders []int, cfg LowRandConfig) (*StrongLowRandResult, error) {
 	n := g.N()
 	if n == 0 {
 		return &StrongLowRandResult{Decomposition: &Decomposition{}}, nil
 	}
-	if cfg.H < 1 {
-		return nil, fmt.Errorf("decomp: StrongLowRand needs h >= 1, got %d", cfg.H)
-	}
-	lg := log2Ceil(n) + 1
-	k := cfg.BitsPerCluster
-	if k == 0 {
-		k = 64 * lg
-	}
-	factor := cfg.RulingAlphaFactor
-	if factor == 0 {
-		factor = 10
-	}
-	holderDist := g.MultiBFS(holders)
-	for v := 0; v < n; v++ {
-		if holderDist[v] == graph.Unreachable || holderDist[v] > cfg.H {
-			return nil, fmt.Errorf("decomp: node %d has no bit-holder within h=%d hops", v, cfg.H)
-		}
-	}
-
-	// Lemma 3.2 pre-clustering and bit gathering.
-	hPrime := factor * k * cfg.H
-	rs, err := rulingset.Compute(g, nil, hPrime, nil)
+	pc, err := gatherPreClusters(g, src, holders, cfg, "StrongLowRand")
 	if err != nil {
-		return nil, fmt.Errorf("decomp: ruling set: %w", err)
-	}
-	_, owner := g.MultiBFSOwner(rs.Set)
-	centerIdx := map[int]int{}
-	for _, c := range rs.Set {
-		centerIdx[c] = len(centerIdx)
-	}
-	pre := make([]int, n)
-	for v := 0; v < n; v++ {
-		pre[v] = centerIdx[owner[v]]
-	}
-	numPre := len(rs.Set)
-	pools := make([]*randomness.Pool, numPre)
-	for i := range pools {
-		pools[i] = &randomness.Pool{}
-	}
-	gathered := 0
-	for _, h := range holders {
-		stream := src.Stream(h)
-		for stream.Remaining() > 0 {
-			pools[pre[h]].Add(stream.Bit())
-			gathered++
-		}
+		return nil, err
 	}
 
 	// Expand each pre-cluster's pool into two k-wise families. The seed is
 	// whatever the cluster actually gathered — at least kFam·m·2 bits are
 	// needed; fail loudly otherwise (theorem precondition violated).
-	const m = 32
-	kFam := lg // independence within a cluster; Θ(log n) suffices per epoch
-	need := 2 * kFam * int(m)
-	type fams struct{ sample, radius *randomness.KWise }
-	famsOf := make([]fams, numPre)
-	for c := 0; c < numPre; c++ {
-		if pools[c].Size() < need {
+	kFam := pc.lg // independence within a cluster; Θ(log n) suffices per epoch
+	need := 2 * kFam * kwiseField
+	famsOf := make([][2]*randomness.KWise, len(pc.pools)) // sampling, radius
+	for c, pool := range pc.pools {
+		if pool.Size() < need {
 			return nil, fmt.Errorf("decomp: pre-cluster %d gathered %d bits < %d needed for its families (increase BitsPerCluster)",
-				c, pools[c].Size(), need)
+				c, pool.Size(), need)
 		}
-		coeffs := make([]uint64, kFam)
-		for i := range coeffs {
-			coeffs[i] = pools[c].Word(m)
-		}
-		fs, err := randomness.NewKWiseFromSeed(m, coeffs)
-		if err != nil {
-			return nil, err
-		}
-		for i := range coeffs {
-			coeffs[i] = pools[c].Word(m)
-		}
-		fr, err := randomness.NewKWiseFromSeed(m, coeffs)
-		if err != nil {
-			return nil, err
-		}
-		famsOf[c] = fams{sample: fs, radius: fr}
-	}
-
-	srCfg := SharedRandConfig{C: 4}
-	cRad := 4
-	capFlips := cRad * lg
-	p := 1
-	for (1<<p)*lg < n {
-		p++
-	}
-	maxPhases := 8*lg + 8
-	srCfg.MaxPhases = maxPhases
-	if err := checkPointBounds(n, maxPhases, p, capFlips, m); err != nil {
-		return nil, err
-	}
-	sample := func(v, phase, epoch int) bool {
-		prob := float64(int64(1)<<uint(epoch)) * float64(lg) / float64(n)
-		if prob >= 1 {
-			return true
-		}
-		const t = 20
-		numer := uint64(prob * float64(uint64(1)<<t))
-		return famsOf[pre[v]].sample.Bernoulli(packPoint(v, phase, epoch, 0, maxPhases, p, capFlips), numer, t)
-	}
-	radius := func(v, phase, epoch int) int {
-		fam := famsOf[pre[v]].radius
-		for j := 0; j < capFlips; j++ {
-			if fam.Bit(packPoint(v, phase, epoch, j, maxPhases, p, capFlips)) == 0 {
-				return j + 1
+		for j := range famsOf[c] {
+			coeffs := make([]uint64, kFam)
+			for i := range coeffs {
+				coeffs[i] = pool.Word(kwiseField)
+			}
+			if famsOf[c][j], err = randomness.NewKWiseFromSeed(kwiseField, coeffs); err != nil {
+				return nil, err
 			}
 		}
-		return capFlips
 	}
-	d, phases, rounds, err := sharedRandCore(g, srCfg, sample, radius)
+
+	c := newCarving(n, SharedRandConfig{})
+	center, err := c.kwiseCenters(func(v int) (*randomness.KWise, *randomness.KWise) {
+		f := famsOf[pc.pre[v]]
+		return f[0], f[1]
+	})
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.carve(g, center)
 	if err != nil {
 		return nil, err
 	}
 	return &StrongLowRandResult{
-		Decomposition:  d,
-		Phases:         phases,
-		BitsGathered:   gathered,
-		AnalyticRounds: rs.AnalyticRounds + 2*hPrime*lg + rounds,
+		Decomposition:  r.Decomposition,
+		Phases:         r.Phases,
+		BitsGathered:   pc.gathered,
+		AnalyticRounds: pc.rulingRounds + 2*pc.hPrime*pc.lg + r.AnalyticRounds,
+		Measured:       r.Measured,
 	}, nil
 }

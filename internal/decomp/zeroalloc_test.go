@@ -30,7 +30,7 @@ func TestMain(m *testing.M) {
 func TestENSteadyStateRoundAllocsNothing(t *testing.T) {
 	const deg = 6
 	ctx, rotate := sim.NewBenchCtx(deg, 42, 1024, nil)
-	prog := &enProgram{cfg: &ENConfig{Radius: func(v, phase int) int { return 3 }}}
+	prog := &enProgram{s: mustENSchedule(t, ENConfig{Radius: func(v, phase int) int { return 3 }}, 1024)}
 	prog.Init(ctx)
 	if out, _ := prog.Round(0, make([]sim.Message, deg)); len(out) != deg {
 		t.Fatal("round 0 did not broadcast")
