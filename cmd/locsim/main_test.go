@@ -79,3 +79,32 @@ func TestMatchesExecute(t *testing.T) {
 		t.Fatalf("table covers a rejected faulted run: %v, a valid faulted run: %v; want both", sawReject, sawFaultedValid)
 	}
 }
+
+// TestOtherAlgorithms runs each -algo value that does not go through
+// serve.Run on a small graph: it must return nil and print its result line
+// (a validity verdict, or MPX's partition line, which has no checker).
+func TestOtherAlgorithms(t *testing.T) {
+	for _, tc := range []struct {
+		algo, graph, n, want string
+	}{
+		{"lowrand", "ring", "200", "LowRand (Thm 3.1): valid strong-diameter decomposition"},
+		{"strong37", "gnp", "256", "StrongLowRand (Thm 3.7): valid strong-diameter decomposition"},
+		{"sharedrand", "gnp", "256", "SharedRand (Thm 3.6): valid strong-diameter decomposition"},
+		{"shattering", "gnp", "256", "Shattering (Thm 4.2): valid (weak-diameter)"},
+		{"detdecomp", "gnp", "256", "Deterministic sequential (zero randomness): valid strong-diameter decomposition"},
+		{"mpx", "gnp", "256", "MPX random-shift partition: maxClusterDiameter="},
+		{"sinkless", "gnp", "256", "Sinkless orientation: valid"},
+		{"derand-mis", "gnp", "256", "Derandomized MIS: valid"},
+		{"derand-coloring", "gnp", "256", "Derandomized (Δ+1)-coloring: valid"},
+	} {
+		t.Run(tc.algo, func(t *testing.T) {
+			var b strings.Builder
+			if err := run([]string{"-algo", tc.algo, "-graph", tc.graph, "-n", tc.n, "-seed", "1"}, &b); err != nil {
+				t.Fatalf("run = %v\n%s", err, b.String())
+			}
+			if !strings.Contains(b.String(), tc.want) {
+				t.Errorf("output lacks %q:\n%s", tc.want, b.String())
+			}
+		})
+	}
+}

@@ -8,24 +8,22 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 // Builder streams an edge list into a CSR graph file without ever holding
 // the edges in RAM. AddEdge appends one 8-byte record per edge to a
-// temporary file. Finalize makes one sequential pass over that stream,
-// scattering each edge straight into both endpoints' rows of the output
-// file's adjacency array, then sorts and dedups every row in place, derives
-// the reverse-port table and checksums the result. The rows come out sorted
-// and duplicate-free exactly as graph.Builder's counting sort leaves them,
-// so the same edge multiset produces a byte-identical file regardless of
-// which builder (or what AddEdge order) emitted it.
+// temporary file. Finalize maps that stream and the output file and runs the
+// shared CSR core on typed views of the mappings: Rows scatters each edge
+// into both endpoints' rows of the file's adjacency array and sorts and
+// dedups every row in place, ReversePorts derives the reverse-port table,
+// and the result is checksummed. graph.Builder runs the same core on heap
+// slices, so the same edge multiset produces a byte-identical file
+// regardless of which builder (or what AddEdge order) emitted it.
 //
-// Peak heap is O(n): two int64 arrays of per-node counters, one scratch row
-// as long as the largest degree counted with duplicates, and fixed buffers.
-// The O(m) traffic lives in the page cache, where the OS can evict it. (On
-// builds without mmap the edge stream and the output file are O(m) RAM
-// buffers; see mmap_fallback.go.)
+// Peak heap is O(n): one int64 array of per-node counters and fixed
+// buffers. The O(m) traffic lives in the page cache, where the OS can evict
+// it. (On builds without mmap the edge stream and the output file are O(m)
+// RAM buffers; see mmap_fallback.go.)
 //
 // Errors are sticky: the first failure (I/O, out-of-range endpoint, or the
 // int32 half-edge overflow guard) latches, later AddEdge calls become no-ops
@@ -35,7 +33,7 @@ type Builder struct {
 	n    int
 	path string
 
-	tmp  *os.File // the edge stream: one packed uint64 u<<32|v per AddEdge
+	tmp  *os.File // the edge stream: one packed native-order uint64 u<<32|v per AddEdge
 	bw   *bufio.Writer
 	deg  []int64 // per-node half-edge counts, duplicates included
 	buf  [8]byte // AddEdge scratch; a field so it never escapes per call
@@ -95,7 +93,7 @@ func (b *Builder) AddEdge(u, v int) {
 			u, v, maxHalfEdges))
 		return
 	}
-	binary.LittleEndian.PutUint64(b.buf[:], uint64(u)<<32|uint64(uint32(v)))
+	binary.NativeEndian.PutUint64(b.buf[:], uint64(u)<<32|uint64(uint32(v)))
 	if _, err := b.bw.Write(b.buf[:]); err != nil {
 		b.fail(err)
 		return
@@ -138,14 +136,16 @@ func (b *Builder) Finalize() (Header, error) {
 	}
 
 	// Assemble the output through a mapping sized for the worst case (no
-	// duplicates); the file is trimmed to the deduped size at the end.
+	// duplicates); the file is trimmed to the deduped size at the end. The
+	// rows are compacted before the reverse-port table is placed after them.
 	out, err := os.Create(b.path)
 	if err != nil {
 		return Header{}, err
 	}
 	defer out.Close()
 	n := int64(b.n)
-	maxSize := headerSize + 8*(n+1) + 8*b.half
+	adjStart := headerSize + 8*(n+1)
+	maxSize := adjStart + 8*b.half
 	if err := out.Truncate(maxSize); err != nil {
 		return Header{}, err
 	}
@@ -153,77 +153,22 @@ func (b *Builder) Finalize() (Header, error) {
 	if err != nil {
 		return Header{}, err
 	}
-	fileErr := func(err error) (Header, error) {
+	edges, releaseEdges, err := mapRO(b.tmp, 4*b.half)
+	if err != nil {
 		release(mo)
 		return Header{}, err
 	}
-
-	// Scatter: one sequential pass over the edge stream writes v into row u
-	// and u into row v, each at its row's cursor. off[:n] starts as the
-	// exclusive prefix sums of deg, so the raw rows (duplicates included,
-	// in AddEdge order) tile the adjacency region exactly.
-	adjStart := headerSize + 8*(n+1)
-	off := make([]int64, n+1)
-	var maxDeg int64
-	for v, d := range b.deg {
-		off[v+1] = off[v] + d
-		maxDeg = max(maxDeg, d)
+	off := alias[int64](mo[headerSize:adjStart])
+	hf := Rows(b.deg, alias[uint64](edges), off, alias[int32](mo[adjStart:maxSize]))
+	if err := releaseEdges(edges); err != nil {
+		release(mo)
+		return Header{}, err
 	}
-	if b.half > 0 {
-		edges, releaseEdges, err := mapRO(b.tmp, 4*b.half)
-		if err != nil {
-			return fileErr(err)
-		}
-		for i := 0; i < len(edges); i += 8 {
-			p := binary.LittleEndian.Uint64(edges[i:])
-			u, v := p>>32, p&math.MaxUint32
-			binary.LittleEndian.PutUint32(mo[adjStart+4*off[u]:], uint32(v))
-			off[u]++
-			binary.LittleEndian.PutUint32(mo[adjStart+4*off[v]:], uint32(u))
-			off[v]++
-		}
-		if err := releaseEdges(edges); err != nil {
-			return fileErr(err)
-		}
-	}
-
-	// Rows: copy each raw row into the scratch slice, sort and dedup it, and
-	// write it back compacted. Rows are visited in order and a compacted row
-	// is never longer than its raw one, so the write index never passes the
-	// read index and the compaction runs in place.
-	row := make([]uint32, 0, maxDeg)
-	var raw, hf int64
-	for v := int64(0); v < n; v++ {
-		row = row[:0]
-		for i := raw; i < raw+b.deg[v]; i++ {
-			row = append(row, binary.LittleEndian.Uint32(mo[adjStart+4*i:]))
-		}
-		raw += b.deg[v]
-		slices.Sort(row)
-		row = slices.Compact(row)
-		off[v] = hf
-		for _, w := range row {
-			binary.LittleEndian.PutUint32(mo[adjStart+4*hf:], w)
-			hf++
-		}
-	}
-	off[n] = hf
-
-	// Reverse-port table: scanning adj in global order visits, for each
-	// fixed neighbor w, the sources in ascending order — w's own row order —
-	// so a per-node cursor hands out the reverse positions (the same O(m)
-	// trick as graph.Builder, with the random writes absorbed by the page
-	// cache). deg is spent, so it becomes the cursor array.
 	revStart := adjStart + 4*hf
-	cur := b.deg
-	clear(cur)
-	for i := int64(0); i < hf; i++ {
-		w := binary.LittleEndian.Uint32(mo[adjStart+4*i:])
-		binary.LittleEndian.PutUint32(mo[revStart+4*i:], uint32(off[w]+cur[w]))
-		cur[w]++
-	}
-	for v := int64(0); v <= n; v++ {
-		binary.LittleEndian.PutUint64(mo[headerSize+8*v:], uint64(off[v]))
+	adj, rev := alias[int32](mo[adjStart:revStart]), alias[int32](mo[revStart:revStart+4*hf])
+	ReversePorts(off, adj, rev, b.deg)
+	if !nativeLittleEndian {
+		swapBytes(off, adj, rev)
 	}
 	hdr := Header{
 		Version:   version,

@@ -6,10 +6,11 @@
 // zero copies (graph.OpenCSRFile).
 //
 // Files are produced either from an in-RAM graph (Write) or by the streaming
-// Builder, which scatters an on-disk edge stream straight into the file's
-// adjacency rows and sorts each row in place, so peak heap stays O(n) no
-// matter how many edges the graph has — the point of the format is graphs
-// whose edge arrays do not fit in RAM.
+// Builder, which runs the CSR core every builder shares (Rows, then
+// ReversePorts) on the file mapping itself: an on-disk edge stream is
+// scattered straight into the file's adjacency rows and each row is sorted
+// in place, so peak heap stays O(n) no matter how many edges the graph has —
+// the point of the format is graphs whose edge arrays do not fit in RAM.
 //
 // # Layout
 //
@@ -38,6 +39,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
@@ -132,15 +134,15 @@ func decodeHeader(buf []byte) (Header, error) {
 
 // nativeLittleEndian reports whether the host lays uint64s out in the file's
 // byte order, which is what lets Open alias the mapping as typed slices
-// instead of decoding a copy.
+// instead of decoding a copy, and the streaming Builder skip swapBytes.
 var nativeLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
 // alignedBytes allocates n bytes with 8-byte base alignment (backed by a
-// []uint64), so the fallback loader can alias the buffer as int64s exactly
-// like a page-aligned mapping.
+// []uint64), so the fallback loader and builder can alias the buffer as
+// int64s exactly like a page-aligned mapping.
 func alignedBytes(n int64) []byte {
 	if n == 0 {
 		return nil
@@ -149,18 +151,24 @@ func alignedBytes(n int64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), n)
 }
 
-// aliasInt64 reinterprets a little-endian byte region as []int64 in place.
-func aliasInt64(b []byte) []int64 {
+// alias reinterprets a byte region, in host byte order, as a []T in place.
+func alias[T int32 | int64 | uint64](b []byte) []T {
 	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(T(0))))
 }
 
-// aliasInt32 reinterprets a little-endian byte region as []int32 in place.
-func aliasInt32(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
+// swapBytes reverses the byte order of every entry of off, adj and rev in
+// place: on a big-endian host it turns natively assembled arrays into the
+// file's little-endian layout.
+func swapBytes(off []int64, adj, rev []int32) {
+	for i, x := range off {
+		off[i] = int64(bits.ReverseBytes64(uint64(x)))
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
+	for _, a := range [][]int32{adj, rev} {
+		for i, x := range a {
+			a[i] = int32(bits.ReverseBytes32(uint32(x)))
+		}
+	}
 }

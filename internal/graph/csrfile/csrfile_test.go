@@ -95,13 +95,42 @@ func writeInRAM(t *testing.T, path string, n int, edges [][2]int) *graph.Graph {
 	return g
 }
 
+// oracleFile writes the counting-sort oracle's CSR arrays of edges as a
+// graph file and returns its bytes.
+func oracleFile(t *testing.T, path string, n int, edges [][2]int) []byte {
+	t.Helper()
+	off, adj, rev := oracleCSR(n, edges)
+	if err := csrfile.Write(path, off, adj, rev); err != nil {
+		t.Fatalf("n=%d Write: %v", n, err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sameFile fails the test unless the file at path holds exactly want.
+func sameFile(t *testing.T, what, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("%s: %s differs from the oracle's file", what, filepath.Base(path))
+	}
+}
+
 // TestStreamingBuilderMatchesInRAM is the core format equivalence: the
-// streaming builder and the in-RAM graph.Builder must produce byte-identical
-// files from the same edge multiset, in any AddEdge order.
+// streaming builder, in any AddEdge order, and the in-RAM graph.Builder
+// must both write the counting-sort oracle's file byte for byte from the
+// same edge multiset.
 func TestStreamingBuilderMatchesInRAM(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range streamCases {
 		edges := tc.edges
+		want := oracleFile(t, filepath.Join(dir, "oracle.csr"), tc.n, edges)
 		ramPath := filepath.Join(dir, "ram.csr")
 		g := writeInRAM(t, ramPath, tc.n, edges)
 
@@ -119,18 +148,8 @@ func TestStreamingBuilderMatchesInRAM(t *testing.T) {
 		}
 		buildStream(t, revPath, tc.n, reversed)
 
-		want, err := os.ReadFile(ramPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []string{streamPath, revPath} {
-			got, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("%s: %s differs from the in-RAM build", tc.name, filepath.Base(p))
-			}
+		for _, p := range []string{ramPath, streamPath, revPath} {
+			sameFile(t, tc.name, p, want)
 			if err := csrfile.Verify(p); err != nil {
 				t.Fatalf("Verify(%s): %v", p, err)
 			}
@@ -153,10 +172,11 @@ func TestStreamingBuilderMatchesInRAM(t *testing.T) {
 	}
 }
 
-// FuzzStreamingBuilder holds the streaming builder to graph.Builder on
-// arbitrary edge lists — any order, duplicates, self-loops: the streamed file
-// must equal WriteCSRFile of the in-RAM graph byte for byte. An input is a
-// little-endian uint16 n-1 followed by uint16 endpoint pairs taken mod n.
+// FuzzStreamingBuilder holds the streaming builder and graph.Builder to the
+// counting-sort oracle on arbitrary edge lists — any order, duplicates,
+// self-loops: the streamed file and WriteCSRFile of the in-RAM graph must
+// both equal the oracle's file byte for byte. An input is a little-endian
+// uint16 n-1 followed by uint16 endpoint pairs taken mod n.
 func FuzzStreamingBuilder(f *testing.F) {
 	for _, tc := range streamCases {
 		data := binary.LittleEndian.AppendUint16(nil, uint16(tc.n-1))
@@ -167,6 +187,7 @@ func FuzzStreamingBuilder(f *testing.F) {
 		f.Add(data)
 	}
 	dir := f.TempDir()
+	oraclePath := filepath.Join(dir, "oracle.csr")
 	ramPath, streamPath := filepath.Join(dir, "ram.csr"), filepath.Join(dir, "stream.csr")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -179,19 +200,12 @@ func FuzzStreamingBuilder(f *testing.F) {
 			v := int(binary.LittleEndian.Uint16(data[i+2:])) % n
 			edges = append(edges, [2]int{u, v})
 		}
+		want := oracleFile(t, oraclePath, n, edges)
 		writeInRAM(t, ramPath, n, edges)
 		buildStream(t, streamPath, n, edges)
-		want, err := os.ReadFile(ramPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(streamPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("n=%d, %d edges: streamed file differs from the in-RAM build", n, len(edges))
-		}
+		what := fmt.Sprintf("n=%d, %d edges", n, len(edges))
+		sameFile(t, what, ramPath, want)
+		sameFile(t, what, streamPath, want)
 	})
 }
 

@@ -26,8 +26,8 @@ func mapRO(f *os.File, size int64) (data []byte, release func([]byte) error, err
 }
 
 // mapRW maps size bytes of f read-write and shared: stores land in the page
-// cache, so the release func only has to unmap — the builder's scatter and
-// row sort write through the mapping instead of seeking.
+// cache, so the release func only has to unmap — the builder runs Rows and
+// ReversePorts on typed views of the mapping instead of seeking.
 func mapRW(f *os.File, size int64) (data []byte, release func([]byte) error, err error) {
 	if size == 0 {
 		return nil, releaseNothing, nil

@@ -96,9 +96,9 @@ func Open(path string) (*Mapping, error) {
 	m := &Mapping{Header: hdr, f: f}
 	if nativeLittleEndian {
 		m.data, m.release = data, release
-		m.Off = aliasInt64(data[hdr.offStart():hdr.adjStart()])
-		m.Adj = aliasInt32(data[hdr.adjStart():hdr.revStart()])
-		m.Rev = aliasInt32(data[hdr.revStart():])
+		m.Off = alias[int64](data[hdr.offStart():hdr.adjStart()])
+		m.Adj = alias[int32](data[hdr.adjStart():hdr.revStart()])
+		m.Rev = alias[int32](data[hdr.revStart():])
 		return m, nil
 	}
 	// Big-endian host: decode copies and drop the mapping right away.

@@ -198,10 +198,33 @@ func BenchmarkRandomRegular(b *testing.B) {
 			if testing.Short() && c.n > 1<<14 {
 				b.Skip("2^18-node build skipped under -short")
 			}
+			b.ReportAllocs()
 			seed := uint64(0)
 			for b.Loop() {
 				seed++
 				RandomRegular(c.n, c.d, prng.New(seed))
+			}
+		})
+	}
+}
+
+// BenchmarkGNPConnected measures GNPConnected at daemon-mix's lubybit-gnp
+// (2^15 nodes) and luby-gnp (2^13) shapes, p = 4/n, and at lubybit-file's
+// 2^18 nodes, p = 6/n; the last row is skipped under -short.
+func BenchmarkGNPConnected(b *testing.B) {
+	for _, c := range []struct {
+		n   int
+		deg float64
+	}{{1 << 15, 4}, {1 << 13, 4}, {1 << 18, 6}} {
+		b.Run(fmt.Sprintf("n=%d/np=%g", c.n, c.deg), func(b *testing.B) {
+			if testing.Short() && c.n > 1<<15 {
+				b.Skip("2^18-node build skipped under -short")
+			}
+			b.ReportAllocs()
+			seed := uint64(0)
+			for b.Loop() {
+				seed++
+				GNPConnected(c.n, c.deg/float64(c.n), prng.New(seed))
 			}
 		})
 	}

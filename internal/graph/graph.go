@@ -24,7 +24,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+
+	"randlocal/internal/graph/csrfile"
 )
 
 // Graph is an immutable simple undirected graph in compressed-sparse-row
@@ -237,12 +240,13 @@ func (g *Graph) Validate() error {
 // Builder accumulates edges and produces an immutable Graph. Duplicate edges
 // and self-loops are silently dropped, so generators can over-propose edges.
 //
-// Internally the builder records packed directed half-edges and finalizes
-// them straight into CSR form with two stable counting-sort passes — O(n+m)
-// total, one pass over the data per radix, no per-node sort-and-copy.
+// Internally the builder records one packed edge and two degree counts per
+// AddEdge, and Graph assembles them with the CSR core every builder shares
+// (csrfile.Rows and csrfile.ReversePorts): each edge is scattered into both
+// endpoints' rows, then every row is sorted and deduplicated in place.
 type Builder struct {
-	n     int
-	pairs []uint64 // packed half-edges u<<32|v, both directions per AddEdge
+	deg   []int64  // per-node endpoint counts, duplicates included
+	edges []uint64 // one packed edge u<<32|v per AddEdge
 }
 
 // NewBuilder returns a builder for a graph on n nodes. It panics if n < 0.
@@ -253,14 +257,14 @@ func NewBuilder(n int) *Builder {
 	if n > math.MaxInt32 {
 		panic("graph: node count exceeds the int32 CSR index range")
 	}
-	return &Builder{n: n}
+	return &Builder{deg: make([]int64, n)}
 }
 
 // maxHalfEdges caps the builder's half-edge count: rev entries are int32, so
 // a graph with 2^31 or more half-edges cannot be indexed by the CSR tables —
-// without the guard the int32 conversions below would wrap and corrupt the
-// graph silently. A variable (not a const) only so tests can lower it and
-// exercise the overflow path without a 16 GiB edge list.
+// without the guard the int32 conversions in the CSR core would wrap and
+// corrupt the graph silently. A variable (not a const) only so tests can
+// lower it and exercise the overflow path without a 16 GiB edge list.
 var maxHalfEdges = int64(math.MaxInt32)
 
 // AddEdge records the undirected edge {u, v}. Self-loops are ignored.
@@ -268,97 +272,42 @@ var maxHalfEdges = int64(math.MaxInt32)
 // int32 half-edge limit (both programming errors in callers; graphs beyond
 // the limit are unrepresentable in CSR and need sharding instead).
 func (b *Builder) AddEdge(u, v int) {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range for n=%d", u, v, b.n))
+	if n := len(b.deg); u < 0 || u >= n || v < 0 || v >= n {
+		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range for n=%d", u, v, n))
 	}
 	if u == v {
 		return
 	}
-	if int64(len(b.pairs))+2 > maxHalfEdges {
+	if 2*int64(len(b.edges))+2 > maxHalfEdges {
 		panic(fmt.Sprintf("graph: edge {%d, %d} would push the graph past %d half-edges, which the int32 CSR reverse-port table cannot index",
 			u, v, maxHalfEdges))
 	}
-	b.pairs = append(b.pairs, uint64(u)<<32|uint64(uint32(v)), uint64(v)<<32|uint64(uint32(u)))
+	b.edges = append(b.edges, uint64(u)<<32|uint64(uint32(v)))
+	b.deg[u]++
+	b.deg[v]++
 }
 
 // Graph finalizes the builder into an immutable CSR graph. The builder may
 // be reused afterwards; edges added so far remain.
 func (b *Builder) Graph() *Graph {
-	return fromHalfEdges(b.n, b.pairs)
+	return assemble(slices.Clone(b.deg), b.edges)
 }
 
-// fromHalfEdges builds a CSR graph from packed directed half-edges (each
-// undirected edge present in both directions, duplicates allowed).
-func fromHalfEdges(n int, pairs []uint64) *Graph {
-	if int64(len(pairs)) > maxHalfEdges {
+// assemble builds the CSR graph of packed edges u<<32|v (no self-loops,
+// duplicates allowed) whose per-node endpoint counts are deg; deg is spent
+// as the reverse-port cursor array.
+func assemble(deg []int64, edges []uint64) *Graph {
+	if 2*int64(len(edges)) > maxHalfEdges {
 		panic(fmt.Sprintf("graph: %d half-edges exceed the int32 CSR index limit %d; rev []int32 cannot address them",
-			len(pairs), maxHalfEdges))
+			2*len(edges), maxHalfEdges))
 	}
-	// Two stable counting-sort passes — by v, then by u — leave the
-	// half-edges in (u, v) lexicographic order, so rows come out sorted and
-	// duplicates sit adjacent.
-	byV := make([]uint64, len(pairs))
-	count := make([]int64, n+1)
-	for _, p := range pairs {
-		count[uint32(p)+1]++
-	}
-	for i := 1; i <= n; i++ {
-		count[i] += count[i-1]
-	}
-	for _, p := range pairs {
-		k := uint32(p)
-		byV[count[k]] = p
-		count[k]++
-	}
-	sorted := make([]uint64, len(pairs))
-	for i := range count {
-		count[i] = 0
-	}
-	for _, p := range byV {
-		count[(p>>32)+1]++
-	}
-	for i := 1; i <= n; i++ {
-		count[i] += count[i-1]
-	}
-	for _, p := range byV {
-		k := p >> 32
-		sorted[count[k]] = p
-		count[k]++
-	}
-	// Dedup while writing the flat neighbor array and per-node row sizes.
-	off := make([]int64, n+1)
-	adj := make([]int32, 0, len(sorted))
-	prev := ^uint64(0) // impossible pair: u == v is never recorded
-	for _, p := range sorted {
-		if p == prev {
-			continue
-		}
-		prev = p
-		off[(p>>32)+1]++
-		adj = append(adj, int32(uint32(p)))
-	}
-	for v := 1; v <= n; v++ {
-		off[v] += off[v-1]
-	}
-	return &Graph{off: off, adj: adj, rev: reversePorts(off, adj), edges: len(adj) / 2}
-}
-
-// reversePorts computes the reverse-port table of CSR rows that are sorted
-// and free of duplicates, in O(m): scanning half-edges (u → w) in global
-// order visits, for each fixed w, the sources u in ascending order — exactly
-// w's own row order — so a per-node cursor hands out the reverse positions.
-func reversePorts(off []int64, adj []int32) []int32 {
-	n := len(off) - 1
-	rev := make([]int32, len(adj))
-	cur := make([]int32, n)
-	for u := 0; u < n; u++ {
-		for i := off[u]; i < off[u+1]; i++ {
-			w := adj[i]
-			rev[i] = int32(off[w]) + cur[w]
-			cur[w]++
-		}
-	}
-	return rev
+	off := make([]int64, len(deg)+1)
+	adj := make([]int32, 2*len(edges))
+	h := csrfile.Rows(deg, edges, off, adj)
+	adj = adj[:h]
+	rev := make([]int32, h)
+	csrfile.ReversePorts(off, adj, rev, deg)
+	return &Graph{off: off, adj: adj, rev: rev, edges: int(h / 2)}
 }
 
 // FromEdges builds a graph on n nodes from an explicit edge list.

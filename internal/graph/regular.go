@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"randlocal/internal/prng"
 )
@@ -19,11 +18,22 @@ import (
 // and d < n, and panics if the repair has not converged after 1000 steps
 // per pair.
 func RandomRegular(n, d int, rng *prng.SplitMix64) *Graph {
+	edges := regularEdges(n, d, rng)
+	deg := make([]int64, n)
+	for v := range deg {
+		deg[v] = int64(d)
+	}
+	return assemble(deg, edges)
+}
+
+// regularEdges draws and repairs RandomRegular's stub pairing and returns
+// its pairs as packed edges u<<32|v.
+func regularEdges(n, d int, rng *prng.SplitMix64) []uint64 {
 	if d >= n || n*d%2 != 0 {
 		panic(fmt.Sprintf("graph: RandomRegular(%d, %d) infeasible", n, d))
 	}
 	if d == 0 {
-		return NewBuilder(n).Graph()
+		return nil
 	}
 	if int64(n)*int64(d) > maxHalfEdges {
 		panic(fmt.Sprintf("graph: RandomRegular(%d, %d) exceeds the int32 CSR half-edge limit %d", n, d, maxHalfEdges))
@@ -50,32 +60,11 @@ func RandomRegular(n, d int, rng *prng.SplitMix64) *Graph {
 		}
 		r.swap(p, q)
 	}
-	return regularGraph(n, d, stubs)
-}
-
-// regularGraph builds the CSR graph of a repaired pairing. Every row has
-// exactly d entries and the pairing has no loop or parallel edge, so each
-// row is filled in place and sorted; the result is the graph a Builder
-// makes of the same pairs, without its two counting-sort passes.
-func regularGraph(n, d int, stubs []int32) *Graph {
-	off := make([]int64, n+1)
-	for v := range off {
-		off[v] = int64(v * d)
+	edges := make([]uint64, numPairs)
+	for p := range edges {
+		edges[p] = uint64(stubs[2*p])<<32 | uint64(uint32(stubs[2*p+1]))
 	}
-	adj := make([]int32, n*d)
-	fill := make([]int64, n)
-	copy(fill, off)
-	for i := 0; i < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		adj[fill[u]] = v
-		adj[fill[v]] = u
-		fill[u]++
-		fill[v]++
-	}
-	for v := range n {
-		slices.Sort(adj[v*d : (v+1)*d])
-	}
-	return &Graph{off: off, adj: adj, rev: reversePorts(off, adj), edges: n * d / 2}
+	return edges
 }
 
 // pairRepair finds the first bad stub pair — a self-loop, or one of two or

@@ -84,13 +84,26 @@ func TestBuilderHalfEdgeOverflowGuard(t *testing.T) {
 		t.Fatalf("M() = %d after the guard fired, want 3", g.M())
 	}
 
-	// fromHalfEdges guards too, for callers that bypass AddEdge.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("fromHalfEdges past the cap did not panic")
-			}
+	// Edges recorded under a higher cap are refused at assembly:
+	// Builder.Graph checks the count before running the CSR core, and
+	// RandomRegular before it draws.
+	b = NewBuilder(10)
+	maxHalfEdges = old
+	for v := 1; v <= 4; v++ {
+		b.AddEdge(0, v)
+	}
+	maxHalfEdges = 6
+	for name, build := range map[string]func(){
+		"Builder.Graph": func() { b.Graph() },
+		"RandomRegular": func() { RandomRegular(10, 2, prng.New(1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s past the cap did not panic", name)
+				}
+			}()
+			build()
 		}()
-		fromHalfEdges(10, make([]uint64, 8))
-	}()
+	}
 }
